@@ -37,26 +37,23 @@ from .fec_polar import KeyCodeword, PolarCode, polar_decode_scl
 from .framing import (
     GcsPilotParams,
     SymbolStream,
-    assemble_frame,
     demap_payload_16qam,
     demap_pilot,
     demap_pilot_llrs,
-    hard_decision_16qam,
     map_payload_16qam,
     map_pilot,
     payload_llrs_16qam,
-    pilot_phase_reference,
-    qpsk_training,
     upstream_layout,
 )
 from .protocol import (
     allocate_tfdma,
     active_keys_synchronized,
     make_sessions,
+    receive_subcarrier,
     run_secure_session,
     run_upstream_keydist,
+    transmit_subcarrier,
 )
-from .rxdsp import recover_carrier_phase
 
 EXPERIMENT_NAMES = (
     "theory-curves",
@@ -350,21 +347,13 @@ def _cpr_frame_ber(a: float, linewidth_hz: float, snr_db: float,
         first = data_rng.integers(0, 2, layout.n_pilots).astype(np.uint8)
         second = data_rng.integers(0, 2, layout.n_pilots).astype(np.uint8)
         payload_bits = data_rng.integers(0, 2, 4 * layout.payload_len).astype(np.uint8)
-        frame = assemble_frame(
-            qpsk_training(layout.training_len, seed=f + 1),
-            map_pilot(first, second, params),
-            map_payload_16qam(payload_bits),
-            layout,
-        )
+        frame = transmit_subcarrier(first, second, payload_bits, f + 1, layout, params)
         # channel draw shared across pilot shapes at one (linewidth, SNR)
         chan_seed = _cell_seed(master, f"cpr-chan|lw={linewidth_hz!r}|snr={snr_db!r}|f={f}")
         cfg = ChannelConfig(snr_db=snr_db, linewidth_hz=linewidth_hz,
                             seed=(chan_seed[0] << 32) ^ chan_seed[1])
-        rx = apply_channel(SymbolStream(frame, 8e9), cfg)
-        body = rx.symbols[layout.training_len:]
-        result = recover_carrier_phase(body, layout, pilot_phase_reference(first))
-        got = demap_payload_16qam(hard_decision_16qam(result.payload))
-        errors += int(np.count_nonzero(got != payload_bits))
+        got = receive_subcarrier(apply_channel(SymbolStream(frame, 8e9), cfg), first, layout)
+        errors += int(np.count_nonzero(demap_payload_16qam(got.cpr.payload) != payload_bits))
         bits += payload_bits.size
     return errors, bits
 
@@ -628,6 +617,13 @@ def _channel_from(p: dict[str, Any], snr_key: str, seed: int,
     )
 
 
+def _onu_ids(p: dict[str, Any]) -> list[str]:
+    onu_ids = list(p["onu_ids"])
+    if not onu_ids or not all(isinstance(o, str) for o in onu_ids):
+        raise ConfigError("onu_ids must be a nonempty list of strings")
+    return onu_ids
+
+
 def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
     op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
     p = _require(spec.params, {
@@ -638,9 +634,7 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
         "freq_offset_hz": 0.0,
         "loss_probability": 0.0,
     }, spec.name)
-    onu_ids = list(p["onu_ids"])
-    if not onu_ids or not all(isinstance(o, str) for o in onu_ids):
-        raise ConfigError("onu_ids must be a nonempty list of strings")
+    onu_ids = _onu_ids(p)
     n_frames = _as_int(p["n_frames"], "n_frames")
     loss = float(p["loss_probability"])
     if not 0.0 <= loss < 1.0:
@@ -692,9 +686,7 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
         "eavesdropper": True,
         "agreement_band": [0.49, 0.51],
     }, spec.name)
-    onu_ids = list(p["onu_ids"])
-    if not onu_ids or not all(isinstance(o, str) for o in onu_ids):
-        raise ConfigError("onu_ids must be a nonempty list of strings")
+    onu_ids = _onu_ids(p)
     n_super = _as_int(p["n_superframes"], "n_superframes")
     band = _as_floats(p["agreement_band"], "agreement_band")
     if len(band) != 2 or not 0 <= band[0] < band[1] <= 1:

@@ -1,10 +1,22 @@
-"""OLT/ONU session machinery: key distribution over the pilot channel,
-encrypted downstream broadcast, and subcarrier allocation.
+"""OLT/ONU session machinery: one frame chain carrying key distribution
+upstream and encrypted broadcast downstream, plus subcarrier allocation.
+
+Frame chain.  Every frame, in either direction, takes one path:
+``transmit_subcarrier`` builds each subcarrier's frame (QPSK training,
+shaped pilots whose first bit is the pre-shared sign and whose second
+bit carries a key or filler bit, 16QAM payload), ``mux`` stacks the
+subcarriers, the channel impairs the aggregate, and
+``receive_subcarrier`` selects a subcarrier with ``demux_select``,
+recovers its carrier phase from the pilots and estimates the noise.
+Upstream, each ONU's burst passes its own laser before the bursts sum
+at the OLT under one noise loading.  The eavesdropper is the same
+receiver on a tapped channel with a made-up key; its post-decryption
+bit agreement is the security figure the reports carry.
 
 Key lifecycle.  Each ONU draws its own 256-bit session key and sends it
 upstream as two CRC-protected fragments riding the magnitude bits of the
 shaped pilots (one polar codeword per frame, spread over the ONU's two
-subcarriers).  The OLT assembles the fragments and acknowledges
+key subcarriers).  The OLT assembles the fragments and acknowledges
 implicitly: every downstream codeword starts with a one-byte control
 field, inside the encrypted envelope, echoing the lowest key sequence
 number the OLT holds pending.  Both ends switch to the echoed key at
@@ -14,10 +26,6 @@ fragment that fails its CRC is simply dropped and retransmitted on the
 next cadence; no activation can happen without a valid CRC on both
 fragments and a decrypted echo, which is what keeps a lossy control
 channel from ever desynchronizing the two stores.
-
-The eavesdropper runs the full receive chain on the broadcast
-downstream with an independently drawn key; its post-decryption bit
-agreement is the security figure the reports carry.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from .crypto import (
     split_key,
 )
 from .dscm import DscmPlan, demux_select, mux
-from .fec_ldpc import LDPC_K, default_code, ldpc_encode
+from .fec_ldpc import LDPC_K, LdpcCode, default_code, ldpc_encode
 from .fec_polar import KeyCodeword, PolarCode, polar_decode_scl
 from .framing import (
     FrameLayout,
@@ -86,45 +94,32 @@ def _child_seed(seed: int, *ids: int) -> int:
 
 @dataclass(frozen=True)
 class TfdmaAllocation:
-    """Disjoint (time slot, subcarrier) cells per ONU."""
+    """Disjoint (time slot, subcarrier) cells per ONU; every ONU sends in
+    every frame, so all cells sit in time slot 0."""
 
     cells: dict[str, tuple[tuple[int, int], ...]]
     n_subcarriers: int
-    time_slots: int
 
     def subcarriers(self, onu_id: str) -> tuple[int, ...]:
         return tuple(sorted({sc for _, sc in self.cells[onu_id]}))
 
 
-def allocate_tfdma(onu_ids: list[str], n_subcarriers: int = 4,
-                   time_slots: int = 1) -> TfdmaAllocation:
-    """Round-robin the (slot, subcarrier) grid over the ONUs.
-
-    Pure FDMA (one slot) hands each ONU a contiguous block of
-    subcarriers; more ONUs than subcarriers needs a time-slot schedule.
-    """
+def allocate_tfdma(onu_ids: list[str], n_subcarriers: int = 4) -> TfdmaAllocation:
+    """Hand each ONU a contiguous block of subcarriers (pure FDMA)."""
     if not onu_ids:
         raise ValueError("need at least one ONU")
     if len(set(onu_ids)) != len(onu_ids):
         raise ValueError("duplicate ONU ids")
-    capacity = n_subcarriers * time_slots
-    if len(onu_ids) > capacity:
-        kind = "subcarriers" if time_slots == 1 else "grid cells"
-        raise ValueError(f"{len(onu_ids)} ONUs oversubscribe {capacity} {kind}")
-    cells: dict[str, list[tuple[int, int]]] = {o: [] for o in onu_ids}
-    if time_slots == 1:
-        share, extra = divmod(n_subcarriers, len(onu_ids))
-        start = 0
-        for i, onu in enumerate(onu_ids):
-            stop = start + share + (1 if i < extra else 0)
-            cells[onu] = [(0, sc) for sc in range(start, stop)]
-            start = stop
-    else:
-        grid = [(slot, sc) for slot in range(time_slots) for sc in range(n_subcarriers)]
-        for i, cell in enumerate(grid):
-            cells[onu_ids[i % len(onu_ids)]].append(cell)
-    return TfdmaAllocation(cells={o: tuple(c) for o, c in cells.items()},
-                           n_subcarriers=n_subcarriers, time_slots=time_slots)
+    if len(onu_ids) > n_subcarriers:
+        raise ValueError(f"{len(onu_ids)} ONUs oversubscribe {n_subcarriers} subcarriers")
+    share, extra = divmod(n_subcarriers, len(onu_ids))
+    cells: dict[str, tuple[tuple[int, int], ...]] = {}
+    start = 0
+    for i, onu in enumerate(onu_ids):
+        stop = start + share + (1 if i < extra else 0)
+        cells[onu] = tuple((0, sc) for sc in range(start, stop))
+        start = stop
+    return TfdmaAllocation(cells=cells, n_subcarriers=n_subcarriers)
 
 
 @dataclass
@@ -135,8 +130,6 @@ class OnuSession:
     subcarriers: tuple[int, ...]
     onu_store: KeyStore
     olt_store: KeyStore
-    frame_counter: int = 0
-    direction_state: str = "idle"
     next_seq: int = 1
     codeword_counter: int = 0
     current_key: SessionKey | None = None
@@ -321,20 +314,70 @@ def _echo_value(bits: np.ndarray) -> int:
     return int(np.packbits(np.asarray(bits).astype(np.uint8)[:8])[0])
 
 
-def _pilot_sign_bits(seed: int, frame: int, sc: int, n: int) -> np.ndarray:
-    return _rng(seed, _SIGNS, frame, sc).integers(0, 2, n).astype(np.uint8)
+def _pilot_bits(seed: int, stream: int, frame: int, sc: int, n: int) -> np.ndarray:
+    """Pilot sign bits (``_SIGNS``) or magnitude filler bits (``_PILOT2``)."""
+    return _rng(seed, stream, frame, sc).integers(0, 2, n).astype(np.uint8)
 
 
-def _estimate_noise_var(payload: np.ndarray) -> float:
-    resid = payload - hard_decision_16qam(payload)
-    return max(float(np.mean(np.abs(resid) ** 2)), 1e-12)
+@dataclass
+class SubcarrierReception:
+    """What the receiver recovers from one subcarrier of one frame."""
+
+    cpr: rxdsp.CprResult
+    noise_var: float
 
 
-def _receive_sc(rx_frame: np.ndarray, layout: FrameLayout, seed: int, frame: int,
-                sc: int, pilot_params: GcsPilotParams, cpr_cfg) -> rxdsp.CprResult:
-    signs = _pilot_sign_bits(seed, frame, sc, layout.n_pilots)
-    body = rx_frame[layout.training_len:]
-    return rxdsp.recover_carrier_phase(body, layout, pilot_phase_reference(signs), cpr_cfg)
+def transmit_subcarrier(signs: np.ndarray, second_bits: np.ndarray,
+                        payload_bits: np.ndarray, train_seed: int,
+                        layout: FrameLayout, pilot_params: GcsPilotParams) -> np.ndarray:
+    """One subcarrier's frame: QPSK training, shaped pilots whose first
+    bit is the pre-shared sign and whose second bit carries a key or
+    filler bit, then Gray 16QAM payload."""
+    return assemble_frame(qpsk_training(layout.training_len, train_seed),
+                          map_pilot(signs, second_bits, pilot_params),
+                          map_payload_16qam(payload_bits), layout)
+
+
+def receive_subcarrier(rx: SymbolStream, signs: np.ndarray, layout: FrameLayout,
+                       cpr_cfg: rxdsp.CprConfig | None = None,
+                       plan: DscmPlan | None = None, sc: int = 0) -> SubcarrierReception:
+    """Recover one subcarrier's frame against its pilot sign bits.
+
+    With a DSCM ``plan``, subcarrier ``sc`` is first selected out of the
+    aggregate ``rx``; without one, ``rx`` already holds a single-carrier
+    frame at the symbol rate.  The noise variance is decision-directed
+    over the phase-corrected payload.
+    """
+    frame = rx.symbols if plan is None else demux_select(rx, sc, plan).symbols
+    cpr = rxdsp.recover_carrier_phase(frame[layout.training_len:], layout,
+                                      pilot_phase_reference(signs), cpr_cfg)
+    resid = cpr.payload - hard_decision_16qam(cpr.payload)
+    return SubcarrierReception(cpr, max(float(np.mean(np.abs(resid) ** 2)), 1e-12))
+
+
+def _mux_frames(frames: dict[int, np.ndarray], layout: FrameLayout,
+                plan: DscmPlan) -> SymbolStream:
+    """DSCM aggregate of the given subcarrier frames; the rest stay dark."""
+    return mux([SymbolStream(frames.get(sc, np.zeros(layout.total_len, dtype=complex)),
+                             plan.baud_per_sc) for sc in range(plan.n_subcarriers)], plan)
+
+
+def _receive_onu(rx: SymbolStream, session: OnuSession, layout: FrameLayout,
+                 plan: DscmPlan, seed: int, frame: int, cfg: ChannelConfig,
+                 cpr_cfg: rxdsp.CprConfig | None) -> dict[int, SubcarrierReception]:
+    """Receive every subcarrier of one ONU, after correcting its offset."""
+    if cfg.freq_offset_hz:
+        rx = _correct_onu_offset(rx, session, layout, plan, seed, frame)
+    return {sc: receive_subcarrier(rx, _pilot_bits(seed, _SIGNS, frame, sc, layout.n_pilots),
+                                   layout, cpr_cfg, plan, sc)
+            for sc in session.subcarriers}
+
+
+def _decode_payload(got: SubcarrierReception, ldpc: LdpcCode) -> np.ndarray:
+    """LDPC-decode one subcarrier's payload into its information rows."""
+    llrs = payload_llrs_16qam(got.cpr.payload, got.noise_var)
+    hard, _, _ = ldpc.decode_batch(llrs.reshape(CODEWORDS_PER_SC_PER_FRAME, -1))
+    return hard[:, :LDPC_K].astype(np.uint8)
 
 
 def _correct_onu_offset(aggregate: SymbolStream, session: OnuSession,
@@ -386,105 +429,106 @@ def run_upstream_keydist(sessions: list[OnuSession], cfg: ChannelConfig,
                          decode_payload: bool = False) -> SessionReport:
     """Distribute session keys upstream over the pilot magnitude bits.
 
-    Every frame each ONU sends one polar-coded key fragment across its
-    two key subcarriers, plus regular 16QAM payload.  Each ONU's burst
-    passes through its own laser's phase-noise channel; the bursts sum
-    at the OLT where a single noise loading applies.  Assembly is
-    CRC-gated and activation here models an out-of-band acknowledgment:
-    both stores switch at the frame boundary after assembly (the in-band
-    echo path lives in the downstream runner).
+    Runs ``n_frames`` upstream frames (see ``_upstream_frame``) and
+    reports their payload metrics.  Activation here models an
+    out-of-band acknowledgment: both stores switch at the frame boundary
+    after assembly (the in-band echo path lives in the downstream
+    runner).  With ``decode_payload`` the payload is LDPC-coded and its
+    post-FEC errors are counted too.
     """
     pilot_params = pilot_params or GcsPilotParams()
     plan = plan or DscmPlan()
     layout = upstream_layout()
     polar = PolarCode()
-    ldpc = default_code()
+    ldpc = default_code() if decode_payload else None
     _check_pilot_budget(sessions, layout, polar)
     report = SessionReport(direction="upstream", n_frames=n_frames)
 
     for f in range(n_frames):
-        tx_coded: dict[tuple[str, int], np.ndarray] = {}
-        onu_waves = []
-        for idx, session in enumerate(sessions):
-            _start_fragment_cycle(session, seed, f, report)
-            fragment = session.tx_fragments[session.tx_phase]
-            coded = KeyCodeword.from_payload(fragment.to_bits(), polar).coded_bits
-            budget = layout.n_pilots * len(session.key_subcarriers)
-            key_bits = np.concatenate([coded, np.zeros(budget - coded.size, dtype=np.uint8)])
-            report.key_events.append(KeyEventRecord(
-                f, session.onu_id, "fragment_sent", fragment.seq,
-                f"index={fragment.fragment_index}"))
-
-            streams = [SymbolStream(np.zeros(layout.total_len, dtype=complex),
-                                    plan.baud_per_sc) for _ in range(plan.n_subcarriers)]
-            for sc in session.subcarriers:
-                signs = _pilot_sign_bits(seed, f, sc, layout.n_pilots)
-                if sc in session.key_subcarriers:
-                    j = session.key_subcarriers.index(sc)
-                    second = key_bits[j * layout.n_pilots:(j + 1) * layout.n_pilots]
-                else:
-                    second = _rng(seed, _PILOT2, f, sc).integers(
-                        0, 2, layout.n_pilots).astype(np.uint8)
-                pilots = map_pilot(signs, second, pilot_params)
-                if decode_payload:
-                    info = _rng(seed, _USDATA, idx, f, sc).integers(
-                        0, 2, (CODEWORDS_PER_SC_PER_FRAME, LDPC_K)).astype(np.uint8)
-                    coded_payload = np.concatenate([ldpc_encode(row, ldpc) for row in info])
-                else:
-                    coded_payload = _rng(seed, _USDATA, idx, f, sc).integers(
-                        0, 2, 4 * layout.payload_len).astype(np.uint8)
-                tx_coded[(session.onu_id, sc)] = coded_payload
-                train = qpsk_training(layout.training_len, _child_seed(seed, _TRAIN, f, sc))
-                frame_syms = assemble_frame(train, pilots,
-                                            map_payload_16qam(coded_payload), layout)
-                streams[sc] = SymbolStream(frame_syms, plan.baud_per_sc)
-                report.pre_bits_transmitted += coded_payload.size
-            onu_cfg = ChannelConfig(snr_db=None, linewidth_hz=cfg.linewidth_hz,
-                                    freq_offset_hz=cfg.freq_offset_hz,
-                                    seed=_child_seed(cfg.seed, _USPHASE, f, idx))
-            onu_waves.append(apply_channel(mux(streams, plan), onu_cfg))
-
-        total = SymbolStream(np.sum([w.symbols for w in onu_waves], axis=0),
-                             plan.sample_rate_hz)
-        if cfg.snr_db is not None:
-            total = add_awgn(total, cfg.snr_db, seed=_child_seed(cfg.seed, _USNOISE, f))
-
-        for idx, session in enumerate(sessions):
-            work = total
-            if cfg.freq_offset_hz:
-                work = _correct_onu_offset(total, session, layout, plan, seed, f)
-            llr_chunks = []
-            for sc in session.subcarriers:
-                rx_frame = demux_select(work, sc, plan).symbols
-                result = _receive_sc(rx_frame, layout, seed, f, sc, pilot_params, cpr_cfg)
-                noise_var = _estimate_noise_var(result.payload)
-                hard = demap_payload_16qam(result.payload)
-                truth = tx_coded[(session.onu_id, sc)]
-                pre_errors = int(np.sum(hard != truth))
-                post_bits = post_errors = 0
-                if decode_payload:
-                    llrs = payload_llrs_16qam(result.payload, noise_var)
-                    info_truth = _rng(seed, _USDATA, idx, f, sc).integers(
-                        0, 2, (CODEWORDS_PER_SC_PER_FRAME, LDPC_K)).astype(np.uint8)
-                    hard_cw, _, _ = ldpc.decode_batch(
-                        llrs.reshape(CODEWORDS_PER_SC_PER_FRAME, -1))
-                    post_errors = int(np.sum(hard_cw[:, :LDPC_K] != info_truth))
-                    post_bits = info_truth.size
-                    report.post_bits_transmitted += post_bits
-                report.frame_metrics.append(FrameMetrics(
-                    f, "us", session.onu_id, sc, truth.size, pre_errors,
-                    post_bits, post_errors, result.cycle_slips))
-                if sc in session.key_subcarriers:
-                    llr_chunks.append(demap_pilot_llrs(result.pilots, pilot_params,
-                                                       noise_var))
-            _receive_fragment(session, np.concatenate(llr_chunks)[:polar.block_length],
-                              polar, f, seed, loss_probability, report)
+        metrics = _upstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan,
+                                  layout, polar, ldpc, loss_probability, report)
+        report.frame_metrics += metrics
+        report.pre_bits_transmitted += sum(m.pre_bits for m in metrics)
+        report.post_bits_transmitted += sum(m.post_bits for m in metrics)
+        for session in sessions:
             _ideal_ack_activation(session, session.codeword_counter, f, report)
-            session.frame_counter += 1
-            session.direction_state = "upstream"
         report.n_frames = f + 1
     report.validate()
     return report
+
+
+def _upstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan, layout,
+                    polar, ldpc, loss_probability, report) -> list[FrameMetrics]:
+    """One upstream frame; returns the payload metrics per subcarrier.
+
+    Each ONU sends one polar-coded key fragment on the pilot magnitude
+    bits of its two key subcarriers and 16QAM payload on all of its
+    subcarriers (LDPC-coded when ``ldpc`` is given).  Each ONU's burst
+    passes through its own laser's phase-noise channel; the bursts sum
+    at the OLT where a single noise loading applies.  The OLT takes in
+    the fragments CRC-gated; activation is left to the caller.
+    """
+    n = layout.n_pilots
+    sent: list[dict[int, tuple[np.ndarray, np.ndarray | None]]] = []
+    onu_waves = []
+    for idx, session in enumerate(sessions):
+        _start_fragment_cycle(session, seed, f, report)
+        fragment = session.tx_fragments[session.tx_phase]
+        coded = KeyCodeword.from_payload(fragment.to_bits(), polar).coded_bits
+        key_bits = np.zeros(n * len(session.key_subcarriers), dtype=np.uint8)
+        key_bits[:coded.size] = coded
+        report.key_events.append(KeyEventRecord(
+            f, session.onu_id, "fragment_sent", fragment.seq,
+            f"index={fragment.fragment_index}"))
+        tx: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        frames = {}
+        for j, sc in enumerate(session.subcarriers):
+            if sc in session.key_subcarriers:
+                second = key_bits[j * n:(j + 1) * n]
+            else:
+                second = _pilot_bits(seed, _PILOT2, f, sc, n)
+            draw = _rng(seed, _USDATA, idx, f, sc)
+            if ldpc is None:
+                info = None
+                payload = draw.integers(0, 2, 4 * layout.payload_len).astype(np.uint8)
+            else:
+                info = draw.integers(
+                    0, 2, (CODEWORDS_PER_SC_PER_FRAME, LDPC_K)).astype(np.uint8)
+                payload = np.concatenate([ldpc_encode(row, ldpc) for row in info])
+            tx[sc] = (payload, info)
+            frames[sc] = transmit_subcarrier(_pilot_bits(seed, _SIGNS, f, sc, n), second,
+                                             payload, _child_seed(seed, _TRAIN, f, sc),
+                                             layout, pilot_params)
+        sent.append(tx)
+        onu_cfg = ChannelConfig(snr_db=None, linewidth_hz=cfg.linewidth_hz,
+                                freq_offset_hz=cfg.freq_offset_hz,
+                                seed=_child_seed(cfg.seed, _USPHASE, f, idx))
+        onu_waves.append(apply_channel(_mux_frames(frames, layout, plan), onu_cfg))
+
+    total = SymbolStream(np.sum([w.symbols for w in onu_waves], axis=0),
+                         plan.sample_rate_hz)
+    if cfg.snr_db is not None:
+        total = add_awgn(total, cfg.snr_db, seed=_child_seed(cfg.seed, _USNOISE, f))
+
+    metrics = []
+    for session, tx in zip(sessions, sent):
+        received = _receive_onu(total, session, layout, plan, seed, f, cfg, cpr_cfg)
+        for sc, got in received.items():
+            payload, info = tx[sc]
+            pre_errors = int(np.count_nonzero(demap_payload_16qam(got.cpr.payload) != payload))
+            post_bits = post_errors = 0
+            if info is not None:
+                post_errors = int(np.count_nonzero(_decode_payload(got, ldpc) != info))
+                post_bits = info.size
+            metrics.append(FrameMetrics(f, "us", session.onu_id, sc, payload.size,
+                                        pre_errors, post_bits, post_errors,
+                                        got.cpr.cycle_slips))
+        llrs = np.concatenate([
+            demap_pilot_llrs(received[sc].cpr.pilots, pilot_params, received[sc].noise_var)
+            for sc in session.key_subcarriers])
+        _receive_fragment(session, llrs[:polar.block_length], polar, f, seed,
+                          loss_probability, report)
+    return metrics
 
 
 def _receive_fragment(session: OnuSession, llrs: np.ndarray, polar: PolarCode,
@@ -582,116 +626,77 @@ def run_downstream_encrypted(sessions: list[OnuSession], cfg: ChannelConfig,
 
 def _downstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan,
                       layout, eavesdropper, report) -> None:
+    """One broadcast frame: encrypt, LDPC-encode and send every ONU's
+    codewords, then receive them at each ONU with its own keys and, with
+    ``eavesdropper``, again on a tapped copy with a made-up key."""
     ldpc = default_code()
-    tx_coded: dict[tuple[str, int], np.ndarray] = {}
-    tx_cipher_truth: dict[int, np.ndarray] = {}
-    streams = [SymbolStream(np.zeros(layout.total_len, dtype=complex), plan.baud_per_sc)
-               for _ in range(plan.n_subcarriers)]
-
+    n = layout.n_pilots
+    frames: dict[int, np.ndarray] = {}
+    sent: list[dict[int, tuple[np.ndarray, list[tuple[int, np.ndarray]]]]] = []
     for session in sessions:
-        payload_syms = {sc: [] for sc in session.subcarriers}
+        tx = {}
         for sc in session.subcarriers:
+            coded, codewords = [], []
             for _ in range(CODEWORDS_PER_SC_PER_FRAME):
                 c = session.codeword_counter
                 pending = session.olt_store.pending_seqs()
                 echo = pending[0] if pending else ECHO_NONE
                 data = _rng(seed, _DATA, _stable_id(session.onu_id), c).integers(
                     0, 2, DATA_BITS_PER_CODEWORD).astype(np.uint8)
-                plain = np.concatenate([_echo_bits(echo), data])
                 key = session.olt_store.consume(c)
-                cipher = aes256_encrypt(plain, key, c)
-                tx_cipher_truth[c] = cipher
-                coded = ldpc_encode(cipher, ldpc)
-                tx_coded.setdefault((session.onu_id, sc), []).append(coded)
-                payload_syms[sc].append(map_payload_16qam(coded))
-                report.pre_bits_transmitted += coded.size
+                cipher = aes256_encrypt(np.concatenate([_echo_bits(echo), data]), key, c)
+                coded.append(ldpc_encode(cipher, ldpc))
+                codewords.append((c, data))
+                report.pre_bits_transmitted += coded[-1].size
                 report.post_bits_transmitted += data.size
                 session.codeword_counter += 1
                 if echo != ECHO_NONE:
                     session.olt_store.activate(echo, c + 1)
                     report.key_events.append(KeyEventRecord(
                         f, session.onu_id, "olt_activated", echo, f"codeword={c + 1}"))
-        for sc in session.subcarriers:
-            signs = _pilot_sign_bits(seed, f, sc, layout.n_pilots)
-            second = _rng(seed, _PILOT2, f, sc).integers(0, 2, layout.n_pilots).astype(np.uint8)
-            pilots = map_pilot(signs, second, pilot_params)
-            train = qpsk_training(layout.training_len, _child_seed(seed, _TRAIN, f, sc))
-            frame_syms = assemble_frame(train, pilots,
-                                        np.concatenate(payload_syms[sc]), layout)
-            streams[sc] = SymbolStream(frame_syms, plan.baud_per_sc)
+            tx[sc] = (np.concatenate(coded), codewords)
+            frames[sc] = transmit_subcarrier(
+                _pilot_bits(seed, _SIGNS, f, sc, n), _pilot_bits(seed, _PILOT2, f, sc, n),
+                tx[sc][0], _child_seed(seed, _TRAIN, f, sc), layout, pilot_params)
+        sent.append(tx)
 
-    clean = mux(streams, plan)
+    clean = _mux_frames(frames, layout, plan)
     frame_cfg = ChannelConfig(snr_db=cfg.snr_db, linewidth_hz=cfg.linewidth_hz,
                               freq_offset_hz=cfg.freq_offset_hz,
                               seed=_child_seed(cfg.seed, _DSCHAN, f))
-    rx = apply_channel(clean, frame_cfg)
-
-    cw_base = {s.onu_id: s.codeword_counter - CODEWORDS_PER_SC_PER_FRAME
-               * len(s.subcarriers) for s in sessions}
-    for session in sessions:
-        work = rx
-        if cfg.freq_offset_hz:
-            work = _correct_onu_offset(rx, session, layout, plan, seed, f)
-        c = cw_base[session.onu_id]
-        for sc in session.subcarriers:
-            rx_frame = demux_select(work, sc, plan).symbols
-            result = _receive_sc(rx_frame, layout, seed, f, sc, pilot_params, cpr_cfg)
-            noise_var = _estimate_noise_var(result.payload)
-            truth = np.concatenate(tx_coded[(session.onu_id, sc)])
-            pre_errors = int(np.sum(demap_payload_16qam(result.payload) != truth))
-            llrs = payload_llrs_16qam(result.payload, noise_var)
-            hard_cw, _, _ = ldpc.decode_batch(llrs.reshape(CODEWORDS_PER_SC_PER_FRAME, -1))
-            post_errors = 0
-            for row in hard_cw[:, :LDPC_K].astype(np.uint8):
-                key = session.onu_store.consume(c)
-                plain = aes256_decrypt(row, key, c)
-                echo = _echo_value(plain[:8])
-                data_truth = _rng(seed, _DATA, _stable_id(session.onu_id), c).integers(
-                    0, 2, DATA_BITS_PER_CODEWORD).astype(np.uint8)
-                post_errors += int(np.sum(plain[8:] != data_truth))
-                if echo != ECHO_NONE and echo in session.onu_store.pending_seqs():
-                    session.onu_store.activate(echo, c + 1)
-                    report.rotations += 1
-                    report.key_events.append(KeyEventRecord(
-                        f, session.onu_id, "onu_activated", echo, f"codeword={c + 1}"))
-                c += 1
-            report.frame_metrics.append(FrameMetrics(
-                f, "ds", session.onu_id, sc, truth.size, pre_errors,
-                hard_cw.shape[0] * DATA_BITS_PER_CODEWORD, post_errors,
-                result.cycle_slips))
-        session.frame_counter += 1
-        session.direction_state = "downstream"
-
+    taps = [(frame_cfg, None)]
     if eavesdropper:
-        _eavesdrop_frame(sessions, clean, frame_cfg, f, seed, pilot_params,
-                         cpr_cfg, plan, layout, tx_cipher_truth, cw_base, report)
-
-
-def _eavesdrop_frame(sessions, clean, frame_cfg, f, seed, pilot_params, cpr_cfg,
-                     plan, layout, tx_cipher_truth, cw_base, report) -> None:
-    """Run the full legitimate DSP on an independent tap, then decrypt
-    with a key the eavesdropper made up."""
-    ldpc = default_code()
-    rx = apply_channel(clean, eavesdropper_config(frame_cfg))
-    eve_key = SessionKey(bits=_rng(seed, _EVEKEY, 0).integers(0, 2, 256).astype(np.uint8),
-                         seq=254, state="active")
-    for session in sessions:
-        work = rx
-        if frame_cfg.freq_offset_hz:
-            work = _correct_onu_offset(rx, session, layout, plan, seed, f)
-        c = cw_base[session.onu_id]
-        for sc in session.subcarriers:
-            rx_frame = demux_select(work, sc, plan).symbols
-            result = _receive_sc(rx_frame, layout, seed, f, sc, pilot_params, cpr_cfg)
-            llrs = payload_llrs_16qam(result.payload, _estimate_noise_var(result.payload))
-            hard_cw, _, _ = ldpc.decode_batch(llrs.reshape(CODEWORDS_PER_SC_PER_FRAME, -1))
-            for row in hard_cw[:, :LDPC_K].astype(np.uint8):
-                plain_eve = aes256_decrypt(row, eve_key, c)
-                data_truth = _rng(seed, _DATA, _stable_id(session.onu_id), c).integers(
-                    0, 2, DATA_BITS_PER_CODEWORD).astype(np.uint8)
-                report.eavesdropper_bits += DATA_BITS_PER_CODEWORD
-                report.eavesdropper_errors += int(np.sum(plain_eve[8:] != data_truth))
-                c += 1
+        made_up = _rng(seed, _EVEKEY, 0).integers(0, 2, 256).astype(np.uint8)
+        taps.append((eavesdropper_config(frame_cfg),
+                     SessionKey(bits=made_up, seq=254, state="active")))
+    for tap_cfg, eve_key in taps:
+        rx = apply_channel(clean, tap_cfg)
+        for session, tx in zip(sessions, sent):
+            for sc, got in _receive_onu(rx, session, layout, plan, seed, f, tap_cfg,
+                                        cpr_cfg).items():
+                coded, codewords = tx[sc]
+                errors = 0
+                for row, (c, data) in zip(_decode_payload(got, ldpc), codewords):
+                    key = session.onu_store.consume(c) if eve_key is None else eve_key
+                    decrypted = aes256_decrypt(row, key, c)
+                    errors += int(np.count_nonzero(decrypted[8:] != data))
+                    echo = _echo_value(decrypted[:8])
+                    if eve_key is None and echo != ECHO_NONE \
+                            and echo in session.onu_store.pending_seqs():
+                        session.onu_store.activate(echo, c + 1)
+                        report.rotations += 1
+                        report.key_events.append(KeyEventRecord(
+                            f, session.onu_id, "onu_activated", echo, f"codeword={c + 1}"))
+                data_bits = len(codewords) * DATA_BITS_PER_CODEWORD
+                if eve_key is not None:
+                    report.eavesdropper_bits += data_bits
+                    report.eavesdropper_errors += errors
+                    continue
+                pre_errors = int(np.count_nonzero(
+                    demap_payload_16qam(got.cpr.payload) != coded))
+                report.frame_metrics.append(FrameMetrics(
+                    f, "ds", session.onu_id, sc, coded.size, pre_errors, data_bits,
+                    errors, got.cpr.cycle_slips))
 
 
 def run_secure_session(sessions: list[OnuSession], us_cfg: ChannelConfig,
@@ -704,11 +709,13 @@ def run_secure_session(sessions: list[OnuSession], us_cfg: ChannelConfig,
                        check_sync: bool = True) -> SessionReport:
     """Alternate upstream key distribution with encrypted downstream.
 
-    Unlike the upstream-only runner, activation happens exclusively
-    through the in-band echo: the OLT announces an assembled key in the
-    next downstream codeword and both stores rotate at the boundary
-    after it.  With ``check_sync`` the run asserts OLT and ONU agree on
-    the active key after every superframe.
+    Each superframe is one upstream frame, whose payload metrics are not
+    reported, then one downstream frame.  Unlike the upstream-only
+    runner, activation happens exclusively through the in-band echo: the
+    OLT announces an assembled key in the next downstream codeword and
+    both stores rotate at the boundary after it.  With ``check_sync``
+    the run asserts OLT and ONU agree on the active key after every
+    superframe.
     """
     pilot_params = pilot_params or GcsPilotParams()
     plan = plan or DscmPlan()
@@ -719,8 +726,8 @@ def run_secure_session(sessions: list[OnuSession], us_cfg: ChannelConfig,
     report = SessionReport(direction="secure-session", n_frames=n_superframes)
 
     for f in range(n_superframes):
-        _upstream_keydist_frame(sessions, us_cfg, f, seed, pilot_params, cpr_cfg,
-                                plan, us_layout, polar, loss_probability, report)
+        _upstream_frame(sessions, us_cfg, f, seed, pilot_params, cpr_cfg, plan,
+                        us_layout, polar, None, loss_probability, report)
         _downstream_frame(sessions, ds_cfg, f, seed, pilot_params, cpr_cfg, plan,
                           ds_layout, eavesdropper, report)
         if check_sync and not active_keys_synchronized(sessions):
@@ -728,53 +735,3 @@ def run_secure_session(sessions: list[OnuSession], us_cfg: ChannelConfig,
         report.n_frames = f + 1
     report.validate()
     return report
-
-
-def _upstream_keydist_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan,
-                            layout, polar, loss_probability, report) -> None:
-    """Control-channel half of one superframe: fragments only, no
-    payload accounting, activation deferred to the downstream echo."""
-    onu_waves = []
-    for idx, session in enumerate(sessions):
-        _start_fragment_cycle(session, seed, f, report)
-        fragment = session.tx_fragments[session.tx_phase]
-        coded = KeyCodeword.from_payload(fragment.to_bits(), polar).coded_bits
-        budget = layout.n_pilots * len(session.key_subcarriers)
-        key_bits = np.concatenate([coded, np.zeros(budget - coded.size, dtype=np.uint8)])
-        report.key_events.append(KeyEventRecord(
-            f, session.onu_id, "fragment_sent", fragment.seq,
-            f"index={fragment.fragment_index}"))
-        streams = [SymbolStream(np.zeros(layout.total_len, dtype=complex),
-                                plan.baud_per_sc) for _ in range(plan.n_subcarriers)]
-        for j, sc in enumerate(session.key_subcarriers):
-            signs = _pilot_sign_bits(seed, f, sc, layout.n_pilots)
-            second = key_bits[j * layout.n_pilots:(j + 1) * layout.n_pilots]
-            pilots = map_pilot(signs, second, pilot_params)
-            coded_payload = _rng(seed, _USDATA, 0, f, sc).integers(
-                0, 2, 4 * layout.payload_len).astype(np.uint8)
-            train = qpsk_training(layout.training_len, _child_seed(seed, _TRAIN, f, sc))
-            streams[sc] = SymbolStream(
-                assemble_frame(train, pilots, map_payload_16qam(coded_payload), layout),
-                plan.baud_per_sc)
-        onu_cfg = ChannelConfig(snr_db=None, linewidth_hz=cfg.linewidth_hz,
-                                freq_offset_hz=cfg.freq_offset_hz,
-                                seed=_child_seed(cfg.seed, _USPHASE, f, idx))
-        onu_waves.append(apply_channel(mux(streams, plan), onu_cfg))
-    total = SymbolStream(np.sum([w.symbols for w in onu_waves], axis=0),
-                         plan.sample_rate_hz)
-    if cfg.snr_db is not None:
-        total = add_awgn(total, cfg.snr_db, seed=_child_seed(cfg.seed, _USNOISE, f))
-    for session in sessions:
-        work = total
-        if cfg.freq_offset_hz:
-            work = _correct_onu_offset(total, session, layout, plan, seed, f)
-        llr_chunks = []
-        for sc in session.key_subcarriers:
-            rx_frame = demux_select(work, sc, plan).symbols
-            result = _receive_sc(rx_frame, layout, seed, f, sc, pilot_params, cpr_cfg)
-            llr_chunks.append(demap_pilot_llrs(result.pilots, pilot_params,
-                                               _estimate_noise_var(result.payload)))
-        _receive_fragment(session, np.concatenate(llr_chunks)[:polar.block_length],
-                          polar, f, seed, loss_probability, report)
-        session.frame_counter += 1
-        session.direction_state = "upstream"

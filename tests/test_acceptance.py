@@ -23,6 +23,8 @@ from secpon.protocol import (
     run_downstream_encrypted,
 )
 
+pytestmark = pytest.mark.acceptance
+
 OP_SNR = round(theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT), 4)
 PLAN = DscmPlan()
 
