@@ -10,7 +10,8 @@ Keys travel as two 128-bit fragments (the coded control channel carries
 245 bits per block, less than a full 256-bit key), tagged with an 8-bit
 sequence number.  A key store tracks pending/active/retired states,
 enforces one active key and strictly increasing sequence numbers, and
-refuses to reuse a (key, codeword) keystream.
+refuses to reuse a (key, codeword) keystream by handing out each key
+for increasing codeword indices only.
 """
 
 from __future__ import annotations
@@ -160,7 +161,9 @@ class KeyStore:
 
     Guarantees: at most one active key, strictly increasing sequence
     numbers, no reuse of a (key, codeword index) keystream, and an
-    auditable event log.
+    auditable event log.  A key is never active twice, so one mark (the
+    lowest codeword index the active key may still encrypt) rules out
+    reuse in constant memory.
     """
 
     def __init__(self, direction: str = "downstream") -> None:
@@ -169,7 +172,7 @@ class KeyStore:
         self._active_seq: int | None = None
         self._last_seq = -1
         self._events: list[tuple[int, str, str]] = []
-        self._used: set[tuple[int, int]] = set()
+        self._next_codeword = 0
 
     @property
     def active_key(self) -> SessionKey | None:
@@ -202,17 +205,18 @@ class KeyStore:
             self._events.append((old.seq, "retired", "-"))
         key.state = "active"
         self._active_seq = seq
+        self._next_codeword = 0
         self._events.append((seq, "active", str(codeword_index)))
 
     def consume(self, codeword_index: int) -> SessionKey:
-        """Hand out the active key for one codeword, once."""
+        """Hand out the active key for one codeword; indices must increase."""
         key = self.active_key
         if key is None:
             raise ValueError("no active key")
-        pair = (key.seq, codeword_index)
-        if pair in self._used:
-            raise ValueError(f"keystream reuse: seq={key.seq} codeword={codeword_index}")
-        self._used.add(pair)
+        if codeword_index < self._next_codeword:
+            raise ValueError(f"key seq={key.seq}: codeword {codeword_index} is below "
+                             f"its next codeword {self._next_codeword}")
+        self._next_codeword = codeword_index + 1
         return key
 
     def export_key_log(self) -> str:

@@ -46,6 +46,7 @@ from .framing import (
     upstream_layout,
 )
 from .protocol import (
+    OnuSession,
     allocate_tfdma,
     active_keys_synchronized,
     make_sessions,
@@ -617,11 +618,15 @@ def _channel_from(p: dict[str, Any], snr_key: str, seed: int,
     )
 
 
-def _onu_ids(p: dict[str, Any]) -> list[str]:
+def _sessions(p: dict[str, Any], seed: int) -> list[OnuSession]:
+    """Sessions for the configured ONUs on the fixed subcarrier plan."""
     onu_ids = list(p["onu_ids"])
     if not onu_ids or not all(isinstance(o, str) for o in onu_ids):
         raise ConfigError("onu_ids must be a nonempty list of strings")
-    return onu_ids
+    try:
+        return make_sessions(allocate_tfdma(onu_ids), seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"onu_ids: {exc}") from exc
 
 
 def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
@@ -634,19 +639,18 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
         "freq_offset_hz": 0.0,
         "loss_probability": 0.0,
     }, spec.name)
-    onu_ids = _onu_ids(p)
+    sessions = _sessions(p, spec.seed)
     n_frames = _as_int(p["n_frames"], "n_frames")
     loss = float(p["loss_probability"])
     if not 0.0 <= loss < 1.0:
         raise ConfigError(f"loss_probability must lie in [0, 1), got {loss}")
 
-    sessions = make_sessions(allocate_tfdma(onu_ids), seed=spec.seed)
     cfg = _channel_from(p, "snr_sc_db", spec.seed, "keydist-chan")
     report = run_upstream_keydist(sessions, cfg, n_frames, seed=spec.seed,
                                   loss_probability=loss)
     rows = _session_rows(spec, report)
 
-    expected_rotations = len(onu_ids) * (n_frames // 2)
+    expected_rotations = len(sessions) * (n_frames // 2)
     failures = []
     if spec.check:
         if report.key_mismatches:
@@ -660,7 +664,7 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
         if not active_keys_synchronized(sessions):
             failures.append("active keys desynchronized after the run")
     summary = {
-        "n_frames": n_frames, "onus": onu_ids,
+        "n_frames": n_frames, "onus": [s.onu_id for s in sessions],
         "pre_fec_ber": report.pre_fec_ber(),
         "keys_assembled": report.keys_assembled,
         "key_mismatches": report.key_mismatches,
@@ -686,13 +690,12 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
         "eavesdropper": True,
         "agreement_band": [0.49, 0.51],
     }, spec.name)
-    onu_ids = _onu_ids(p)
+    sessions = _sessions(p, spec.seed)
     n_super = _as_int(p["n_superframes"], "n_superframes")
     band = _as_floats(p["agreement_band"], "agreement_band")
     if len(band) != 2 or not 0 <= band[0] < band[1] <= 1:
         raise ConfigError("agreement_band must be [lo, hi] within [0, 1]")
 
-    sessions = make_sessions(allocate_tfdma(onu_ids), seed=spec.seed)
     us_cfg = _channel_from(p, "us_snr_sc_db", spec.seed, "e2e-us-chan")
     ds_cfg = _channel_from(p, "ds_snr_sc_db", spec.seed, "e2e-ds-chan")
     report = run_secure_session(
@@ -715,7 +718,7 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
         if not active_keys_synchronized(sessions):
             failures.append("active keys desynchronized after the run")
     summary = {
-        "n_superframes": n_super, "onus": onu_ids,
+        "n_superframes": n_super, "onus": [s.onu_id for s in sessions],
         "pre_fec_ber": report.pre_fec_ber(),
         "post_fec_ber": report.post_fec_ber(),
         "keys_assembled": report.keys_assembled,

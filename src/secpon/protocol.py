@@ -1,6 +1,14 @@
 """OLT/ONU session machinery: one frame chain carrying key distribution
 upstream and encrypted broadcast downstream, plus subcarrier allocation.
 
+Link.  The link is fixed, as in the paper: one GCS-PAM4 pilot shape
+(``PILOT``), four DSCM subcarriers (``PLAN``), the upstream and
+downstream frame layouts (``UPSTREAM``, ``DOWNSTREAM``) and the
+(512, 256) polar key code (``POLAR``); the LDPC payload code is built on
+first use by ``default_code()``.  The runners take only the channel,
+the frame count and the run switches.  A session needs two subcarriers,
+because one key codeword rides the pilots of both.
+
 Frame chain.  Every frame, in either direction, takes one path:
 ``transmit_subcarrier`` builds each subcarrier's frame (QPSK training,
 shaped pilots whose first bit is the pre-shared sign and whose second
@@ -75,6 +83,12 @@ DATA_BITS_PER_CODEWORD = LDPC_K - 8  # one control byte leads each plaintext
 _KEYGEN, _SIGNS, _TRAIN, _DATA, _USDATA, _PILOT2 = 11, 13, 17, 19, 23, 29
 _USPHASE, _USNOISE, _DSCHAN, _LOSS, _EVEKEY = 31, 37, 41, 43, 47
 
+PILOT = GcsPilotParams()
+PLAN = DscmPlan()
+UPSTREAM = upstream_layout()
+DOWNSTREAM = downstream_layout()
+POLAR = PolarCode()
+
 
 def _rng(seed: int, *ids: int) -> np.random.Generator:
     sub = 0
@@ -92,20 +106,10 @@ def _child_seed(seed: int, *ids: int) -> int:
     return int(_rng(seed, *ids).integers(0, 2 ** 63))
 
 
-@dataclass(frozen=True)
-class TfdmaAllocation:
-    """Disjoint (time slot, subcarrier) cells per ONU; every ONU sends in
-    every frame, so all cells sit in time slot 0."""
-
-    cells: dict[str, tuple[tuple[int, int], ...]]
-    n_subcarriers: int
-
-    def subcarriers(self, onu_id: str) -> tuple[int, ...]:
-        return tuple(sorted({sc for _, sc in self.cells[onu_id]}))
-
-
-def allocate_tfdma(onu_ids: list[str], n_subcarriers: int = 4) -> TfdmaAllocation:
-    """Hand each ONU a contiguous block of subcarriers (pure FDMA)."""
+def allocate_tfdma(onu_ids: list[str]) -> dict[str, tuple[int, ...]]:
+    """Hand each ONU a contiguous block of the plan's subcarriers (pure
+    FDMA); every ONU sends in every frame."""
+    n_subcarriers = PLAN.n_subcarriers
     if not onu_ids:
         raise ValueError("need at least one ONU")
     if len(set(onu_ids)) != len(onu_ids):
@@ -113,13 +117,13 @@ def allocate_tfdma(onu_ids: list[str], n_subcarriers: int = 4) -> TfdmaAllocatio
     if len(onu_ids) > n_subcarriers:
         raise ValueError(f"{len(onu_ids)} ONUs oversubscribe {n_subcarriers} subcarriers")
     share, extra = divmod(n_subcarriers, len(onu_ids))
-    cells: dict[str, tuple[tuple[int, int], ...]] = {}
+    allocation = {}
     start = 0
     for i, onu in enumerate(onu_ids):
         stop = start + share + (1 if i < extra else 0)
-        cells[onu] = tuple((0, sc) for sc in range(start, stop))
+        allocation[onu] = tuple(range(start, stop))
         start = stop
-    return TfdmaAllocation(cells=cells, n_subcarriers=n_subcarriers)
+    return allocation
 
 
 @dataclass
@@ -140,8 +144,10 @@ class OnuSession:
 
     def __post_init__(self) -> None:
         self.subcarriers = tuple(sorted(self.subcarriers))
-        if not self.subcarriers:
-            raise ValueError("session needs at least one subcarrier")
+        budget = UPSTREAM.n_pilots * len(self.key_subcarriers)
+        if budget < POLAR.block_length:
+            raise ValueError(f"{self.onu_id}: pilot budget {budget} cannot carry "
+                             f"{POLAR.block_length} coded key bits per frame")
 
     @property
     def key_subcarriers(self) -> tuple[int, ...]:
@@ -149,24 +155,20 @@ class OnuSession:
         return self.subcarriers[:2]
 
 
-def make_sessions(allocation: TfdmaAllocation | dict[str, tuple[int, ...]],
+def make_sessions(allocation: dict[str, tuple[int, ...]],
                   seed: int = 0) -> list[OnuSession]:
     """Build sessions from an allocation and provision the initial key.
 
     Sequence 0 is the pre-shared registration key, active from codeword 0
     on both sides; in-session distribution starts at sequence 1.
     """
-    if isinstance(allocation, TfdmaAllocation):
-        sc_map = {o: allocation.subcarriers(o) for o in allocation.cells}
-    else:
-        sc_map = {o: tuple(sorted(s)) for o, s in allocation.items()}
     seen: set[int] = set()
-    for scs in sc_map.values():
+    for scs in allocation.values():
         if seen & set(scs):
             raise ValueError("subcarrier sets overlap across ONUs")
         seen |= set(scs)
     sessions = []
-    for i, (onu_id, scs) in enumerate(sc_map.items()):
+    for i, (onu_id, scs) in enumerate(allocation.items()):
         bits = _rng(seed, _KEYGEN, i, 0).integers(0, 2, 256).astype(np.uint8)
         session = OnuSession(onu_id=onu_id, subcarriers=scs,
                             onu_store=KeyStore("downstream"),
@@ -264,15 +266,6 @@ class SessionReport:
                 f"compared {pre}/{post} bits but transmitted "
                 f"{self.pre_bits_transmitted}/{self.post_bits_transmitted}")
 
-    def merge(self, other: "SessionReport") -> None:
-        self.n_frames = max(self.n_frames, other.n_frames)
-        self.frame_metrics += other.frame_metrics
-        self.key_events += other.key_events
-        for name in ("pre_bits_transmitted", "post_bits_transmitted", "crc_failures",
-                     "fragments_lost", "keys_assembled", "key_mismatches", "rotations",
-                     "eavesdropper_bits", "eavesdropper_errors"):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
     def to_json(self) -> str:
         def clean(x: float) -> float | None:
             return None if np.isnan(x) else x
@@ -339,37 +332,35 @@ def transmit_subcarrier(signs: np.ndarray, second_bits: np.ndarray,
 
 
 def receive_subcarrier(rx: SymbolStream, signs: np.ndarray, layout: FrameLayout,
-                       cpr_cfg: rxdsp.CprConfig | None = None,
-                       plan: DscmPlan | None = None, sc: int = 0) -> SubcarrierReception:
+                       sc: int | None = None) -> SubcarrierReception:
     """Recover one subcarrier's frame against its pilot sign bits.
 
-    With a DSCM ``plan``, subcarrier ``sc`` is first selected out of the
-    aggregate ``rx``; without one, ``rx`` already holds a single-carrier
-    frame at the symbol rate.  The noise variance is decision-directed
-    over the phase-corrected payload.
+    Subcarrier ``sc`` is first selected out of the DSCM aggregate ``rx``;
+    with ``sc=None``, ``rx`` already holds a single-carrier frame at the
+    symbol rate.  The noise variance is decision-directed over the
+    phase-corrected payload.
     """
-    frame = rx.symbols if plan is None else demux_select(rx, sc, plan).symbols
+    frame = rx.symbols if sc is None else demux_select(rx, sc, PLAN).symbols
     cpr = rxdsp.recover_carrier_phase(frame[layout.training_len:], layout,
-                                      pilot_phase_reference(signs), cpr_cfg)
+                                      pilot_phase_reference(signs))
     resid = cpr.payload - hard_decision_16qam(cpr.payload)
     return SubcarrierReception(cpr, max(float(np.mean(np.abs(resid) ** 2)), 1e-12))
 
 
-def _mux_frames(frames: dict[int, np.ndarray], layout: FrameLayout,
-                plan: DscmPlan) -> SymbolStream:
+def _mux_frames(frames: dict[int, np.ndarray]) -> SymbolStream:
     """DSCM aggregate of the given subcarrier frames; the rest stay dark."""
-    return mux([SymbolStream(frames.get(sc, np.zeros(layout.total_len, dtype=complex)),
-                             plan.baud_per_sc) for sc in range(plan.n_subcarriers)], plan)
+    dark = np.zeros_like(next(iter(frames.values())))
+    return mux([SymbolStream(frames.get(sc, dark), PLAN.baud_per_sc)
+                for sc in range(PLAN.n_subcarriers)], PLAN)
 
 
 def _receive_onu(rx: SymbolStream, session: OnuSession, layout: FrameLayout,
-                 plan: DscmPlan, seed: int, frame: int, cfg: ChannelConfig,
-                 cpr_cfg: rxdsp.CprConfig | None) -> dict[int, SubcarrierReception]:
+                 seed: int, frame: int, cfg: ChannelConfig) -> dict[int, SubcarrierReception]:
     """Receive every subcarrier of one ONU, after correcting its offset."""
     if cfg.freq_offset_hz:
-        rx = _correct_onu_offset(rx, session, layout, plan, seed, frame)
+        rx = _correct_onu_offset(rx, session, layout, seed, frame)
     return {sc: receive_subcarrier(rx, _pilot_bits(seed, _SIGNS, frame, sc, layout.n_pilots),
-                                   layout, cpr_cfg, plan, sc)
+                                   layout, sc)
             for sc in session.subcarriers}
 
 
@@ -381,28 +372,17 @@ def _decode_payload(got: SubcarrierReception, ldpc: LdpcCode) -> np.ndarray:
 
 
 def _correct_onu_offset(aggregate: SymbolStream, session: OnuSession,
-                        layout: FrameLayout, plan: DscmPlan, seed: int,
-                        frame: int) -> SymbolStream:
+                        layout: FrameLayout, seed: int, frame: int) -> SymbolStream:
     """Estimate the ONU's carrier offset on one training prefix and
     derotate the aggregate before selecting its subcarriers."""
     sc = session.subcarriers[0]
-    coarse = demux_select(aggregate, sc, plan)
+    coarse = demux_select(aggregate, sc, PLAN)
     train = qpsk_training(layout.training_len, _child_seed(seed, _TRAIN, frame, sc))
     est = rxdsp.estimate_frequency_offset(
-        coarse.symbols[:layout.training_len], train, plan.baud_per_sc)
+        coarse.symbols[:layout.training_len], train, PLAN.baud_per_sc)
     fixed = rxdsp.correct_frequency_offset(
-        aggregate.symbols, est, plan.sample_rate_hz)
+        aggregate.symbols, est, PLAN.sample_rate_hz)
     return SymbolStream(fixed, aggregate.symbol_rate_hz)
-
-
-def _check_pilot_budget(sessions: list[OnuSession], layout: FrameLayout,
-                        code: PolarCode) -> None:
-    for s in sessions:
-        budget = layout.n_pilots * len(s.key_subcarriers)
-        if budget < code.block_length:
-            raise ValueError(
-                f"{s.onu_id}: pilot budget {budget} cannot carry "
-                f"{code.block_length} coded key bits per frame")
 
 
 def _start_fragment_cycle(session: OnuSession, seed: int, frame: int,
@@ -422,9 +402,6 @@ def _start_fragment_cycle(session: OnuSession, seed: int, frame: int,
 
 def run_upstream_keydist(sessions: list[OnuSession], cfg: ChannelConfig,
                          n_frames: int, *, seed: int = 0,
-                         pilot_params: GcsPilotParams | None = None,
-                         cpr_cfg: rxdsp.CprConfig | None = None,
-                         plan: DscmPlan | None = None,
                          loss_probability: float = 0.0,
                          decode_payload: bool = False) -> SessionReport:
     """Distribute session keys upstream over the pilot magnitude bits.
@@ -436,17 +413,10 @@ def run_upstream_keydist(sessions: list[OnuSession], cfg: ChannelConfig,
     runner).  With ``decode_payload`` the payload is LDPC-coded and its
     post-FEC errors are counted too.
     """
-    pilot_params = pilot_params or GcsPilotParams()
-    plan = plan or DscmPlan()
-    layout = upstream_layout()
-    polar = PolarCode()
-    ldpc = default_code() if decode_payload else None
-    _check_pilot_budget(sessions, layout, polar)
     report = SessionReport(direction="upstream", n_frames=n_frames)
-
     for f in range(n_frames):
-        metrics = _upstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan,
-                                  layout, polar, ldpc, loss_probability, report)
+        metrics = _upstream_frame(sessions, cfg, f, seed, decode_payload,
+                                  loss_probability, report)
         report.frame_metrics += metrics
         report.pre_bits_transmitted += sum(m.pre_bits for m in metrics)
         report.post_bits_transmitted += sum(m.post_bits for m in metrics)
@@ -457,24 +427,25 @@ def run_upstream_keydist(sessions: list[OnuSession], cfg: ChannelConfig,
     return report
 
 
-def _upstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan, layout,
-                    polar, ldpc, loss_probability, report) -> list[FrameMetrics]:
+def _upstream_frame(sessions, cfg, f, seed, decode_payload, loss_probability,
+                    report) -> list[FrameMetrics]:
     """One upstream frame; returns the payload metrics per subcarrier.
 
     Each ONU sends one polar-coded key fragment on the pilot magnitude
     bits of its two key subcarriers and 16QAM payload on all of its
-    subcarriers (LDPC-coded when ``ldpc`` is given).  Each ONU's burst
+    subcarriers (LDPC-coded with ``decode_payload``).  Each ONU's burst
     passes through its own laser's phase-noise channel; the bursts sum
     at the OLT where a single noise loading applies.  The OLT takes in
     the fragments CRC-gated; activation is left to the caller.
     """
-    n = layout.n_pilots
+    ldpc = default_code() if decode_payload else None
+    n = UPSTREAM.n_pilots
     sent: list[dict[int, tuple[np.ndarray, np.ndarray | None]]] = []
     onu_waves = []
     for idx, session in enumerate(sessions):
         _start_fragment_cycle(session, seed, f, report)
         fragment = session.tx_fragments[session.tx_phase]
-        coded = KeyCodeword.from_payload(fragment.to_bits(), polar).coded_bits
+        coded = KeyCodeword.from_payload(fragment.to_bits(), POLAR).coded_bits
         key_bits = np.zeros(n * len(session.key_subcarriers), dtype=np.uint8)
         key_bits[:coded.size] = coded
         report.key_events.append(KeyEventRecord(
@@ -490,7 +461,7 @@ def _upstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan, layout,
             draw = _rng(seed, _USDATA, idx, f, sc)
             if ldpc is None:
                 info = None
-                payload = draw.integers(0, 2, 4 * layout.payload_len).astype(np.uint8)
+                payload = draw.integers(0, 2, 4 * UPSTREAM.payload_len).astype(np.uint8)
             else:
                 info = draw.integers(
                     0, 2, (CODEWORDS_PER_SC_PER_FRAME, LDPC_K)).astype(np.uint8)
@@ -498,21 +469,21 @@ def _upstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan, layout,
             tx[sc] = (payload, info)
             frames[sc] = transmit_subcarrier(_pilot_bits(seed, _SIGNS, f, sc, n), second,
                                              payload, _child_seed(seed, _TRAIN, f, sc),
-                                             layout, pilot_params)
+                                             UPSTREAM, PILOT)
         sent.append(tx)
         onu_cfg = ChannelConfig(snr_db=None, linewidth_hz=cfg.linewidth_hz,
                                 freq_offset_hz=cfg.freq_offset_hz,
                                 seed=_child_seed(cfg.seed, _USPHASE, f, idx))
-        onu_waves.append(apply_channel(_mux_frames(frames, layout, plan), onu_cfg))
+        onu_waves.append(apply_channel(_mux_frames(frames), onu_cfg))
 
     total = SymbolStream(np.sum([w.symbols for w in onu_waves], axis=0),
-                         plan.sample_rate_hz)
+                         PLAN.sample_rate_hz)
     if cfg.snr_db is not None:
         total = add_awgn(total, cfg.snr_db, seed=_child_seed(cfg.seed, _USNOISE, f))
 
     metrics = []
     for session, tx in zip(sessions, sent):
-        received = _receive_onu(total, session, layout, plan, seed, f, cfg, cpr_cfg)
+        received = _receive_onu(total, session, UPSTREAM, seed, f, cfg)
         for sc, got in received.items():
             payload, info = tx[sc]
             pre_errors = int(np.count_nonzero(demap_payload_16qam(got.cpr.payload) != payload))
@@ -524,14 +495,14 @@ def _upstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan, layout,
                                         pre_errors, post_bits, post_errors,
                                         got.cpr.cycle_slips))
         llrs = np.concatenate([
-            demap_pilot_llrs(received[sc].cpr.pilots, pilot_params, received[sc].noise_var)
+            demap_pilot_llrs(received[sc].cpr.pilots, PILOT, received[sc].noise_var)
             for sc in session.key_subcarriers])
-        _receive_fragment(session, llrs[:polar.block_length], polar, f, seed,
+        _receive_fragment(session, llrs[:POLAR.block_length], f, seed,
                           loss_probability, report)
     return metrics
 
 
-def _receive_fragment(session: OnuSession, llrs: np.ndarray, polar: PolarCode,
+def _receive_fragment(session: OnuSession, llrs: np.ndarray,
                       frame: int, seed: int, loss_probability: float,
                       report: SessionReport) -> None:
     """CRC-gated fragment intake on the OLT side of one session."""
@@ -541,7 +512,7 @@ def _receive_fragment(session: OnuSession, llrs: np.ndarray, polar: PolarCode,
         report.key_events.append(KeyEventRecord(frame, session.onu_id,
                                                 "fragment_lost", session.expected_seq))
     else:
-        payload, crc_ok = polar_decode_scl(llrs, polar)
+        payload, crc_ok = polar_decode_scl(llrs, POLAR)
         if not crc_ok:
             report.crc_failures += 1
             report.key_events.append(KeyEventRecord(frame, session.onu_id,
@@ -598,9 +569,6 @@ def _ideal_ack_activation(session: OnuSession, boundary: int, frame: int,
 
 def run_downstream_encrypted(sessions: list[OnuSession], cfg: ChannelConfig,
                              n_frames: int, *, seed: int = 0,
-                             pilot_params: GcsPilotParams | None = None,
-                             cpr_cfg: rxdsp.CprConfig | None = None,
-                             plan: DscmPlan | None = None,
                              eavesdropper: bool = False) -> SessionReport:
     """Broadcast AES-encrypted payload downstream and decode per ONU.
 
@@ -612,25 +580,20 @@ def run_downstream_encrypted(sessions: list[OnuSession], cfg: ChannelConfig,
     for s in sessions:
         if s.olt_store.active_key is None or s.onu_store.active_key is None:
             raise ValueError(f"{s.onu_id}: downstream needs an active key on both sides")
-    pilot_params = pilot_params or GcsPilotParams()
-    plan = plan or DscmPlan()
-    layout = downstream_layout()
     report = SessionReport(direction="downstream", n_frames=n_frames)
     for f in range(n_frames):
-        _downstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan,
-                          layout, eavesdropper, report)
+        _downstream_frame(sessions, cfg, f, seed, eavesdropper, report)
         report.n_frames = f + 1
     report.validate()
     return report
 
 
-def _downstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan,
-                      layout, eavesdropper, report) -> None:
+def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
     """One broadcast frame: encrypt, LDPC-encode and send every ONU's
     codewords, then receive them at each ONU with its own keys and, with
     ``eavesdropper``, again on a tapped copy with a made-up key."""
     ldpc = default_code()
-    n = layout.n_pilots
+    n = DOWNSTREAM.n_pilots
     frames: dict[int, np.ndarray] = {}
     sent: list[dict[int, tuple[np.ndarray, list[tuple[int, np.ndarray]]]]] = []
     for session in sessions:
@@ -657,10 +620,10 @@ def _downstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan,
             tx[sc] = (np.concatenate(coded), codewords)
             frames[sc] = transmit_subcarrier(
                 _pilot_bits(seed, _SIGNS, f, sc, n), _pilot_bits(seed, _PILOT2, f, sc, n),
-                tx[sc][0], _child_seed(seed, _TRAIN, f, sc), layout, pilot_params)
+                tx[sc][0], _child_seed(seed, _TRAIN, f, sc), DOWNSTREAM, PILOT)
         sent.append(tx)
 
-    clean = _mux_frames(frames, layout, plan)
+    clean = _mux_frames(frames)
     frame_cfg = ChannelConfig(snr_db=cfg.snr_db, linewidth_hz=cfg.linewidth_hz,
                               freq_offset_hz=cfg.freq_offset_hz,
                               seed=_child_seed(cfg.seed, _DSCHAN, f))
@@ -672,8 +635,8 @@ def _downstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan,
     for tap_cfg, eve_key in taps:
         rx = apply_channel(clean, tap_cfg)
         for session, tx in zip(sessions, sent):
-            for sc, got in _receive_onu(rx, session, layout, plan, seed, f, tap_cfg,
-                                        cpr_cfg).items():
+            for sc, got in _receive_onu(rx, session, DOWNSTREAM, seed, f,
+                                        tap_cfg).items():
                 coded, codewords = tx[sc]
                 errors = 0
                 for row, (c, data) in zip(_decode_payload(got, ldpc), codewords):
@@ -701,36 +664,22 @@ def _downstream_frame(sessions, cfg, f, seed, pilot_params, cpr_cfg, plan,
 
 def run_secure_session(sessions: list[OnuSession], us_cfg: ChannelConfig,
                        ds_cfg: ChannelConfig, n_superframes: int, *,
-                       seed: int = 0, pilot_params: GcsPilotParams | None = None,
-                       cpr_cfg: rxdsp.CprConfig | None = None,
-                       plan: DscmPlan | None = None,
-                       loss_probability: float = 0.0,
-                       eavesdropper: bool = False,
-                       check_sync: bool = True) -> SessionReport:
+                       seed: int = 0, loss_probability: float = 0.0,
+                       eavesdropper: bool = False) -> SessionReport:
     """Alternate upstream key distribution with encrypted downstream.
 
     Each superframe is one upstream frame, whose payload metrics are not
     reported, then one downstream frame.  Unlike the upstream-only
     runner, activation happens exclusively through the in-band echo: the
     OLT announces an assembled key in the next downstream codeword and
-    both stores rotate at the boundary after it.  With ``check_sync``
-    the run asserts OLT and ONU agree on the active key after every
-    superframe.
+    both stores rotate at the boundary after it.  The run asserts OLT
+    and ONU agree on the active key after every superframe.
     """
-    pilot_params = pilot_params or GcsPilotParams()
-    plan = plan or DscmPlan()
-    us_layout = upstream_layout()
-    ds_layout = downstream_layout()
-    polar = PolarCode()
-    _check_pilot_budget(sessions, us_layout, polar)
     report = SessionReport(direction="secure-session", n_frames=n_superframes)
-
     for f in range(n_superframes):
-        _upstream_frame(sessions, us_cfg, f, seed, pilot_params, cpr_cfg, plan,
-                        us_layout, polar, None, loss_probability, report)
-        _downstream_frame(sessions, ds_cfg, f, seed, pilot_params, cpr_cfg, plan,
-                          ds_layout, eavesdropper, report)
-        if check_sync and not active_keys_synchronized(sessions):
+        _upstream_frame(sessions, us_cfg, f, seed, False, loss_probability, report)
+        _downstream_frame(sessions, ds_cfg, f, seed, eavesdropper, report)
+        if not active_keys_synchronized(sessions):
             raise AssertionError(f"active keys desynchronized after superframe {f}")
         report.n_frames = f + 1
     report.validate()

@@ -36,7 +36,6 @@ class CprConfig:
 
     q: int = RESIDUAL_HALF_WINDOW
     interpolation: str = "linear"
-    unwrap: bool = True
     pilot_smoothing: int = PILOT_SMOOTHING
     residual_passes: int = RESIDUAL_PASSES
 
@@ -153,7 +152,6 @@ class CprResult:
     payload: np.ndarray
     pilots: np.ndarray
     pilot_phase: np.ndarray
-    residual: np.ndarray
     cycle_slips: int = 0
 
 
@@ -170,22 +168,14 @@ def recover_carrier_phase(body: np.ndarray, layout: FrameLayout,
     body = np.asarray(body)
     if body.size != layout.body_len:
         raise ValueError(f"expected body of {layout.body_len} symbols, got {body.size}")
-    pil_pos = layout.pilot_body_positions()
-    pay_pos = layout.payload_body_positions()
-    psi_raw = pilot_phase_estimates(body[pil_pos], pilot_reference, unwrap=cfg.unwrap)
+    pilots = body[layout.pilot_body_positions()]
+    psi_raw = pilot_phase_estimates(pilots, pilot_reference)
     psi = smooth_phase_estimates(psi_raw, cfg.pilot_smoothing)
-    phase = interpolate_phase(psi, pil_pos, pay_pos, mode=cfg.interpolation)
-    payload = body[pay_pos] * np.exp(-1j * phase)
-    res = np.zeros(payload.size)
-    for _ in range(cfg.residual_passes):
-        step = residual_phase(payload, half_window=cfg.q)
-        payload = payload * np.exp(-1j * step)
-        res = res + step
+    payload = apply_pilot_phase(body[layout.payload_body_positions()], psi, layout, cfg)
     return CprResult(
-        payload=payload,
-        pilots=body[pil_pos] * np.exp(-1j * psi),
+        payload=residual_cpr(payload, cfg),
+        pilots=pilots * np.exp(-1j * psi),
         pilot_phase=psi,
-        residual=res,
         cycle_slips=count_cycle_slips(psi_raw),
     )
 

@@ -72,6 +72,16 @@ def test_unreadable_config_exits_2(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("n_onus, message", [(3, "pilot budget"), (5, "oversubscribe")])
+def test_unusable_onu_ids_exit_2(tmp_path, capsys, n_onus, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"onu_ids": [f"onu{i}" for i in range(n_onus)],
+                               "n_frames": 1}))
+    rc = main(["keydist", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_check_violation_exits_3(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

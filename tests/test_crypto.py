@@ -228,6 +228,15 @@ class TestKeyStore:
         store.activate(2, 2)
         store.consume(0)               # new key, old codeword index is fine
 
+    def test_codeword_indices_must_increase_per_key(self):
+        rng = np.random.default_rng(11)
+        store = crypto.KeyStore()
+        store.add_pending(self._pending(1, rng))
+        store.activate(1, 0)
+        store.consume(5)
+        with pytest.raises(ValueError):
+            store.consume(3)
+
     def test_consume_without_active_key_rejected(self):
         store = crypto.KeyStore()
         with pytest.raises(ValueError):

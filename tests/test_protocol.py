@@ -32,13 +32,10 @@ def _two_onus(seed=5):
 
 class TestAllocation:
     def test_two_onus_get_contiguous_halves(self):
-        alloc = allocate_tfdma(["onu1", "onu2"])
-        assert alloc.subcarriers("onu1") == (0, 1)
-        assert alloc.subcarriers("onu2") == (2, 3)
+        assert allocate_tfdma(["onu1", "onu2"]) == {"onu1": (0, 1), "onu2": (2, 3)}
 
     def test_single_onu_gets_everything(self):
-        alloc = allocate_tfdma(["only"])
-        assert alloc.subcarriers("only") == (0, 1, 2, 3)
+        assert allocate_tfdma(["only"]) == {"only": (0, 1, 2, 3)}
 
     def test_oversubscription_without_schedule_rejected(self):
         with pytest.raises(ValueError):
@@ -84,8 +81,8 @@ class TestUpstreamKeydist:
         assert {s.olt_store.active_key.seq for s in sessions} == {3}
 
     def test_pilot_budget_rejected_for_single_subcarrier_onus(self):
-        sessions = make_sessions(allocate_tfdma([f"onu{i}" for i in range(4)]))
         with pytest.raises(ValueError, match="pilot budget"):
+            sessions = make_sessions(allocate_tfdma([f"onu{i}" for i in range(4)]))
             run_upstream_keydist(sessions, ChannelConfig(seed=1), 1)
 
     def test_operating_point_keys_error_free(self):
@@ -200,6 +197,20 @@ class TestDownstreamEncrypted:
         assert rep.pre_fec_ber() > 1e-3
         assert rep.post_fec_ber() == 0.0
 
+    def test_frequency_offset_corrected_per_onu(self):
+        """A carrier offset is estimated on each ONU's training prefix and
+        removed before its subcarriers are selected, in both directions."""
+        sessions = _two_onus()
+        cfg = ChannelConfig(freq_offset_hz=2e8, seed=19)
+        up = run_upstream_keydist(sessions, cfg, 2, seed=5, decode_payload=True)
+        assert up.pre_fec_ber() == 0.0
+        assert up.crc_failures == 0
+        assert up.keys_assembled == len(sessions)   # one key per ONU in two frames
+        assert up.post_fec_ber() == 0.0
+        down = run_downstream_encrypted(sessions, cfg, 1, seed=5)
+        assert down.pre_fec_ber() == 0.0
+        assert down.post_fec_ber() == 0.0
+
     def test_eavesdropper_agreement_is_coin_flip_when_noiseless(self):
         sessions = _two_onus()
         rep = run_downstream_encrypted(sessions, ChannelConfig(seed=2), 2, seed=5,
@@ -230,7 +241,7 @@ class TestSecureSession:
         sessions = _two_onus()
         rep = run_secure_session(sessions, ChannelConfig(snr_db=OP_SNR_AGG + 6, seed=41),
                                  ChannelConfig(seed=43), 6, seed=5,
-                                 loss_probability=0.5, check_sync=True)
+                                 loss_probability=0.5)
         assert rep.fragments_lost > 0
         assert rep.key_mismatches == 0
         assert active_keys_synchronized(sessions)
