@@ -11,6 +11,7 @@ bit carries protected key material.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,12 +112,23 @@ def downstream_layout() -> FrameLayout:
     return FrameLayout(training_len=DOWNSTREAM_TRAINING_SYMBOLS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymbolStream:
-    """Complex baseband samples tagged with their symbol (or sample) rate."""
+    """Complex baseband samples tagged with their symbol (or sample) rate.
+
+    A stream is a value: build a new one rather than writing into
+    ``symbols``, since ``spectrum`` is computed once and then kept.
+    """
 
     symbols: np.ndarray
     symbol_rate_hz: float
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """FFT of the samples (read-only), shared by every reader."""
+        spec = np.fft.fft(self.symbols)
+        spec.flags.writeable = False
+        return spec
 
     def power(self) -> float:
         return float(np.mean(np.abs(self.symbols) ** 2))
