@@ -225,8 +225,3 @@ class KeyStore:
             lines.append(f"{seq},{self.direction},{state},{boundary},{self._keys[seq].key_hex}")
         return "\n".join(lines) + "\n"
 
-
-def activate_key(store: KeyStore, seq: int, codeword_index: int) -> KeyStore:
-    """Activate by sequence number; returns the store for chaining."""
-    store.activate(seq, codeword_index)
-    return store

@@ -32,8 +32,8 @@ import numpy as np
 from . import __version__, theory
 from .channel import ChannelConfig, apply_channel
 from .dscm import DscmPlan, aggregate_snr_db
-from .fec_ldpc import LDPC_K, default_code, ldpc_encode
-from .fec_polar import KeyCodeword, PolarCode, polar_decode_scl
+from .fec_ldpc import LDPC_K, default_code
+from .fec_polar import KeyCodeword, polar_decode_scl
 from .framing import (
     GcsPilotParams,
     SymbolStream,
@@ -46,6 +46,7 @@ from .framing import (
     upstream_layout,
 )
 from .protocol import (
+    POLAR,
     OnuSession,
     allocate_tfdma,
     active_keys_synchronized,
@@ -67,6 +68,7 @@ EXPERIMENT_NAMES = (
 
 LOW_CONFIDENCE_ERRORS = 100
 _MC_CHUNK = 1_000_000
+_POLAR_CHUNK = 100      # blocks per list-decoder call, about 9 MiB of decoder state
 
 
 class ConfigError(ValueError):
@@ -161,6 +163,21 @@ def _as_floats(value: Any, key: str) -> list[float]:
         raise ConfigError(f"{key} must contain only numbers") from exc
 
 
+def _as_float(value: Any, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number") from exc
+
+
+def _pilot_shape(value: Any, key: str) -> float:
+    """A pilot shaping parameter ``a``, which must lie in (0, 3]."""
+    a = _as_float(value, key)
+    if not 0.0 < a <= 3.0:
+        raise ConfigError(f"{key} must lie in (0, 3], got {a}")
+    return a
+
+
 def _as_int(value: Any, key: str, minimum: int = 1) -> int:
     try:
         out = int(value)
@@ -177,7 +194,7 @@ def _snr_grid(spec: Any, key: str) -> list[float]:
         extra = set(spec) - {"start", "stop", "step"}
         if extra or not {"start", "stop", "step"} <= set(spec):
             raise ConfigError(f"{key} range needs exactly start/stop/step")
-        start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
+        start, stop, step = (_as_float(spec[k], key) for k in ("start", "stop", "step"))
         if step <= 0 or stop < start:
             raise ConfigError(f"{key} range must run forward with step > 0")
         n = int(round((stop - start) / step))
@@ -200,12 +217,10 @@ def _run_theory_curves(spec: ExperimentSpec) -> ExperimentResult:
         "a_values": [1.0, 1.7, 3.0],
         "snr_db": {"start": 4.0, "stop": 16.0, "step": 0.5},
     }, spec.name)
-    a_values = _as_floats(p["a_values"], "a_values")
+    a_values = [_pilot_shape(a, "a_values") for a in _as_floats(p["a_values"], "a_values")]
     snrs = _snr_grid(p["snr_db"], "snr_db")
     rows = []
     for a in a_values:
-        if not 0.0 < a <= 3.0:
-            raise ConfigError(f"a must lie in (0, 3], got {a}")
         for snr in snrs:
             rows.append({
                 "experiment": spec.name, "seed": spec.seed,
@@ -265,13 +280,11 @@ def _run_sweep_a(spec: ExperimentSpec) -> ExperimentResult:
         "dex_tolerance": 0.05,
         "min_theory_ber": 1e-4,
     }, spec.name)
-    a_values = sorted(_as_floats(p["a_values"], "a_values"))
+    a_values = sorted(_pilot_shape(a, "a_values") for a in _as_floats(p["a_values"], "a_values"))
     snrs = _snr_grid(p["snr_db"], "snr_db")
     n_symbols = _as_int(p["n_symbols"], "n_symbols")
-    tol = float(p["dex_tolerance"])
-    floor = float(p["min_theory_ber"])
-    if any(not 0.0 < a <= 3.0 for a in a_values):
-        raise ConfigError("a_values must lie in (0, 3]")
+    tol = _as_float(p["dex_tolerance"], "dex_tolerance")
+    floor = _as_float(p["min_theory_ber"], "min_theory_ber")
 
     cells = [(spec.seed, a, snr, n_symbols) for a in a_values for snr in snrs]
     raw = _map_cells(_pilot_mc_cell, cells, spec.jobs)
@@ -400,12 +413,14 @@ def _run_cpr_penalty(spec: ExperimentSpec) -> ExperimentResult:
         "penalty_max_db_a17": 0.15,
         "penalty_min_db_a10": 0.15,
     }, spec.name)
-    a_values = sorted(_as_floats(p["a_values"], "a_values"))
+    a_values = sorted(_pilot_shape(a, "a_values") for a in _as_floats(p["a_values"], "a_values"))
     linewidths = _as_floats(p["linewidths_hz"], "linewidths_hz")
-    baseline_a = float(p["baseline_a"])
+    baseline_a = _pilot_shape(p["baseline_a"], "baseline_a")
     n_symbols = _as_int(p["n_symbols"], "n_symbols", minimum=1000)
     scan_snrs = _as_floats(p["scan_snrs_db"], "scan_snrs_db")
-    target = float(p["target_ber"])
+    target = _as_float(p["target_ber"], "target_ber")
+    max_a17 = _as_float(p["penalty_max_db_a17"], "penalty_max_db_a17")
+    min_a10 = _as_float(p["penalty_min_db_a10"], "penalty_min_db_a10")
 
     todo = sorted(set(a_values) | {baseline_a})
     cells = [(spec.seed, a, lw, n_symbols, tuple(scan_snrs), target)
@@ -437,12 +452,10 @@ def _run_cpr_penalty(spec: ExperimentSpec) -> ExperimentResult:
 
         lw0 = 1e5
         p17, p10 = penalty(1.7, lw0), penalty(1.0, lw0)
-        if p17 is not None and p17 > float(p["penalty_max_db_a17"]):
-            failures.append(f"a=1.7 penalty {p17:.3f} dB exceeds "
-                            f"{p['penalty_max_db_a17']} dB at 100 kHz")
-        if p10 is not None and p10 < float(p["penalty_min_db_a10"]):
-            failures.append(f"a=1.0 penalty {p10:.3f} dB below "
-                            f"{p['penalty_min_db_a10']} dB at 100 kHz")
+        if p17 is not None and p17 > max_a17:
+            failures.append(f"a=1.7 penalty {p17:.3f} dB exceeds {max_a17} dB at 100 kHz")
+        if p10 is not None and p10 < min_a10:
+            failures.append(f"a=1.0 penalty {p10:.3f} dB below {min_a10} dB at 100 kHz")
         slack = 0.02    # MC jitter allowance on ordering comparisons
         for lw in linewidths:
             pens = [penalty(a, lw) for a in todo]
@@ -479,7 +492,7 @@ def _ldpc_cell(args: tuple) -> dict[str, Any]:
         info = rng.integers(0, 2, (b, LDPC_K)).astype(np.uint8)
         llrs = np.empty((b, code.n))
         for i in range(b):
-            syms = map_payload_16qam(ldpc_encode(info[i], code))
+            syms = map_payload_16qam(code.encode(info[i]))
             noise = rng.normal(scale=np.sqrt(sigma2 / 2), size=(2, syms.size))
             llrs[i] = payload_llrs_16qam(syms + noise[0] + 1j * noise[1], sigma2)
         hard, _, _ = code.decode_batch(llrs, max_iterations=max_iterations)
@@ -494,24 +507,29 @@ def _ldpc_cell(args: tuple) -> dict[str, Any]:
 
 def _polar_cell(args: tuple) -> dict[str, Any]:
     master, a, snr_db, n_codewords = args
-    code = PolarCode()
     params = GcsPilotParams(a=a)
     rng = np.random.default_rng(
         _cell_seed(master, f"polar|a={a!r}|snr={snr_db!r}|n={n_codewords}"))
     sigma2 = 10.0 ** (-snr_db / 10.0)
-    k = code.payload_capacity
+    k = POLAR.payload_capacity
     bit_errors = block_errors = 0
-    for _ in range(n_codewords):
-        payload = rng.integers(0, 2, k).astype(np.uint8)
-        coded = KeyCodeword.from_payload(payload, code).coded_bits
-        first = rng.integers(0, 2, coded.size).astype(np.uint8)
-        tx = map_pilot(first, coded, params)
-        noise = rng.normal(scale=np.sqrt(sigma2 / 2), size=(2, tx.size))
-        llrs = demap_pilot_llrs(tx + noise[0] + 1j * noise[1], params, sigma2)
-        got, ok = polar_decode_scl(llrs, code)
-        diff = int(np.count_nonzero(got != payload)) if ok else k
-        bit_errors += diff
-        block_errors += int(not ok or diff > 0)
+    done = 0
+    while done < n_codewords:
+        b = min(_POLAR_CHUNK, n_codewords - done)
+        payloads = np.empty((b, k), dtype=np.uint8)
+        llrs = np.empty((b, POLAR.block_length))
+        for i in range(b):
+            payloads[i] = rng.integers(0, 2, k)
+            coded = KeyCodeword.from_payload(payloads[i], POLAR).coded_bits
+            first = rng.integers(0, 2, coded.size).astype(np.uint8)
+            tx = map_pilot(first, coded, params)
+            noise = rng.normal(scale=np.sqrt(sigma2 / 2), size=(2, tx.size))
+            llrs[i] = demap_pilot_llrs(tx + noise[0] + 1j * noise[1], params, sigma2)
+        got, ok = polar_decode_scl(llrs, POLAR)
+        diff = np.where(ok, np.count_nonzero(got != payloads, axis=1), k)
+        bit_errors += int(diff.sum())
+        block_errors += int(np.count_nonzero(diff))
+        done += b
     return {"code": "polar", "snr_db": snr_db, "n_codewords": n_codewords,
             "bit_errors": bit_errors, "block_errors": block_errors,
             "n_bits": n_codewords * k}
@@ -532,8 +550,8 @@ def _run_fec_waterfall(spec: ExperimentSpec) -> ExperimentResult:
     polar_snrs = _as_floats(p["polar_snrs_db"], "polar_snrs_db")
     n_ldpc = _as_int(p["n_codewords_ldpc"], "n_codewords_ldpc")
     n_polar = _as_int(p["n_codewords_polar"], "n_codewords_polar")
-    a = float(p["a"])
-    op_snr = float(p["op_snr_db"])
+    a = _pilot_shape(p["a"], "a")
+    op_snr = _as_float(p["op_snr_db"], "op_snr_db")
 
     default_code()      # build once before forking workers
     cells = [("ldpc", (spec.seed, snr, n_ldpc, _as_int(p["max_iterations"], "max_iterations")))
@@ -609,11 +627,12 @@ _SESSION_COLUMNS = ["experiment", "seed", "frame", "direction", "onu", "sc",
 def _channel_from(p: dict[str, Any], snr_key: str, seed: int,
                   tag: str) -> ChannelConfig:
     snr_sc = p[snr_key]
-    agg = None if snr_sc is None else aggregate_snr_db(DscmPlan(), 0, float(snr_sc))
+    agg = None if snr_sc is None else aggregate_snr_db(DscmPlan(), 0,
+                                                       _as_float(snr_sc, snr_key))
     return ChannelConfig(
         snr_db=agg,
-        linewidth_hz=float(p["linewidth_hz"]),
-        freq_offset_hz=float(p["freq_offset_hz"]),
+        linewidth_hz=_as_float(p["linewidth_hz"], "linewidth_hz"),
+        freq_offset_hz=_as_float(p["freq_offset_hz"], "freq_offset_hz"),
         seed=_cell_seed(seed, tag)[1],
     )
 
@@ -641,7 +660,7 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
     }, spec.name)
     sessions = _sessions(p, spec.seed)
     n_frames = _as_int(p["n_frames"], "n_frames")
-    loss = float(p["loss_probability"])
+    loss = _as_float(p["loss_probability"], "loss_probability")
     if not 0.0 <= loss < 1.0:
         raise ConfigError(f"loss_probability must lie in [0, 1), got {loss}")
 
@@ -700,7 +719,7 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
     ds_cfg = _channel_from(p, "ds_snr_sc_db", spec.seed, "e2e-ds-chan")
     report = run_secure_session(
         sessions, us_cfg, ds_cfg, n_super, seed=spec.seed,
-        loss_probability=float(p["loss_probability"]),
+        loss_probability=_as_float(p["loss_probability"], "loss_probability"),
         eavesdropper=bool(p["eavesdropper"]),
     )
     rows = _session_rows(spec, report)

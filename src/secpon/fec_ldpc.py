@@ -5,8 +5,7 @@ with lifting factor 48, an accumulator (staircase) parity part, and
 irregular information-column degrees placed by progressive edge growth
 with circulant shifts chosen to avoid length-4 cycles.  Construction is
 deterministic for a given seed, so every build of the package decodes
-the waterfall tests identically.  Externally supplied parity-check
-matrices in alist format are accepted as drop-in replacements.
+the waterfall tests identically.
 
 Decoding is flooding sum-product in the log domain with message clipping
 and syndrome-based early termination.
@@ -14,7 +13,7 @@ and syndrome-based early termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -100,23 +99,18 @@ class LdpcCode:
 
     # -- decoding ------------------------------------------------------
 
-    def decode(self, llrs: np.ndarray,
-               max_iterations: int = DEFAULT_MAX_ITERATIONS
-               ) -> tuple[np.ndarray, int, bool]:
-        """Sum-product decode one LLR vector (positive LLR favors bit 0).
-
-        Returns (hard bits, iterations used, converged flag).
-        """
-        bits, iters, ok = self.decode_batch(llrs[None, :], max_iterations)
-        return bits[0], int(iters[0]), bool(ok[0])
-
     def decode_batch(self, llrs: np.ndarray,
                      max_iterations: int = DEFAULT_MAX_ITERATIONS
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode a (batch, n) block of LLR vectors in lockstep."""
-        llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-        if llrs.shape[1] != self.n:
-            raise ValueError(f"expected {self.n} LLRs per codeword, got {llrs.shape[1]}")
+        """Sum-product decode a (batch, n) LLR array in lockstep; positive
+        LLR favors bit 0.
+
+        Returns (hard bits, iterations used, converged flags), one row or
+        entry per codeword.
+        """
+        llrs = np.asarray(llrs, dtype=np.float64)
+        if llrs.ndim != 2 or llrs.shape[1] != self.n:
+            raise ValueError(f"expected (batch, {self.n}) LLRs, got shape {llrs.shape}")
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         b = llrs.shape[0]
@@ -157,20 +151,6 @@ class LdpcCode:
                 break
         hard[~done] = (posterior[~done] < 0).astype(np.uint8)
         return hard, iters, done
-
-
-def ldpc_encode(info: np.ndarray, code: LdpcCode | None = None) -> np.ndarray:
-    """Encode information bits systematically; the default code when none given."""
-    return (code or default_code()).encode(info)
-
-
-def ldpc_decode_spa(llrs: np.ndarray, code: LdpcCode | None = None,
-                    max_iterations: int = DEFAULT_MAX_ITERATIONS
-                    ) -> tuple[np.ndarray, bool, int]:
-    """Sum-product decode, returning (info bits, converged, iterations)."""
-    code = code or default_code()
-    bits, iters, ok = code.decode(np.asarray(llrs), max_iterations)
-    return bits[:code.k], bool(ok), int(iters)
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -345,43 +325,3 @@ def default_code() -> LdpcCode:
     )
     return code
 
-
-def save_alist(code: LdpcCode, path: str) -> None:
-    """Write the parity-check matrix in alist format."""
-    n, m = code.n, code.m
-    cols: list[list[int]] = [[] for _ in range(n)]
-    rows: list[list[int]] = [[] for _ in range(m)]
-    for c, v in zip(code.check_of_edge, code.var_of_edge):
-        rows[c].append(v + 1)
-        cols[v].append(c + 1)
-    with open(path, "w") as f:
-        f.write(f"{n} {m}\n")
-        f.write(f"{max(len(x) for x in cols)} {max(len(x) for x in rows)}\n")
-        f.write(" ".join(str(len(x)) for x in cols) + "\n")
-        f.write(" ".join(str(len(x)) for x in rows) + "\n")
-        for x in cols:
-            f.write(" ".join(map(str, sorted(x))) + "\n")
-        for x in rows:
-            f.write(" ".join(map(str, sorted(x))) + "\n")
-
-
-def load_alist(path: str) -> LdpcCode:
-    """Read a parity-check matrix in alist format (zero-padded lists allowed)."""
-    with open(path) as f:
-        tokens = f.read().split()
-    it = iter(tokens)
-    n, m = int(next(it)), int(next(it))
-    next(it), next(it)
-    col_deg = [int(next(it)) for _ in range(n)]
-    [int(next(it)) for _ in range(m)]
-    rows = []
-    cols = []
-    for v in range(n):
-        seen = 0
-        while seen < col_deg[v]:
-            c = int(next(it))
-            if c != 0:
-                rows.append(c - 1)
-                cols.append(v)
-                seen += 1
-    return LdpcCode(n=n, m=m, check_of_edge=np.array(rows), var_of_edge=np.array(cols))

@@ -9,7 +9,6 @@ the surviving paths.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -198,22 +197,6 @@ class PolarCode:
         mask[list(self.frozen)] = False
         return np.nonzero(mask)[0]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "block_length": self.block_length,
-            "info_length": self.info_length,
-            "frozen": sorted(self.frozen),
-            "crc_poly": list(self.crc_poly),
-            "list_size": self.list_size,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolarCode":
-        d = json.loads(text)
-        return cls(block_length=d["block_length"], info_length=d["info_length"],
-                   frozen=tuple(d["frozen"]), crc_poly=tuple(d["crc_poly"]),
-                   list_size=d["list_size"])
-
 
 @dataclass
 class KeyCodeword:
@@ -260,25 +243,20 @@ def polar_encode(info: np.ndarray, code: PolarCode | None = None) -> np.ndarray:
 
 
 def polar_decode_scl(llrs: np.ndarray, code: PolarCode | None = None
-                     ) -> tuple[np.ndarray, bool]:
-    """List-decode one block; positive LLR means bit 0 is more likely.
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """List-decode a (batch, block_length) LLR array, all blocks at once.
 
-    Returns the payload of the most likely CRC-passing path, or the
-    best path flagged ``False`` when no survivor checks out.
+    Positive LLR means bit 0 is more likely.  Returns the (batch,
+    payload_capacity) payloads of the most likely CRC-passing path per
+    block, or of the best path where no survivor checks out, and the
+    (batch,) CRC flags.  This is the LLR-domain list decoder of
+    Balatsoukas-Stimming, Bastani Parizi and Burg (IEEE TSP 2015).
     """
     code = code or PolarCode()
-    payloads, ok = polar_decode_scl_batch(np.asarray(llrs, dtype=float)[None, :], code)
-    return payloads[0], bool(ok[0])
-
-
-def polar_decode_scl_batch(llrs: np.ndarray, code: PolarCode | None = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized list decoding of a (batch, block_length) LLR array."""
-    code = code or PolarCode()
-    llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
+    llrs = np.asarray(llrs, dtype=np.float64)
     n = code.block_length
-    if llrs.shape[1] != n:
-        raise ValueError(f"expected {n} LLRs per block, got {llrs.shape[1]}")
+    if llrs.ndim != 2 or llrs.shape[1] != n:
+        raise ValueError(f"expected (batch, {n}) LLRs, got shape {llrs.shape}")
     u_all = _scl_paths(llrs, code)
     b = u_all.shape[0]
     info_pos = code.info_positions
@@ -310,7 +288,10 @@ def _scl_paths(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
     """Run list decoding; returns u-domain paths ordered best-first.
 
     Shape (batch, list, block_length).  State lives in per-level arrays
-    so that path pruning can reorder everything with one gather.
+    so that path pruning can reorder everything with one gather.  A
+    level array whose path axis has length 1 is shared by every path
+    (the channel LLRs, and the left spine down to the first leaf),
+    so pruning leaves it alone and it costs 1/list_size of the memory.
     """
     b, n = llrs.shape
     lsz = code.list_size
@@ -320,7 +301,7 @@ def _scl_paths(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
 
     pm = np.full((b, lsz), np.inf)
     pm[:, 0] = 0.0
-    llr_lv: dict[int, np.ndarray] = {0: np.broadcast_to(llrs[:, None, :], (b, lsz, n)).copy()}
+    llr_lv: dict[int, np.ndarray] = {0: llrs[:, None, :]}
     left_bits: dict[int, np.ndarray] = {}
     u_hat = np.zeros((b, lsz, n), dtype=np.uint8)
     leaf = [0]
@@ -328,7 +309,8 @@ def _scl_paths(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
 
     def permute(src: np.ndarray) -> None:
         for t in list(llr_lv):
-            llr_lv[t] = llr_lv[t][rows, src]
+            if llr_lv[t].shape[1] > 1:
+                llr_lv[t] = llr_lv[t][rows, src]
         for t in list(left_bits):
             left_bits[t] = left_bits[t][rows, src]
         u_hat[...] = u_hat[rows, src]
@@ -368,6 +350,9 @@ def _scl_paths(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
         return np.concatenate([bl ^ br, br], axis=-1)
 
     visit(0)
+    # visit reaches itself through its closure; dropping it frees the
+    # per-level state on return instead of at the next cyclic collection
+    del visit
     assert leaf[0] == n
     order = np.argsort(pm, axis=1)
     return u_hat[rows, order]

@@ -57,7 +57,7 @@ from .crypto import (
     split_key,
 )
 from .dscm import DscmPlan, demux_select, mux
-from .fec_ldpc import LDPC_K, LdpcCode, default_code, ldpc_encode
+from .fec_ldpc import LDPC_K, LdpcCode, default_code
 from .fec_polar import KeyCodeword, PolarCode, polar_decode_scl
 from .framing import (
     FrameLayout,
@@ -290,14 +290,6 @@ class SessionReport:
         }
         return json.dumps(doc, indent=2, allow_nan=True)
 
-    def to_csv(self) -> str:
-        lines = ["frame,direction,onu,sc,pre_bits,pre_errors,post_bits,post_errors,cycle_slips"]
-        for m in self.frame_metrics:
-            lines.append(f"{m.frame_index},{m.direction},{m.onu_id},{m.sc_index},"
-                         f"{m.pre_bits},{m.pre_errors},{m.post_bits},{m.post_errors},"
-                         f"{m.cycle_slips}")
-        return "\n".join(lines) + "\n"
-
 
 def _echo_bits(value: int) -> np.ndarray:
     return np.array([(value >> (7 - i)) & 1 for i in range(8)], dtype=np.uint8)
@@ -402,24 +394,20 @@ def _start_fragment_cycle(session: OnuSession, seed: int, frame: int,
 
 def run_upstream_keydist(sessions: list[OnuSession], cfg: ChannelConfig,
                          n_frames: int, *, seed: int = 0,
-                         loss_probability: float = 0.0,
-                         decode_payload: bool = False) -> SessionReport:
+                         loss_probability: float = 0.0) -> SessionReport:
     """Distribute session keys upstream over the pilot magnitude bits.
 
     Runs ``n_frames`` upstream frames (see ``_upstream_frame``) and
-    reports their payload metrics.  Activation here models an
+    reports their pre-FEC payload metrics.  Activation here models an
     out-of-band acknowledgment: both stores switch at the frame boundary
     after assembly (the in-band echo path lives in the downstream
-    runner).  With ``decode_payload`` the payload is LDPC-coded and its
-    post-FEC errors are counted too.
+    runner).
     """
     report = SessionReport(direction="upstream", n_frames=n_frames)
     for f in range(n_frames):
-        metrics = _upstream_frame(sessions, cfg, f, seed, decode_payload,
-                                  loss_probability, report)
+        metrics = _upstream_frame(sessions, cfg, f, seed, loss_probability, report)
         report.frame_metrics += metrics
         report.pre_bits_transmitted += sum(m.pre_bits for m in metrics)
-        report.post_bits_transmitted += sum(m.post_bits for m in metrics)
         for session in sessions:
             _ideal_ack_activation(session, session.codeword_counter, f, report)
         report.n_frames = f + 1
@@ -427,20 +415,19 @@ def run_upstream_keydist(sessions: list[OnuSession], cfg: ChannelConfig,
     return report
 
 
-def _upstream_frame(sessions, cfg, f, seed, decode_payload, loss_probability,
-                    report) -> list[FrameMetrics]:
+def _upstream_frame(sessions, cfg, f, seed, loss_probability, report) -> list[FrameMetrics]:
     """One upstream frame; returns the payload metrics per subcarrier.
 
     Each ONU sends one polar-coded key fragment on the pilot magnitude
-    bits of its two key subcarriers and 16QAM payload on all of its
-    subcarriers (LDPC-coded with ``decode_payload``).  Each ONU's burst
-    passes through its own laser's phase-noise channel; the bursts sum
-    at the OLT where a single noise loading applies.  The OLT takes in
-    the fragments CRC-gated; activation is left to the caller.
+    bits of its two key subcarriers and uncoded 16QAM payload on all of
+    its subcarriers.  Each ONU's burst passes through its own laser's
+    phase-noise channel; the bursts sum at the OLT where a single noise
+    loading applies.  The OLT decodes every fragment that was not lost
+    in one batch and takes them in CRC-gated; activation is left to the
+    caller.
     """
-    ldpc = default_code() if decode_payload else None
     n = UPSTREAM.n_pilots
-    sent: list[dict[int, tuple[np.ndarray, np.ndarray | None]]] = []
+    sent: list[dict[int, np.ndarray]] = []
     onu_waves = []
     for idx, session in enumerate(sessions):
         _start_fragment_cycle(session, seed, f, report)
@@ -451,24 +438,17 @@ def _upstream_frame(sessions, cfg, f, seed, decode_payload, loss_probability,
         report.key_events.append(KeyEventRecord(
             f, session.onu_id, "fragment_sent", fragment.seq,
             f"index={fragment.fragment_index}"))
-        tx: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        tx: dict[int, np.ndarray] = {}
         frames = {}
         for j, sc in enumerate(session.subcarriers):
             if sc in session.key_subcarriers:
                 second = key_bits[j * n:(j + 1) * n]
             else:
                 second = _pilot_bits(seed, _PILOT2, f, sc, n)
-            draw = _rng(seed, _USDATA, idx, f, sc)
-            if ldpc is None:
-                info = None
-                payload = draw.integers(0, 2, 4 * UPSTREAM.payload_len).astype(np.uint8)
-            else:
-                info = draw.integers(
-                    0, 2, (CODEWORDS_PER_SC_PER_FRAME, LDPC_K)).astype(np.uint8)
-                payload = np.concatenate([ldpc_encode(row, ldpc) for row in info])
-            tx[sc] = (payload, info)
+            tx[sc] = _rng(seed, _USDATA, idx, f, sc).integers(
+                0, 2, 4 * UPSTREAM.payload_len).astype(np.uint8)
             frames[sc] = transmit_subcarrier(_pilot_bits(seed, _SIGNS, f, sc, n), second,
-                                             payload, _child_seed(seed, _TRAIN, f, sc),
+                                             tx[sc], _child_seed(seed, _TRAIN, f, sc),
                                              UPSTREAM, PILOT)
         sent.append(tx)
         onu_cfg = ChannelConfig(snr_db=None, linewidth_hz=cfg.linewidth_hz,
@@ -482,37 +462,39 @@ def _upstream_frame(sessions, cfg, f, seed, decode_payload, loss_probability,
         total = add_awgn(total, cfg.snr_db, seed=_child_seed(cfg.seed, _USNOISE, f))
 
     metrics = []
+    llrs = []
     for session, tx in zip(sessions, sent):
         received = _receive_onu(total, session, UPSTREAM, seed, f, cfg)
         for sc, got in received.items():
-            payload, info = tx[sc]
-            pre_errors = int(np.count_nonzero(demap_payload_16qam(got.cpr.payload) != payload))
-            post_bits = post_errors = 0
-            if info is not None:
-                post_errors = int(np.count_nonzero(_decode_payload(got, ldpc) != info))
-                post_bits = info.size
-            metrics.append(FrameMetrics(f, "us", session.onu_id, sc, payload.size,
-                                        pre_errors, post_bits, post_errors,
-                                        got.cpr.cycle_slips))
-        llrs = np.concatenate([
+            pre_errors = int(np.count_nonzero(demap_payload_16qam(got.cpr.payload) != tx[sc]))
+            metrics.append(FrameMetrics(f, "us", session.onu_id, sc, tx[sc].size,
+                                        pre_errors, 0, 0, got.cpr.cycle_slips))
+        llrs.append(np.concatenate([
             demap_pilot_llrs(received[sc].cpr.pilots, PILOT, received[sc].noise_var)
-            for sc in session.key_subcarriers])
-        _receive_fragment(session, llrs[:POLAR.block_length], f, seed,
-                          loss_probability, report)
+            for sc in session.key_subcarriers])[:POLAR.block_length])
+    lost = [bool(loss_probability) and _rng(seed, _LOSS, f, _stable_id(s.onu_id)
+                                            ).random() < loss_probability
+            for s in sessions]
+    kept = [row for row, gone in zip(llrs, lost) if not gone]
+    decoded = zip(*polar_decode_scl(np.stack(kept), POLAR)) if kept else iter(())
+    for session, gone in zip(sessions, lost):
+        _receive_fragment(session, None if gone else next(decoded), f, report)
     return metrics
 
 
-def _receive_fragment(session: OnuSession, llrs: np.ndarray,
-                      frame: int, seed: int, loss_probability: float,
-                      report: SessionReport) -> None:
-    """CRC-gated fragment intake on the OLT side of one session."""
-    if loss_probability and _rng(seed, _LOSS, frame, _stable_id(session.onu_id)
-                                 ).random() < loss_probability:
+def _receive_fragment(session: OnuSession, decoded: tuple[np.ndarray, bool] | None,
+                      frame: int, report: SessionReport) -> None:
+    """CRC-gated fragment intake on the OLT side of one session.
+
+    ``decoded`` is the polar decoder's (payload, CRC flag) for the
+    session's fragment, or None when the fragment was lost.
+    """
+    if decoded is None:
         report.fragments_lost += 1
         report.key_events.append(KeyEventRecord(frame, session.onu_id,
                                                 "fragment_lost", session.expected_seq))
     else:
-        payload, crc_ok = polar_decode_scl(llrs, POLAR)
+        payload, crc_ok = decoded
         if not crc_ok:
             report.crc_failures += 1
             report.key_events.append(KeyEventRecord(frame, session.onu_id,
@@ -608,7 +590,7 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                     0, 2, DATA_BITS_PER_CODEWORD).astype(np.uint8)
                 key = session.olt_store.consume(c)
                 cipher = aes256_encrypt(np.concatenate([_echo_bits(echo), data]), key, c)
-                coded.append(ldpc_encode(cipher, ldpc))
+                coded.append(ldpc.encode(cipher))
                 codewords.append((c, data))
                 report.pre_bits_transmitted += coded[-1].size
                 report.post_bits_transmitted += data.size
@@ -677,7 +659,7 @@ def run_secure_session(sessions: list[OnuSession], us_cfg: ChannelConfig,
     """
     report = SessionReport(direction="secure-session", n_frames=n_superframes)
     for f in range(n_superframes):
-        _upstream_frame(sessions, us_cfg, f, seed, False, loss_probability, report)
+        _upstream_frame(sessions, us_cfg, f, seed, loss_probability, report)
         _downstream_frame(sessions, ds_cfg, f, seed, eavesdropper, report)
         if not active_keys_synchronized(sessions):
             raise AssertionError(f"active keys desynchronized after superframe {f}")

@@ -72,6 +72,23 @@ def test_unreadable_config_exits_2(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("experiment, params, key", [
+    ("keydist", {"linewidth_hz": "fast"}, "linewidth_hz"),
+    ("theory-curves", {"snr_db": {"start": "x", "stop": 1, "step": 1}}, "snr_db"),
+    ("fec-waterfall", {"a": 5}, "a"),
+    ("fec-waterfall", {"op_snr_db": [12.0]}, "op_snr_db"),
+    ("cpr-penalty", {"baseline_a": 0}, "baseline_a"),
+    ("sweep-a", {"dex_tolerance": None}, "dex_tolerance"),
+])
+def test_malformed_number_exits_2(tmp_path, capsys, experiment, params, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(params))
+    rc = main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert f"config error: {key} must" in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
 @pytest.mark.parametrize("n_onus, message", [(3, "pilot budget"), (5, "oversubscribe")])
 def test_unusable_onu_ids_exit_2(tmp_path, capsys, n_onus, message):
     cfg = tmp_path / "cfg.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from secpon import crypto
+from secpon import crypto, protocol
 
 
 def _active_key(rng_or_bits, seq=0):
@@ -130,6 +130,10 @@ class TestSessionKey:
 
 
 class TestKeyFragments:
+    def test_message_fills_the_key_code_payload(self):
+        # one fragment message is exactly one polar block's payload
+        assert crypto.FRAGMENT_MESSAGE_BITS == protocol.POLAR.payload_capacity
+
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
         frag = rng.integers(0, 2, 128).astype(np.uint8)
@@ -187,7 +191,7 @@ class TestKeyStore:
         assert store.active_key is None
         store.activate(1, codeword_index=0)
         assert store.active_key.seq == 1
-        crypto.activate_key(store, 2, codeword_index=10)
+        store.activate(2, codeword_index=10)
         assert store.active_key.seq == 2
         states = {s: k.state for s, k in store._keys.items()}
         assert states == {1: "retired", 2: "active"}

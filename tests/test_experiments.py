@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from secpon import theory
+from secpon import experiments, theory
 from secpon.experiments import (
     ConfigError,
     ExperimentSpec,
@@ -166,6 +166,22 @@ class TestFecWaterfall:
         by_code = {r["code"]: r for r in result.rows}
         assert by_code["ldpc"]["block_errors"] == 0
         assert by_code["polar"]["block_errors"] == 0
+
+    @pytest.mark.parametrize("n_blocks, calls", [(100, 1), (205, 3)])
+    def test_polar_cell_decodes_in_chunks(self, monkeypatch, n_blocks, calls):
+        batches = []
+
+        def counting_decode(llrs, code):
+            batches.append(llrs.shape[0])
+            return decode(llrs, code)
+
+        decode = experiments.polar_decode_scl
+        monkeypatch.setattr(experiments, "polar_decode_scl", counting_decode)
+        op = round(theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT), 4)
+        row = experiments._polar_cell((5, 1.7, op, n_blocks))
+        assert len(batches) == calls == -(-n_blocks // 100)
+        assert sum(batches) == row["n_codewords"] == n_blocks
+        assert max(batches) <= 100
 
     def test_check_demands_codeword_counts(self, tmp_path):
         op = round(theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT), 4)

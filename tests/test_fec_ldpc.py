@@ -101,8 +101,8 @@ class TestSmallCodeSanity:
             cw = code.encode(info)
             assert code.syndrome_weight(cw) == 0
             llr = 4.0 * (1.0 - 2.0 * cw.astype(float))
-            bits, _, ok = code.decode(llr, 20)
-            assert ok and np.array_equal(bits[:4], info)
+            bits, _, ok = code.decode_batch(llr[None, :], 20)
+            assert ok[0] and np.array_equal(bits[0, :4], info)
 
     def test_hamming_corrects_unreliable_position(self):
         # one position flipped at low confidence: belief propagation must
@@ -114,9 +114,9 @@ class TestSmallCodeSanity:
             for flip in range(7):
                 llr = 4.0 * (1.0 - 2.0 * cw.astype(float))
                 llr[flip] = -0.25 * llr[flip]
-                bits, _, ok = code.decode(llr, 20)
-                assert ok
-                assert np.array_equal(bits[:4], info), (val, flip)
+                bits, _, ok = code.decode_batch(llr[None, :], 20)
+                assert ok[0]
+                assert np.array_equal(bits[0, :4], info), (val, flip)
 
 
 class TestDecoder:
@@ -125,9 +125,9 @@ class TestDecoder:
         rng = np.random.default_rng(4)
         info = rng.integers(0, 2, code.k).astype(np.uint8)
         llr = 10.0 * (1.0 - 2.0 * code.encode(info).astype(float))
-        bits, ok, iters = fec_ldpc.ldpc_decode_spa(llr)
-        assert ok and iters <= 1
-        assert np.array_equal(bits, info)
+        bits, iters, ok = code.decode_batch(llr[None, :])
+        assert ok[0] and iters[0] <= 1
+        assert np.array_equal(bits[0, :code.k], info)
 
     def test_converged_implies_zero_syndrome(self):
         code = fec_ldpc.default_code()
@@ -183,29 +183,8 @@ class TestDecoder:
     def test_llr_length_and_budget_validated(self):
         code = fec_ldpc.default_code()
         with pytest.raises(ValueError):
-            code.decode(np.zeros(100))
+            code.decode_batch(np.zeros((1, 100)))
         with pytest.raises(ValueError):
-            code.decode(np.zeros(code.n), max_iterations=0)
-
-
-class TestAlistRoundtrip:
-    def test_save_load_preserves_graph(self, tmp_path):
-        code = fec_ldpc.default_code()
-        path = str(tmp_path / "code.alist")
-        fec_ldpc.save_alist(code, path)
-        loaded = fec_ldpc.load_alist(path)
-        assert (loaded.n, loaded.m) == (code.n, code.m)
-        assert np.array_equal(loaded.check_of_edge, code.check_of_edge)
-        assert np.array_equal(loaded.var_of_edge, code.var_of_edge)
-
-    def test_loaded_code_encodes_via_generic_solver(self, tmp_path):
-        small_rows = [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
-        small_cols = [0, 1, 2, 4, 0, 1, 3, 5, 0, 2, 3, 6]
-        code = fec_ldpc.LdpcCode(n=7, m=3, check_of_edge=np.array(small_rows),
-                                 var_of_edge=np.array(small_cols))
-        path = str(tmp_path / "small.alist")
-        fec_ldpc.save_alist(code, path)
-        loaded = fec_ldpc.load_alist(path)
-        info = np.array([1, 0, 1, 1], dtype=np.uint8)
-        assert np.array_equal(loaded.encode(info), code.encode(info))
-        assert loaded.syndrome_weight(loaded.encode(info)) == 0
+            code.decode_batch(np.zeros(code.n))
+        with pytest.raises(ValueError):
+            code.decode_batch(np.zeros((1, code.n)), max_iterations=0)

@@ -136,15 +136,8 @@ class TestUpstreamKeydist:
             reps.append(run_upstream_keydist(sessions, cfg, 3, seed=7))
             hexes.append([s.olt_store.active_key.key_hex for s in sessions])
         assert reps[0].to_json() == reps[1].to_json()
-        assert reps[0].to_csv() == reps[1].to_csv()
+        assert reps[0].frame_metrics == reps[1].frame_metrics
         assert hexes[0] == hexes[1]
-
-    def test_decoded_payload_error_free_when_clean(self):
-        sessions = _two_onus()
-        rep = run_upstream_keydist(sessions, ChannelConfig(seed=29), 1, seed=5,
-                                   decode_payload=True)
-        assert rep.post_bits_transmitted > 0
-        assert rep.post_fec_ber() == 0.0
 
     def test_report_counters_consistent(self):
         sessions = _two_onus()
@@ -202,11 +195,10 @@ class TestDownstreamEncrypted:
         removed before its subcarriers are selected, in both directions."""
         sessions = _two_onus()
         cfg = ChannelConfig(freq_offset_hz=2e8, seed=19)
-        up = run_upstream_keydist(sessions, cfg, 2, seed=5, decode_payload=True)
+        up = run_upstream_keydist(sessions, cfg, 2, seed=5)
         assert up.pre_fec_ber() == 0.0
         assert up.crc_failures == 0
         assert up.keys_assembled == len(sessions)   # one key per ONU in two frames
-        assert up.post_fec_ber() == 0.0
         down = run_downstream_encrypted(sessions, cfg, 1, seed=5)
         assert down.pre_fec_ber() == 0.0
         assert down.post_fec_ber() == 0.0
@@ -254,10 +246,6 @@ class TestSecureSession:
         assert doc["direction"] == "secure-session"
         assert doc["keys_assembled"] == rep.keys_assembled
         assert doc["eavesdropper_bits"] == rep.eavesdropper_bits
-        csv = rep.to_csv().strip().split("\n")
-        assert csv[0].startswith("frame,direction,onu,sc")
-        assert len(csv) == 1 + len(rep.frame_metrics)
-        assert any(row.split(",")[1] == "ds" for row in csv[1:])
 
     @pytest.mark.parametrize("onu_ids", [["onu1", "onu2"], ["onu1"]])
     def test_key_channel_matches_upstream_keydist(self, onu_ids):
