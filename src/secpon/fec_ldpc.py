@@ -102,8 +102,8 @@ class LdpcCode:
     def decode_batch(self, llrs: np.ndarray,
                      max_iterations: int = DEFAULT_MAX_ITERATIONS
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sum-product decode a (batch, n) LLR array in lockstep; positive
-        LLR favors bit 0.
+        """Sum-product decode a (batch, n) LLR array; positive LLR favors
+        bit 0.  A codeword stops iterating once its syndrome is zero.
 
         Returns (hard bits, iterations used, converged flags), one row or
         entry per codeword.
@@ -114,17 +114,18 @@ class LdpcCode:
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         b = llrs.shape[0]
-        ch = np.clip(llrs, -LLR_CLIP, LLR_CLIP)
         cidx = self.check_of_edge
         vidx = self.var_of_edge
         cstarts = self._check_starts
         vstarts = self._var_starts
         byv = self._by_var
-        m_vc = ch[:, vidx]
         hard = np.zeros((b, self.n), dtype=np.uint8)
         iters = np.full(b, max_iterations, dtype=np.int64)
         done = np.zeros(b, dtype=bool)
-        posterior = ch.copy()
+        # converged rows leave the active arrays; every update is row-wise
+        active = np.arange(b)
+        ch = np.clip(llrs, -LLR_CLIP, LLR_CLIP)
+        m_vc = ch[:, vidx]
         for it in range(max_iterations):
             # check update: sign product and phi-domain magnitude sum
             neg = m_vc < 0
@@ -142,14 +143,17 @@ class LdpcCode:
             hard_now = (posterior < 0).astype(np.uint8)
             syn = np.add.reduceat(hard_now[:, vidx], cstarts, axis=1) & 1
             conv = ~np.any(syn, axis=1)
-            newly = conv & ~done
-            if np.any(newly):
-                hard[newly] = hard_now[newly]
-                iters[newly] = it + 1
-                done |= conv
-            if np.all(done):
+            if np.any(conv):
+                rows = active[conv]
+                hard[rows] = hard_now[conv]
+                iters[rows] = it + 1
+                done[rows] = True
+                keep = ~conv
+                active, ch, m_vc = active[keep], ch[keep], m_vc[keep]
+                hard_now = hard_now[keep]
+            if active.size == 0:
                 break
-        hard[~done] = (posterior[~done] < 0).astype(np.uint8)
+        hard[active] = hard_now
         return hard, iters, done
 
 
