@@ -57,7 +57,7 @@ from .crypto import (
     split_key,
 )
 from .dscm import DscmPlan, demux_select, mux
-from .fec_ldpc import LDPC_K, LdpcCode, default_code
+from .fec_ldpc import LDPC_K, default_code
 from .fec_polar import KeyCodeword, PolarCode, polar_decode_scl
 from .framing import (
     FrameLayout,
@@ -356,13 +356,6 @@ def _receive_onu(rx: SymbolStream, session: OnuSession, layout: FrameLayout,
             for sc in session.subcarriers}
 
 
-def _decode_payload(got: SubcarrierReception, ldpc: LdpcCode) -> np.ndarray:
-    """LDPC-decode one subcarrier's payload into its information rows."""
-    llrs = payload_llrs_16qam(got.cpr.payload, got.noise_var)
-    hard, _, _ = ldpc.decode_batch(llrs.reshape(CODEWORDS_PER_SC_PER_FRAME, -1))
-    return hard[:, :LDPC_K].astype(np.uint8)
-
-
 def _correct_onu_offset(aggregate: SymbolStream, session: OnuSession,
                         layout: FrameLayout, seed: int, frame: int) -> SymbolStream:
     """Estimate the ONU's carrier offset on one training prefix and
@@ -616,12 +609,18 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                      SessionKey(bits=made_up, seq=254, state="active")))
     for tap_cfg, eve_key in taps:
         rx = apply_channel(clean, tap_cfg)
-        for session, tx in zip(sessions, sent):
-            for sc, got in _receive_onu(rx, session, DOWNSTREAM, seed, f,
-                                        tap_cfg).items():
+        received = [_receive_onu(rx, session, DOWNSTREAM, seed, f, tap_cfg)
+                     for session in sessions]
+        # one decoder call for the tap, rows in session, subcarrier, codeword order
+        llrs = [payload_llrs_16qam(got.cpr.payload, got.noise_var)
+                for by_sc in received for got in by_sc.values()]
+        hard, _, _ = ldpc.decode_batch(np.concatenate(llrs).reshape(-1, ldpc.n))
+        rows = iter(hard[:, :LDPC_K])
+        for session, tx, by_sc in zip(sessions, sent, received):
+            for sc, got in by_sc.items():
                 coded, codewords = tx[sc]
                 errors = 0
-                for row, (c, data) in zip(_decode_payload(got, ldpc), codewords):
+                for (c, data), row in zip(codewords, rows):
                     key = session.onu_store.consume(c) if eve_key is None else eve_key
                     decrypted = aes256_decrypt(row, key, c)
                     errors += int(np.count_nonzero(decrypted[8:] != data))

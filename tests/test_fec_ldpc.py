@@ -3,6 +3,45 @@ import pytest
 
 from secpon import fec_ldpc, framing, theory
 
+LLR_CLIP = fec_ldpc.LLR_CLIP
+
+
+def _reference_flooding(code, llrs, max_iterations=fec_ldpc.DEFAULT_MAX_ITERATIONS):
+    """The flooding sum-product decoder the layered one replaced: every
+    check, then every variable, updates once per iteration, and the whole
+    batch iterates in lockstep."""
+    cidx, vidx = code.check_of_edge, code.var_of_edge
+    cstarts = np.concatenate(([0], np.cumsum(np.bincount(cidx, minlength=code.m))))[:-1]
+    vstarts = np.concatenate(([0], np.cumsum(np.bincount(vidx, minlength=code.n))))[:-1]
+    byv = np.argsort(vidx, kind="stable")
+    b = llrs.shape[0]
+    ch = np.clip(llrs, -LLR_CLIP, LLR_CLIP)
+    m_vc = ch[:, vidx]
+    hard = np.zeros((b, code.n), dtype=np.uint8)
+    iters = np.full(b, max_iterations, dtype=np.int64)
+    done = np.zeros(b, dtype=bool)
+    posterior = ch.copy()
+    for it in range(max_iterations):
+        neg = m_vc < 0
+        phi = fec_ldpc._phi(np.maximum(np.abs(m_vc), 1e-12))
+        phi_sum = np.add.reduceat(phi, cstarts, axis=1)[:, cidx] - phi
+        negsum = np.add.reduceat(neg.astype(np.int8), cstarts, axis=1)[:, cidx] \
+            - neg.astype(np.int8)
+        sign = 1.0 - 2.0 * (negsum & 1)
+        m_cv = np.clip(sign * fec_ldpc._phi(np.maximum(phi_sum, 1e-12)), -LLR_CLIP, LLR_CLIP)
+        posterior = ch + np.add.reduceat(m_cv[:, byv], vstarts, axis=1)
+        m_vc = np.clip(posterior[:, vidx] - m_cv, -LLR_CLIP, LLR_CLIP)
+        hard_now = (posterior < 0).astype(np.uint8)
+        conv = ~np.any(np.add.reduceat(hard_now[:, vidx], cstarts, axis=1) & 1, axis=1)
+        newly = conv & ~done
+        hard[newly] = hard_now[newly]
+        iters[newly] = it + 1
+        done |= conv
+        if np.all(done):
+            break
+    hard[~done] = (posterior[~done] < 0).astype(np.uint8)
+    return hard, iters, done
+
 
 def _noisy_llrs(rng, code, infos, snr_db):
     nvar = 10 ** (-snr_db / 10)
@@ -33,6 +72,20 @@ class TestConstruction:
         b = fec_ldpc.default_code()
         assert np.array_equal(a.check_of_edge, b.check_of_edge)
         assert np.array_equal(a.var_of_edge, b.var_of_edge)
+
+    def test_layers_are_the_base_rows(self):
+        code = fec_ldpc.default_code()
+        layers = code._layers
+        assert len(layers) == 56
+        bounds = [(e0, e1) for e0, e1, _ in layers]
+        assert bounds[0][0] == 0 and bounds[-1][1] == code.var_of_edge.size
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        for e0, e1, v in layers:
+            assert v.shape[0] == 48
+            assert np.array_equal(v.ravel(), code.var_of_edge[e0:e1])
+            checks = code.check_of_edge[e0:e1].reshape(v.shape)
+            assert (checks == checks[:, :1]).all()
+            assert np.unique(v).size == v.size
 
     def test_rejects_empty_row(self):
         with pytest.raises(ValueError):
@@ -104,6 +157,12 @@ class TestSmallCodeSanity:
             bits, _, ok = code.decode_batch(llr[None, :], 20)
             assert ok[0] and np.array_equal(bits[0, :4], info)
 
+    def test_hamming_layers_are_single_checks(self):
+        # every pair of Hamming checks shares variable 0
+        layers = self.hamming()._layers
+        assert [(e0, e1, v.shape) for e0, e1, v in layers] \
+            == [(0, 4, (1, 4)), (4, 8, (1, 4)), (8, 12, (1, 4))]
+
     def test_hamming_corrects_unreliable_position(self):
         # one position flipped at low confidence: belief propagation must
         # pull it back from the other checks, wherever it sits
@@ -169,6 +228,32 @@ class TestDecoder:
             bers.append(np.mean(hard[:, :code.k] != infos))
         assert bers[0] >= bers[1] >= bers[2]
         assert bers[0] > bers[2]  # the budget actually matters down here
+
+    def test_matches_flooding_reference_at_operating_point(self):
+        code = fec_ldpc.default_code()
+        snr = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
+        rng = np.random.default_rng(10)
+        infos = rng.integers(0, 2, (8, code.k)).astype(np.uint8)
+        llr = _noisy_llrs(rng, code, infos, snr)
+        hard, iters, ok = code.decode_batch(llr)
+        ref_hard, ref_iters, ref_ok = _reference_flooding(code, llr)
+        assert ok.all() and ref_ok.all()
+        assert np.array_equal(hard, ref_hard)
+        assert iters.sum() < ref_iters.sum()
+
+    def test_rows_decode_as_they_do_alone(self):
+        code = fec_ldpc.default_code()
+        op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
+        rng = np.random.default_rng(11)
+        infos = rng.integers(0, 2, (3, code.k)).astype(np.uint8)
+        llr = np.concatenate([_noisy_llrs(rng, code, infos[i:i + 1], snr)
+                              for i, snr in enumerate((op, 11.0, 11.6))])
+        hard, iters, ok = code.decode_batch(llr)
+        assert ok[0] and not ok[1]
+        for i in range(3):
+            alone = code.decode_batch(llr[i:i + 1])
+            assert np.array_equal(alone[0][0], hard[i])
+            assert (alone[1][0], alone[2][0]) == (iters[i], ok[i])
 
     def test_decode_is_deterministic(self):
         code = fec_ldpc.default_code()

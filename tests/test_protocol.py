@@ -10,6 +10,7 @@ from secpon import protocol, theory
 from secpon.channel import ChannelConfig
 from secpon.crypto import KeyStore, SessionKey
 from secpon.dscm import DscmPlan, aggregate_snr_db, demux_select, mux
+from secpon.fec_ldpc import LdpcCode
 from secpon.framing import SymbolStream
 from secpon.protocol import (
     OnuSession,
@@ -202,6 +203,22 @@ class TestDownstreamEncrypted:
         down = run_downstream_encrypted(sessions, cfg, 1, seed=5)
         assert down.pre_fec_ber() == 0.0
         assert down.post_fec_ber() == 0.0
+
+    @pytest.mark.parametrize("eavesdropper", [False, True])
+    def test_one_decoder_call_per_tap(self, monkeypatch, eavesdropper):
+        """All ONUs' codewords on a tap go through one LDPC decoder call."""
+        batches = []
+        decode = LdpcCode.decode_batch
+
+        def counting_decode(code, llrs, *args, **kwargs):
+            batches.append(len(llrs))
+            return decode(code, llrs, *args, **kwargs)
+
+        monkeypatch.setattr(LdpcCode, "decode_batch", counting_decode)
+        rep = run_downstream_encrypted(_two_onus(), ChannelConfig(seed=2), 1, seed=5,
+                                       eavesdropper=eavesdropper)
+        assert batches == [8] * (2 if eavesdropper else 1)
+        assert rep.post_fec_ber() == 0.0
 
     def test_eavesdropper_agreement_is_coin_flip_when_noiseless(self):
         sessions = _two_onus()
