@@ -648,6 +648,24 @@ def _sessions(p: dict[str, Any], seed: int) -> list[OnuSession]:
         raise ConfigError(f"onu_ids: {exc}") from exc
 
 
+def _loss_probability(p: dict[str, Any]) -> float:
+    loss = _as_float(p["loss_probability"], "loss_probability")
+    if not 0.0 <= loss < 1.0:
+        raise ConfigError(f"loss_probability must lie in [0, 1), got {loss}")
+    return loss
+
+
+def _key_channel_failures(report, expected_rotations: int) -> list[str]:
+    failures = []
+    if report.key_mismatches:
+        failures.append(f"{report.key_mismatches} assembled keys "
+                        "differ from the generated keys")
+    if report.rotations != expected_rotations:
+        failures.append(f"rotations {report.rotations} != expected "
+                        f"{expected_rotations} (one per cadence boundary)")
+    return failures
+
+
 def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
     op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
     p = _require(spec.params, {
@@ -660,9 +678,7 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
     }, spec.name)
     sessions = _sessions(p, spec.seed)
     n_frames = _as_int(p["n_frames"], "n_frames")
-    loss = _as_float(p["loss_probability"], "loss_probability")
-    if not 0.0 <= loss < 1.0:
-        raise ConfigError(f"loss_probability must lie in [0, 1), got {loss}")
+    loss = _loss_probability(p)
 
     cfg = _channel_from(p, "snr_sc_db", spec.seed, "keydist-chan")
     report = run_upstream_keydist(sessions, cfg, n_frames, seed=spec.seed,
@@ -672,14 +688,9 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
     expected_rotations = len(sessions) * (n_frames // 2)
     failures = []
     if spec.check:
-        if report.key_mismatches:
-            failures.append(f"{report.key_mismatches} assembled keys "
-                            "differ from the generated keys")
+        failures += _key_channel_failures(report, expected_rotations)
         if report.crc_failures:
             failures.append(f"{report.crc_failures} fragments failed CRC")
-        if report.rotations != expected_rotations:
-            failures.append(f"rotations {report.rotations} != expected "
-                            f"{expected_rotations} (one per cadence boundary)")
         if not active_keys_synchronized(sessions):
             failures.append("active keys desynchronized after the run")
     summary = {
@@ -711,6 +722,7 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
     }, spec.name)
     sessions = _sessions(p, spec.seed)
     n_super = _as_int(p["n_superframes"], "n_superframes")
+    loss = _loss_probability(p)
     band = _as_floats(p["agreement_band"], "agreement_band")
     if len(band) != 2 or not 0 <= band[0] < band[1] <= 1:
         raise ConfigError("agreement_band must be [lo, hi] within [0, 1]")
@@ -719,14 +731,17 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
     ds_cfg = _channel_from(p, "ds_snr_sc_db", spec.seed, "e2e-ds-chan")
     report = run_secure_session(
         sessions, us_cfg, ds_cfg, n_super, seed=spec.seed,
-        loss_probability=_as_float(p["loss_probability"], "loss_probability"),
-        eavesdropper=bool(p["eavesdropper"]),
+        loss_probability=loss, eavesdropper=bool(p["eavesdropper"]),
     )
     rows = _session_rows(spec, report)
 
+    expected_rotations = len(sessions) * (n_super // 2)
     failures = []
     agreement = report.eavesdropper_agreement()
     if spec.check:
+        if not report.keys_assembled:
+            failures.append("no session key assembled")
+        failures += _key_channel_failures(report, expected_rotations)
         if report.post_fec_ber() != 0.0:
             failures.append(f"legitimate post-FEC BER {report.post_fec_ber():.3e} "
                             "nonzero above threshold")
@@ -741,7 +756,9 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
         "pre_fec_ber": report.pre_fec_ber(),
         "post_fec_ber": report.post_fec_ber(),
         "keys_assembled": report.keys_assembled,
+        "key_mismatches": report.key_mismatches,
         "rotations": report.rotations,
+        "expected_rotations": expected_rotations,
         "crc_failures": report.crc_failures,
         "eavesdropper_bits": report.eavesdropper_bits,
         "eavesdropper_agreement": agreement if report.eavesdropper_bits else None,

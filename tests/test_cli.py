@@ -79,6 +79,7 @@ def test_unreadable_config_exits_2(tmp_path):
     ("fec-waterfall", {"op_snr_db": [12.0]}, "op_snr_db"),
     ("cpr-penalty", {"baseline_a": 0}, "baseline_a"),
     ("sweep-a", {"dex_tolerance": None}, "dex_tolerance"),
+    ("e2e-secure", {"loss_probability": 1.5}, "loss_probability"),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, experiment, params, key):
     cfg = tmp_path / "cfg.json"

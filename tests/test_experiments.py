@@ -232,6 +232,18 @@ class TestSessionExperiments:
         # upstream passes carry only key fragments; payload rows are downstream
         assert {r["direction"] for r in rows} == {"ds"}
 
+    def test_e2e_check_fails_without_keys(self, tmp_path):
+        spec = ExperimentSpec("e2e-secure",
+                              {"n_superframes": 2, "us_snr_sc_db": None,
+                               "ds_snr_sc_db": None, "linewidth_hz": 0.0,
+                               "loss_probability": 0.99},
+                              seed=9, out_dir=tmp_path, check=True)
+        result = run_experiment(spec)
+        assert result.summary["keys_assembled"] == 0
+        assert "no session key assembled" in result.check_failures
+        assert "rotations 0 != expected 2 (one per cadence boundary)" \
+            in result.check_failures
+
     def test_e2e_bad_band_rejected(self, tmp_path):
         spec = ExperimentSpec("e2e-secure", {"agreement_band": [0.6, 0.4]},
                               out_dir=tmp_path)
