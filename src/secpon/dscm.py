@@ -89,9 +89,6 @@ class DscmPlan:
         mid = (self.n_subcarriers - 1) / 2
         return tuple((k - mid) * self.spacing_hz for k in range(self.n_subcarriers))
 
-    def occupied_band_hz(self) -> float:
-        return self.baud_per_sc * (1 + self.rolloff)
-
 
 @functools.lru_cache(maxsize=16)
 def _rrc_band(n_samples: int, plan: DscmPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -164,23 +161,6 @@ def demux_select(samples: SymbolStream, sc_index: int, plan: DscmPlan | None = N
               + 1j * np.bincount(fold, filtered.imag, n_sym))
     symbols = np.fft.ifft(folded) / np.sqrt(plan.weights[sc_index])
     return SymbolStream(symbols=symbols, symbol_rate_hz=plan.baud_per_sc)
-
-
-def demux_all(samples: SymbolStream, plan: DscmPlan | None = None) -> list[SymbolStream]:
-    """Select every subcarrier of the aggregate."""
-    plan = plan or DscmPlan()
-    return [demux_select(samples, k, plan) for k in range(plan.n_subcarriers)]
-
-
-def symbol_noise_variance(aggregate_noise_variance: float, plan: DscmPlan,
-                          sc_index: int = 0) -> float:
-    """Post-demux per-symbol complex noise variance for white input noise.
-
-    The matched filter halves nothing here: decimation folds the full
-    band back, so the variance grows by the oversampling factor, then
-    the weight normalization rescales it.
-    """
-    return aggregate_noise_variance * plan.samples_per_symbol / plan.weights[sc_index]
 
 
 def aggregate_snr_db(plan: DscmPlan, sc_index: int, snr_sc_db: float,

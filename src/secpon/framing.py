@@ -294,18 +294,6 @@ def assemble_frame(training: np.ndarray, pilots: np.ndarray,
     return frame
 
 
-def parse_frame(frame: np.ndarray, layout: FrameLayout
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a frame back into (training, pilots, payload)."""
-    frame = np.asarray(frame)
-    if len(frame) != layout.total_len:
-        raise ValueError(f"expected frame of {layout.total_len} symbols, "
-                         f"got {len(frame)}")
-    training = frame[:layout.training_len]
-    body = frame[layout.training_len:]
-    return training, body[layout.pilot_body_positions()], body[layout.payload_body_positions()]
-
-
 def net_rate_gbps(layout: FrameLayout, code_rate: float = LDPC_CODE_RATE,
                   line_rate_gbps: float = LINE_RATE_GBPS) -> float:
     """Net information rate after frame overhead and FEC overhead."""

