@@ -133,8 +133,9 @@ class LdpcCode:
     def decode_batch(self, llrs: np.ndarray,
                      max_iterations: int = DEFAULT_MAX_ITERATIONS
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sum-product decode a (batch, n) LLR array; positive LLR favors
-        bit 0.  A codeword stops iterating once its syndrome is zero.
+        """Layered sum-product decode of a (batch, n) LLR array; positive
+        LLR favors bit 0.  A codeword stops iterating once its syndrome is
+        zero.
 
         Returns (hard bits, iterations used, converged flags), one row or
         entry per codeword.

@@ -611,7 +611,8 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
         rx = apply_channel(clean, tap_cfg)
         received = [_receive_onu(rx, session, DOWNSTREAM, seed, f, tap_cfg)
                      for session in sessions]
-        # one decoder call for the tap, rows in session, subcarrier, codeword order
+        # one decoder call for the tap, rows in session, subcarrier, codeword
+        # order; zip draws a codeword first, so each takes exactly its row
         llrs = [payload_llrs_16qam(got.cpr.payload, got.noise_var)
                 for by_sc in received for got in by_sc.values()]
         hard, _, _ = ldpc.decode_batch(np.concatenate(llrs).reshape(-1, ldpc.n))
