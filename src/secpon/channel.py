@@ -6,6 +6,11 @@ stream over the total complex noise power added per sample.  Noise is
 sized from the measured input power, so the configured and measured SNR
 agree by construction.
 
+A 2-D stream is a stack of rows along the last axis that go through one
+channel draw: every row sees the same phase walk and the same unit noise
+sequence, scaled to that row's own power, so each row comes out exactly
+as a 1-D call on it would.
+
 All randomness is drawn from counter-based Philox generators keyed by the
 config seed, so a given config reproduces bit-identical waveforms.
 """
@@ -57,18 +62,22 @@ def phase_noise_walk(n: int, linewidth_hz: float, rate_hz: float, seed: int) -> 
 
 
 def add_awgn(stream: SymbolStream, snr_db: float, seed: int) -> SymbolStream:
-    """Add complex white Gaussian noise at snr_db below the measured power."""
+    """Add complex white Gaussian noise at snr_db below each row's measured
+    power."""
     sig = stream.symbols
-    noise_var = stream.power() * 10.0 ** (-snr_db / 10.0)
+    power = np.mean(np.abs(sig) ** 2, axis=-1, keepdims=True)
+    noise_var = power * 10.0 ** (-snr_db / 10.0)
+    n = sig.shape[-1]
     rng = _rng(seed, _AWGN_STREAM)
-    noise = rng.normal(size=sig.size) + 1j * rng.normal(size=sig.size)
+    noise = rng.normal(size=n) + 1j * rng.normal(size=n)
     return SymbolStream(sig + noise * np.sqrt(noise_var / 2.0), stream.symbol_rate_hz)
 
 
 def apply_channel(stream: SymbolStream, cfg: ChannelConfig) -> SymbolStream:
-    """Run one stream through phase noise, frequency offset, then AWGN."""
+    """Run one stream, or a stack of rows, through phase noise, frequency
+    offset, then AWGN."""
     x = stream.symbols
-    n = x.size
+    n = x.shape[-1]
     rate = stream.symbol_rate_hz
     theta = phase_noise_walk(n, cfg.linewidth_hz, rate, cfg.seed)
     if cfg.freq_offset_hz != 0.0:

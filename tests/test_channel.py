@@ -44,6 +44,23 @@ class TestAwgn:
         assert not np.array_equal(a.symbols, c.symbols)
 
 
+class TestStackedRows:
+    @pytest.mark.parametrize("snr_db", [None, 12.0])
+    @pytest.mark.parametrize("linewidth_hz", [0.0, 1e6])
+    @pytest.mark.parametrize("offset_hz", [0.0, 100e6])
+    def test_rows_match_one_dimensional_calls(self, snr_db, linewidth_hz, offset_hz):
+        """One draw on a stack of rows with different powers gives each row
+        exactly what a call on that row alone gives."""
+        rows = np.stack([_unit_qpsk(3000, seed=s).symbols * gain
+                         for s, gain in ((1, 1.0), (2, 0.3), (3, 2.5))])
+        cfg = ChannelConfig(snr_db=snr_db, linewidth_hz=linewidth_hz,
+                            freq_offset_hz=offset_hz, seed=17)
+        stacked = apply_channel(SymbolStream(rows, 8e9), cfg).symbols
+        assert stacked.shape == rows.shape
+        for row, got in zip(rows, stacked):
+            assert np.array_equal(got, apply_channel(SymbolStream(row, 8e9), cfg).symbols)
+
+
 class TestPhaseNoise:
     def test_increment_variance(self):
         """Wiener increments carry variance 2*pi*linewidth/rate."""
