@@ -156,8 +156,8 @@ def map_payload_16qam(bits: np.ndarray) -> np.ndarray:
 def _axis_level_idx(v: np.ndarray) -> np.ndarray:
     # Decision boundaries at -2, 0, +2 (in level units); a value exactly on
     # a boundary resolves toward the smaller level index.
-    bounds = np.array([-2.0, 0.0, 2.0]) * _QAM16_SCALE
-    return np.digitize(v, bounds, right=True)
+    bound = 2.0 * _QAM16_SCALE
+    return (v > -bound).astype(np.uint8) + (v > 0.0) + (v > bound)
 
 
 def demap_payload_16qam(symbols: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secpon import framing
 from secpon.framing import (
@@ -80,6 +81,36 @@ class TestQam16Mapping:
     def test_llr_rejects_bad_noise_var(self):
         with pytest.raises(ValueError):
             payload_llrs_16qam(np.array([0.1 + 0.1j]), 0.0)
+
+
+_AXIS_BOUNDS = np.array([-2.0, 0.0, 2.0]) * framing._QAM16_SCALE
+# the decision boundaries themselves, their float neighbours and both zeros
+_EDGES = [float(x) for b in _AXIS_BOUNDS
+          for x in (b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf))]
+_EDGES += [-0.0, 2.0 / np.sqrt(10.0), -2.0 / np.sqrt(10.0)]
+_QAM16_BITS = st.lists(st.tuples(*[st.integers(0, 1)] * 4), max_size=64).map(
+    lambda quads: np.array(quads, dtype=np.uint8).reshape(-1))
+
+
+class TestQam16Properties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.sampled_from(_EDGES)), min_size=1, max_size=32))
+    def test_axis_slicer_matches_digitize(self, values):
+        v = np.array(values)
+        assert np.array_equal(framing._axis_level_idx(v),
+                              np.digitize(v, _AXIS_BOUNDS, right=True))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_QAM16_BITS)
+    def test_map_demap_roundtrip(self, bits):
+        assert np.array_equal(demap_payload_16qam(map_payload_16qam(bits)), bits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_QAM16_BITS)
+    def test_hard_decision_fixes_constellation_points(self, bits):
+        points = map_payload_16qam(bits)
+        assert np.array_equal(hard_decision_16qam(points), points)
 
 
 class TestPilotConstellation:
