@@ -18,6 +18,7 @@ linewidth dependence of the required SNR.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,24 +31,19 @@ RESIDUAL_PASSES = 2
 CYCLE_SLIP_STEP = np.pi / 2     # pilot-to-pilot jump flagged as a slip
 
 
-@dataclass(frozen=True)
-class CprConfig:
-    """Knobs for the two-stage phase recovery chain."""
+@functools.lru_cache
+def _boxcar_counts(n: int, window: int) -> np.ndarray:
+    """How many of a centered window's samples fall inside n samples, per
+    position (read-only: one copy is shared by every caller)."""
+    counts = np.convolve(np.ones(n), np.ones(window), mode="same")
+    counts.flags.writeable = False
+    return counts
 
-    q: int = RESIDUAL_HALF_WINDOW
-    interpolation: str = "linear"
-    pilot_smoothing: int = PILOT_SMOOTHING
-    residual_passes: int = RESIDUAL_PASSES
 
-    def __post_init__(self) -> None:
-        if self.q < 0:
-            raise ValueError("residual half-window must be nonnegative")
-        if self.interpolation not in ("linear", "hold"):
-            raise ValueError(f"unknown interpolation mode {self.interpolation!r}")
-        if self.pilot_smoothing < 1 or self.pilot_smoothing % 2 == 0:
-            raise ValueError("pilot smoothing window must be odd and positive")
-        if self.residual_passes < 0:
-            raise ValueError("residual pass count must be nonnegative")
+def _boxcar_mean(x: np.ndarray, window: int) -> np.ndarray:
+    """Centered sliding mean, averaged over however much of the window
+    fits at the ends."""
+    return np.convolve(x, np.ones(window), mode="same") / _boxcar_counts(len(x), window)
 
 
 def pilot_phase_estimates(rx_pilots: np.ndarray, reference: np.ndarray,
@@ -85,10 +81,7 @@ def smooth_phase_estimates(estimates: np.ndarray, window: int = PILOT_SMOOTHING)
         raise ValueError("smoothing window must be odd and positive")
     if window == 1:
         return np.asarray(estimates, dtype=float)
-    kernel = np.ones(window)
-    num = np.convolve(estimates, kernel, mode="same")
-    den = np.convolve(np.ones(len(estimates)), kernel, mode="same")
-    return num / den
+    return _boxcar_mean(estimates, window)
 
 
 def interpolate_phase(estimates: np.ndarray, pilot_positions: np.ndarray,
@@ -108,16 +101,16 @@ def interpolate_phase(estimates: np.ndarray, pilot_positions: np.ndarray,
 
 
 def apply_pilot_phase(payload: np.ndarray, estimates: np.ndarray,
-                      layout: FrameLayout, cfg: CprConfig | None = None) -> np.ndarray:
-    """Rotate payload symbols by the interpolated pilot phase estimates."""
-    cfg = cfg or CprConfig()
+                      layout: FrameLayout) -> np.ndarray:
+    """Rotate payload symbols by the linearly interpolated pilot phase
+    estimates."""
     payload = np.asarray(payload)
     if payload.size != layout.payload_len:
         raise ValueError(f"expected {layout.payload_len} payload symbols, got {payload.size}")
     if np.size(estimates) != layout.n_pilots:
         raise ValueError(f"expected {layout.n_pilots} pilot estimates, got {np.size(estimates)}")
     phase = interpolate_phase(np.asarray(estimates), layout.pilot_body_positions(),
-                              layout.payload_body_positions(), mode=cfg.interpolation)
+                              layout.payload_body_positions())
     return payload * np.exp(-1j * phase)
 
 
@@ -126,22 +119,15 @@ def residual_phase(symbols: np.ndarray, half_window: int = RESIDUAL_HALF_WINDOW,
     """Sliding-mean decision-directed residual phase per symbol."""
     symbols = np.asarray(symbols)
     err = np.angle(symbols * np.conj(decide(symbols)))
-    win = 2 * half_window + 1
-    kernel = np.ones(win)
-    num = np.convolve(err, kernel, mode="same")
-    den = np.convolve(np.ones(err.size), kernel, mode="same")
-    return num / den
+    return _boxcar_mean(err, 2 * half_window + 1)
 
 
-def residual_cpr(payload: np.ndarray, cfg: CprConfig | None = None) -> np.ndarray:
-    """Decision-directed refinement of an already pilot-corrected payload.
-
-    Runs ``cfg.residual_passes`` passes; zero passes is the identity.
-    """
-    cfg = cfg or CprConfig()
+def residual_cpr(payload: np.ndarray) -> np.ndarray:
+    """Decision-directed refinement of an already pilot-corrected payload,
+    in ``RESIDUAL_PASSES`` passes."""
     payload = np.asarray(payload)
-    for _ in range(cfg.residual_passes):
-        payload = payload * np.exp(-1j * residual_phase(payload, half_window=cfg.q))
+    for _ in range(RESIDUAL_PASSES):
+        payload = payload * np.exp(-1j * residual_phase(payload))
     return payload
 
 
@@ -156,24 +142,22 @@ class CprResult:
 
 
 def recover_carrier_phase(body: np.ndarray, layout: FrameLayout,
-                          pilot_reference: np.ndarray,
-                          cfg: CprConfig | None = None) -> CprResult:
+                          pilot_reference: np.ndarray) -> CprResult:
     """Two-stage CPR over one frame body (pilots + payload, training cut off).
 
     Returns phase-corrected payload and pilots.  Pilots are corrected by
     their own smoothed estimates, payload by interpolated estimates plus
     the accumulated decision-directed residual.
     """
-    cfg = cfg or CprConfig()
     body = np.asarray(body)
     if body.size != layout.body_len:
         raise ValueError(f"expected body of {layout.body_len} symbols, got {body.size}")
     pilots = body[layout.pilot_body_positions()]
     psi_raw = pilot_phase_estimates(pilots, pilot_reference)
-    psi = smooth_phase_estimates(psi_raw, cfg.pilot_smoothing)
-    payload = apply_pilot_phase(body[layout.payload_body_positions()], psi, layout, cfg)
+    psi = smooth_phase_estimates(psi_raw)
+    payload = apply_pilot_phase(body[layout.payload_body_positions()], psi, layout)
     return CprResult(
-        payload=residual_cpr(payload, cfg),
+        payload=residual_cpr(payload),
         pilots=pilots * np.exp(-1j * psi),
         pilot_phase=psi,
         cycle_slips=count_cycle_slips(psi_raw),

@@ -90,6 +90,11 @@ class TestInterpolateAndSmooth:
         y = rxdsp.smooth_phase_estimates(x, 3)
         assert np.allclose(y[1:-1], x[1:-1], atol=1e-12)
 
+    def test_smoothing_ends_average_what_fits(self):
+        x = np.random.default_rng(3).normal(size=9)
+        want = [np.mean(x[max(i - 2, 0):i + 3]) for i in range(x.size)]
+        assert np.allclose(rxdsp.smooth_phase_estimates(x, 5), want, atol=1e-12)
+
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
             rxdsp.smooth_phase_estimates(np.zeros(5), 4)
@@ -107,10 +112,12 @@ class TestResidualStage:
         est = rxdsp.residual_phase(sym * np.exp(0.05j))
         assert np.allclose(est, 0.05, atol=1e-3)
 
-    def test_zero_passes_is_identity(self):
-        sym = np.exp(0.3j) * np.ones(50, dtype=complex)
-        cfg = rxdsp.CprConfig(residual_passes=0)
-        assert np.array_equal(rxdsp.residual_cpr(sym, cfg), sym)
+    def test_runs_residual_passes(self):
+        rng = np.random.default_rng(2)
+        sym = framing.map_payload_16qam(rng.integers(0, 2, 4000).astype(np.uint8))
+        sym = sym * np.exp(0.2j) + 0.05 * rng.normal(size=1000)
+        assert np.array_equal(rxdsp.residual_cpr(sym),
+                              _residual_passes(sym, rxdsp.RESIDUAL_PASSES))
 
 
 class TestRecoverCarrierPhase:
@@ -169,7 +176,24 @@ class TestRecoverCarrierPhase:
         assert np.mean(got != bits) < 0.25 * np.mean(raw != bits)
 
 
-def _payload_errors(linewidth, snr_db, seeds, cfg, a=1.7):
+def _residual_passes(payload, passes):
+    for _ in range(passes):
+        payload = payload * np.exp(-1j * rxdsp.residual_phase(payload))
+    return payload
+
+
+def _recover_payload(body, layout, ref, mode="linear", passes=rxdsp.RESIDUAL_PASSES):
+    """The payload of ``recover_carrier_phase``, composed from its stage
+    functions with the interpolation mode and residual pass count open."""
+    psi = rxdsp.smooth_phase_estimates(
+        rxdsp.pilot_phase_estimates(body[layout.pilot_body_positions()], ref))
+    phase = rxdsp.interpolate_phase(psi, layout.pilot_body_positions(),
+                                    layout.payload_body_positions(), mode=mode)
+    payload = body[layout.payload_body_positions()] * np.exp(-1j * phase)
+    return _residual_passes(payload, passes)
+
+
+def _payload_errors(linewidth, snr_db, seeds, a=1.7, **stages):
     layout = framing.upstream_layout()
     params = framing.GcsPilotParams(a=a)
     errs = 0
@@ -177,31 +201,38 @@ def _payload_errors(linewidth, snr_db, seeds, cfg, a=1.7):
     for seed in seeds:
         rng = np.random.default_rng(1000 + seed)
         body, bits, ref = _frame_body(rng, layout, params, linewidth, snr_db, seed)
-        out = rxdsp.recover_carrier_phase(body, layout, ref, cfg)
-        errs += int(np.sum(framing.demap_payload_16qam(out.payload) != bits))
+        payload = _recover_payload(body, layout, ref, **stages)
+        errs += int(np.sum(framing.demap_payload_16qam(payload) != bits))
         total += bits.size
     return errs, total
 
 
 class TestChainProperties:
+    def test_stage_composition_is_recover_carrier_phase(self):
+        layout = framing.upstream_layout()
+        rng = np.random.default_rng(8)
+        body, _, ref = _frame_body(rng, layout, framing.GcsPilotParams(),
+                                   500e3, 13.0, seed=9)
+        assert np.array_equal(_recover_payload(body, layout, ref),
+                              rxdsp.recover_carrier_phase(body, layout, ref).payload)
+
     def test_linear_interpolation_not_worse_than_hold(self):
         # 1 MHz linewidth stresses tracking between pilots
         seeds = range(8)
-        lin, _ = _payload_errors(1e6, 13.0, seeds, rxdsp.CprConfig(interpolation="linear"))
-        hold, _ = _payload_errors(1e6, 13.0, seeds, rxdsp.CprConfig(interpolation="hold"))
+        lin, _ = _payload_errors(1e6, 13.0, seeds, mode="linear")
+        hold, _ = _payload_errors(1e6, 13.0, seeds, mode="hold")
         assert lin <= hold
 
     def test_residual_stage_improves_on_pilot_only(self):
         seeds = range(8)
-        with_res, _ = _payload_errors(100e3, 12.5, seeds, rxdsp.CprConfig())
-        without, _ = _payload_errors(100e3, 12.5, seeds,
-                                     rxdsp.CprConfig(residual_passes=0))
+        with_res, _ = _payload_errors(100e3, 12.5, seeds)
+        without, _ = _payload_errors(100e3, 12.5, seeds, passes=0)
         assert with_res < without
 
     def test_second_residual_pass_not_worse(self):
         seeds = range(6)
-        two, _ = _payload_errors(100e3, 12.5, seeds, rxdsp.CprConfig(residual_passes=2))
-        one, _ = _payload_errors(100e3, 12.5, seeds, rxdsp.CprConfig(residual_passes=1))
+        two, _ = _payload_errors(100e3, 12.5, seeds, passes=2)
+        one, _ = _payload_errors(100e3, 12.5, seeds, passes=1)
         assert two <= one
 
 
@@ -245,15 +276,3 @@ class TestFrequencyOffset:
             rx = _apply_offset(train, f, rate)
             est = rxdsp.estimate_frequency_offset(rx, train, rate)
             assert abs(est - f) < 1e5
-
-
-class TestCprConfigValidation:
-    def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            rxdsp.CprConfig(q=-1)
-        with pytest.raises(ValueError):
-            rxdsp.CprConfig(interpolation="cubic")
-        with pytest.raises(ValueError):
-            rxdsp.CprConfig(pilot_smoothing=2)
-        with pytest.raises(ValueError):
-            rxdsp.CprConfig(residual_passes=-1)
