@@ -38,6 +38,7 @@ channel from ever desynchronizing the two stores.
 
 from __future__ import annotations
 
+import functools
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -309,7 +310,13 @@ class SubcarrierReception:
     """What the receiver recovers from one subcarrier of one frame."""
 
     cpr: rxdsp.CprResult
-    noise_var: float
+
+    @functools.cached_property
+    def noise_var(self) -> float:
+        """Decision-directed noise variance over the phase-corrected
+        payload, computed on first read."""
+        resid = self.cpr.payload - hard_decision_16qam(self.cpr.payload)
+        return max(float(np.mean(np.abs(resid) ** 2)), 1e-12)
 
 
 def transmit_subcarrier(signs: np.ndarray, second_bits: np.ndarray,
@@ -329,14 +336,11 @@ def receive_subcarrier(rx: SymbolStream, signs: np.ndarray, layout: FrameLayout,
 
     Subcarrier ``sc`` is first selected out of the DSCM aggregate ``rx``;
     with ``sc=None``, ``rx`` already holds a single-carrier frame at the
-    symbol rate.  The noise variance is decision-directed over the
-    phase-corrected payload.
+    symbol rate.
     """
     frame = rx.symbols if sc is None else demux_select(rx, sc, PLAN).symbols
-    cpr = rxdsp.recover_carrier_phase(frame[layout.training_len:], layout,
-                                      pilot_phase_reference(signs))
-    resid = cpr.payload - hard_decision_16qam(cpr.payload)
-    return SubcarrierReception(cpr, max(float(np.mean(np.abs(resid) ** 2)), 1e-12))
+    return SubcarrierReception(rxdsp.recover_carrier_phase(
+        frame[layout.training_len:], layout, pilot_phase_reference(signs)))
 
 
 def _mux_frames(frames: dict[int, np.ndarray]) -> SymbolStream:
