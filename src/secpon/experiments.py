@@ -8,6 +8,12 @@ version string, and wall time.  Cell seeds are derived from the master
 seed and the cell's own parameters, so re-running any single cell in a
 smaller grid reproduces its row byte for byte.
 
+cpr-penalty runs its cells by (linewidth, SNR) point: at each point every
+pilot shape draws its own data, and all shapes go through one channel
+draw per frame, stacked as rows of one stream.  A row of the channel
+output does not depend on the other rows, so a shape's row still depends
+only on its own parameters, the point and the master seed.
+
 Monte-Carlo BER cells carry their error counts and a 95% Wilson interval;
 cells with fewer than 100 errors are flagged low-confidence.  With
 ``check=True`` each experiment also evaluates its pass/fail conditions
@@ -346,30 +352,44 @@ def _run_sweep_a(spec: ExperimentSpec) -> ExperimentResult:
 
 
 # --------------------------------------------------------------------------
-# cpr-penalty: required SNR at the SD-FEC limit per pilot shape/linewidth
+# cpr-penalty: required SNR at the SD-FEC limit per pilot shape/linewidth,
+# from error counts taken at (linewidth, SNR) points
 
-def _cpr_frame_ber(a: float, linewidth_hz: float, snr_db: float,
-                   n_symbols: int, master: int) -> tuple[int, int]:
-    """Payload (errors, bits) through the full single-carrier recovery chain."""
+def _cpr_point(args: tuple) -> tuple[list[int], int]:
+    """Payload errors per pilot shape, and bits per shape, at one
+    (linewidth, SNR) point through the full single-carrier recovery chain.
+
+    Each shape draws its frames from its own data generator.  The shapes'
+    frames are stacked into one stream and take one channel draw, so all
+    shapes see the same phase walk and noise sequence, each row's noise
+    sized from its own power.
+    """
+    master, shapes, linewidth_hz, snr_db, n_symbols = args
     layout = upstream_layout()
-    params = GcsPilotParams(a=a)
+    params = [GcsPilotParams(a=a) for a in shapes]
     n_frames = -(-n_symbols // layout.payload_len)
-    data_rng = np.random.default_rng(
+    data_rngs = [np.random.default_rng(
         _cell_seed(master, f"cpr-data|a={a!r}|lw={linewidth_hz!r}|snr={snr_db!r}"))
-    errors = bits = 0
+        for a in shapes]
+    errors = [0] * len(shapes)
     for f in range(n_frames):
-        first = data_rng.integers(0, 2, layout.n_pilots).astype(np.uint8)
-        second = data_rng.integers(0, 2, layout.n_pilots).astype(np.uint8)
-        payload_bits = data_rng.integers(0, 2, 4 * layout.payload_len).astype(np.uint8)
-        frame = transmit_subcarrier(first, second, payload_bits, f + 1, layout, params)
-        # channel draw shared across pilot shapes at one (linewidth, SNR)
+        sent, frames = [], []
+        for rng, shape in zip(data_rngs, params):
+            first = rng.integers(0, 2, layout.n_pilots).astype(np.uint8)
+            second = rng.integers(0, 2, layout.n_pilots).astype(np.uint8)
+            payload_bits = rng.integers(0, 2, 4 * layout.payload_len).astype(np.uint8)
+            sent.append((first, payload_bits))
+            frames.append(transmit_subcarrier(first, second, payload_bits, f + 1,
+                                              layout, shape))
         chan_seed = _cell_seed(master, f"cpr-chan|lw={linewidth_hz!r}|snr={snr_db!r}|f={f}")
         cfg = ChannelConfig(snr_db=snr_db, linewidth_hz=linewidth_hz,
                             seed=(chan_seed[0] << 32) ^ chan_seed[1])
-        got = receive_subcarrier(apply_channel(SymbolStream(frame, 8e9), cfg), first, layout)
-        errors += int(np.count_nonzero(demap_payload_16qam(got.cpr.payload) != payload_bits))
-        bits += payload_bits.size
-    return errors, bits
+        rx = apply_channel(SymbolStream(np.stack(frames), 8e9), cfg)
+        for k, (row, (first, payload_bits)) in enumerate(zip(rx.symbols, sent)):
+            got = receive_subcarrier(SymbolStream(row, rx.symbol_rate_hz), first, layout)
+            errors[k] += int(np.count_nonzero(
+                demap_payload_16qam(got.cpr.payload) != payload_bits))
+    return errors, n_frames * 4 * layout.payload_len
 
 
 def _required_snr(scan: list[tuple[float, float]], target: float) -> float:
@@ -387,19 +407,6 @@ def _required_snr(scan: list[tuple[float, float]], target: float) -> float:
         return s_lo
     t = (np.log10(target) - np.log10(b_hi)) / (np.log10(b_lo) - np.log10(b_hi))
     return float(s_hi + t * (s_lo - s_hi))
-
-
-def _penalty_cell(args: tuple) -> dict[str, Any]:
-    master, a, linewidth, n_symbols, scan_snrs, target = args
-    scan = []
-    min_errors = None
-    for snr in scan_snrs:
-        errors, bits = _cpr_frame_ber(a, linewidth, snr, n_symbols, master)
-        scan.append((snr, errors / bits))
-        min_errors = errors if min_errors is None else min(min_errors, errors)
-    return {"a": a, "linewidth_hz": linewidth, "n_symbols": n_symbols,
-            "required_snr_db": _required_snr(scan, target),
-            "min_scan_errors": min_errors}
 
 
 def _run_cpr_penalty(spec: ExperimentSpec) -> ExperimentResult:
@@ -423,23 +430,28 @@ def _run_cpr_penalty(spec: ExperimentSpec) -> ExperimentResult:
     min_a10 = _as_float(p["penalty_min_db_a10"], "penalty_min_db_a10")
 
     todo = sorted(set(a_values) | {baseline_a})
-    cells = [(spec.seed, a, lw, n_symbols, tuple(scan_snrs), target)
-             for lw in linewidths for a in todo]
-    raw = _map_cells(_penalty_cell, cells, spec.jobs)
-    by_key = {(r["a"], r["linewidth_hz"]): r for r in raw}
+    points = [(lw, snr) for lw in linewidths for snr in scan_snrs]
+    raw = _map_cells(_cpr_point, [(spec.seed, tuple(todo), lw, snr, n_symbols)
+                                  for lw, snr in points], spec.jobs)
+    errors = {(a, lw, snr): e for (lw, snr), (counts, _) in zip(points, raw)
+              for a, e in zip(todo, counts)}
+    bits = raw[0][1]        # every point sends the same number of frames
 
     rows = []
     for lw in linewidths:
-        base = by_key[(baseline_a, lw)]["required_snr_db"]
+        required = {a: _required_snr([(snr, errors[(a, lw, snr)] / bits)
+                                      for snr in scan_snrs], target)
+                    for a in todo}
+        base = required[baseline_a]
         for a in todo:
-            r = by_key[(a, lw)]
+            min_errors = min(errors[(a, lw, snr)] for snr in scan_snrs)
             rows.append({
                 "experiment": spec.name, "seed": spec.seed,
                 "a": a, "linewidth_hz": lw, "n_symbols": n_symbols,
-                "required_snr_db": round(r["required_snr_db"], 6),
+                "required_snr_db": round(required[a], 6),
                 "baseline_snr_db": round(base, 6),
-                "penalty_db": round(r["required_snr_db"] - base, 6),
-                "low_confidence": int(r["min_scan_errors"] < LOW_CONFIDENCE_ERRORS),
+                "penalty_db": round(required[a] - base, 6),
+                "low_confidence": int(min_errors < LOW_CONFIDENCE_ERRORS),
             })
 
     failures = []

@@ -144,6 +144,30 @@ class TestCprPenalty:
         assert 0.0 <= rows[1.7]["penalty_db"] < 0.2
         assert 12.5 < rows[3.0]["required_snr_db"] < 13.2
 
+    _SMALL = {"linewidths_hz": [1e5], "n_symbols": 20_000,
+              "scan_snrs_db": [12.2, 13.0, 13.8]}
+
+    def test_row_independent_of_other_shapes(self, tmp_path):
+        """Shapes share each channel draw, yet a shape's row is the same
+        with or without other shapes in the grid."""
+        def a17_row(a_values, sub):
+            spec = ExperimentSpec("cpr-penalty", {**self._SMALL, "a_values": a_values},
+                                  seed=5, out_dir=tmp_path / sub)
+            lines = run_experiment(spec).csv_path.read_text().splitlines()
+            return [line for line in lines[1:] if line.split(",")[2] == "1.7"]
+
+        solo = a17_row([1.7], "solo")
+        assert len(solo) == 1
+        assert a17_row([1.0, 1.7], "grid") == solo
+
+    def test_worker_pool_matches_serial(self, tmp_path):
+        cfg = {**self._SMALL, "a_values": [1.0, 1.7]}
+        serial = run_experiment(ExperimentSpec("cpr-penalty", dict(cfg), seed=6,
+                                               out_dir=tmp_path / "s"))
+        pooled = run_experiment(ExperimentSpec("cpr-penalty", dict(cfg), seed=6,
+                                               out_dir=tmp_path / "p", jobs=2))
+        assert serial.csv_path.read_bytes() == pooled.csv_path.read_bytes()
+
     def test_unbracketed_scan_rejected(self, tmp_path):
         spec = ExperimentSpec("cpr-penalty",
                               {"a_values": [1.7], "linewidths_hz": [1e5],
