@@ -6,10 +6,8 @@ stream over the total complex noise power added per sample.  Noise is
 sized from the measured input power, so the configured and measured SNR
 agree by construction.
 
-A 2-D stream is a stack of rows along the last axis that go through one
-channel draw: every row sees the same phase walk and the same unit noise
-sequence, scaled to that row's own power, so each row comes out exactly
-as a 1-D call on it would.
+The rows of a 2-D stream share one draw, with each row's noise sized from
+its own power, so each row comes out as a 1-D call on it would.
 
 All randomness is drawn from counter-based Philox generators keyed by the
 config seed, so a given config reproduces bit-identical waveforms.
@@ -65,8 +63,7 @@ def add_awgn(stream: SymbolStream, snr_db: float, seed: int) -> SymbolStream:
     """Add complex white Gaussian noise at snr_db below each row's measured
     power."""
     sig = stream.symbols
-    power = np.mean(np.abs(sig) ** 2, axis=-1, keepdims=True)
-    noise_var = power * 10.0 ** (-snr_db / 10.0)
+    noise_var = np.mean(np.abs(sig) ** 2, axis=-1, keepdims=True) * 10.0 ** (-snr_db / 10.0)
     n = sig.shape[-1]
     rng = _rng(seed, _AWGN_STREAM)
     noise = rng.normal(size=n) + 1j * rng.normal(size=n)

@@ -8,11 +8,9 @@ version string, and wall time.  Cell seeds are derived from the master
 seed and the cell's own parameters, so re-running any single cell in a
 smaller grid reproduces its row byte for byte.
 
-cpr-penalty runs its cells by (linewidth, SNR) point: at each point every
-pilot shape draws its own data, and all shapes go through one channel
-draw per frame, stacked as rows of one stream.  A row of the channel
-output does not depend on the other rows, so a shape's row still depends
-only on its own parameters, the point and the master seed.
+cpr-penalty runs by (linewidth, SNR) point: each pilot shape draws its
+own data, and per frame all shapes share one channel draw as the rows of
+one stream.  Rows do not affect each other, so the same holds there.
 
 Monte-Carlo BER cells carry their error counts and a 95% Wilson interval;
 cells with fewer than 100 errors are flagged low-confidence.  With
@@ -357,35 +355,26 @@ def _run_sweep_a(spec: ExperimentSpec) -> ExperimentResult:
 
 def _cpr_point(args: tuple) -> tuple[list[int], int]:
     """Payload errors per pilot shape, and bits per shape, at one
-    (linewidth, SNR) point through the full single-carrier recovery chain.
-
-    Each shape draws its frames from its own data generator.  The shapes'
-    frames are stacked into one stream and take one channel draw, so all
-    shapes see the same phase walk and noise sequence, each row's noise
-    sized from its own power.
-    """
+    (linewidth, SNR) point through the full single-carrier recovery chain."""
     master, shapes, linewidth_hz, snr_db, n_symbols = args
     layout = upstream_layout()
-    params = [GcsPilotParams(a=a) for a in shapes]
     n_frames = -(-n_symbols // layout.payload_len)
     data_rngs = [np.random.default_rng(
         _cell_seed(master, f"cpr-data|a={a!r}|lw={linewidth_hz!r}|snr={snr_db!r}"))
         for a in shapes]
     errors = [0] * len(shapes)
     for f in range(n_frames):
-        sent, frames = [], []
-        for rng, shape in zip(data_rngs, params):
-            first = rng.integers(0, 2, layout.n_pilots).astype(np.uint8)
-            second = rng.integers(0, 2, layout.n_pilots).astype(np.uint8)
-            payload_bits = rng.integers(0, 2, 4 * layout.payload_len).astype(np.uint8)
-            sent.append((first, payload_bits))
-            frames.append(transmit_subcarrier(first, second, payload_bits, f + 1,
-                                              layout, shape))
+        # per shape: pilot sign bits, pilot second bits, payload bits
+        sent = [[rng.integers(0, 2, n).astype(np.uint8)
+                 for n in (layout.n_pilots, layout.n_pilots, 4 * layout.payload_len)]
+                for rng in data_rngs]
+        frames = [transmit_subcarrier(*bits, f + 1, layout, GcsPilotParams(a=a))
+                  for a, bits in zip(shapes, sent)]
         chan_seed = _cell_seed(master, f"cpr-chan|lw={linewidth_hz!r}|snr={snr_db!r}|f={f}")
         cfg = ChannelConfig(snr_db=snr_db, linewidth_hz=linewidth_hz,
                             seed=(chan_seed[0] << 32) ^ chan_seed[1])
         rx = apply_channel(SymbolStream(np.stack(frames), 8e9), cfg)
-        for k, (row, (first, payload_bits)) in enumerate(zip(rx.symbols, sent)):
+        for k, (row, (first, _, payload_bits)) in enumerate(zip(rx.symbols, sent)):
             got = receive_subcarrier(SymbolStream(row, rx.symbol_rate_hz), first, layout)
             errors[k] += int(np.count_nonzero(
                 demap_payload_16qam(got.cpr.payload) != payload_bits))

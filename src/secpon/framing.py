@@ -130,9 +130,6 @@ class SymbolStream:
         spec.flags.writeable = False
         return spec
 
-    def power(self) -> float:
-        return float(np.mean(np.abs(self.symbols) ** 2))
-
 
 def _bits_to_level_idx(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return _PAM4_GRAY_INV[(hi.astype(np.uint8) << 1) | lo.astype(np.uint8)]

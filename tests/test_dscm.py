@@ -56,6 +56,10 @@ def _qpsk_streams(n_sym, seed=0, count=None, baud=PLAN.baud_per_sc):
     return out
 
 
+def _power(stream):
+    return np.mean(np.abs(stream.symbols) ** 2)
+
+
 def _evm(rx, tx):
     return np.sqrt(np.mean(np.abs(rx - tx) ** 2) / np.mean(np.abs(tx) ** 2))
 
@@ -233,9 +237,9 @@ class TestSharedSpectrum:
 class TestSpectrum:
     def test_four_carriers_add_four_times_single_power(self):
         streams = _qpsk_streams(8192, seed=6)
-        full = mux(streams, PLAN).power()
+        full = _power(mux(streams, PLAN))
         zero = SymbolStream(np.zeros(8192, dtype=complex), PLAN.baud_per_sc)
-        single = mux([streams[0], zero, zero, zero], PLAN).power()
+        single = _power(mux([streams[0], zero, zero, zero], PLAN))
         ratio_db = 10 * np.log10(full / single)
         assert ratio_db == pytest.approx(10 * np.log10(4.0), abs=0.01)
 
@@ -268,7 +272,7 @@ class TestSpectrum:
         active = demux_select(agg, 1, PLAN)
         for k in (0, 2, 3):
             leak = demux_select(agg, k, PLAN)
-            ratio_db = 10 * np.log10(leak.power() / active.power() + 1e-300)
+            ratio_db = 10 * np.log10(_power(leak) / _power(active) + 1e-300)
             assert ratio_db < -30.0
 
 
