@@ -8,10 +8,11 @@ key produce an unbiased coin flip per bit.
 
 Keys travel as two 128-bit fragments (the coded control channel carries
 245 bits per block, less than a full 256-bit key), tagged with an 8-bit
-sequence number.  A key store tracks pending/active/retired states,
-enforces one active key and strictly increasing sequence numbers, and
-refuses to reuse a (key, codeword) keystream by handing out each key
-for increasing codeword indices only.
+sequence number.  A key store is the one owner of a link end's key
+state: it holds the pending keys and the active key, enforces one active
+key and strictly increasing sequence numbers, drops every key it
+replaces, and refuses to reuse a (key, codeword) keystream by handing
+out the active key for increasing codeword indices only.
 """
 
 from __future__ import annotations
@@ -56,11 +57,10 @@ def keystream_bits(key: bytes, codeword_index: int, n_bits: int) -> np.ndarray:
 
 @dataclass
 class SessionKey:
-    """One 256-bit key with its distribution sequence number and state."""
+    """One 256-bit key with its distribution sequence number."""
 
     bits: np.ndarray
     seq: int
-    state: str = "pending"
 
     def __post_init__(self) -> None:
         self.bits = np.asarray(self.bits).astype(np.uint8)
@@ -68,16 +68,10 @@ class SessionKey:
             raise ValueError(f"key must be {KEY_BITS} bits")
         if not 0 <= self.seq < 2 ** SEQ_BITS:
             raise ValueError("sequence number must fit in 8 bits")
-        if self.state not in ("pending", "active", "retired"):
-            raise ValueError(f"unknown key state {self.state!r}")
 
     @property
     def key_bytes(self) -> bytes:
         return np.packbits(self.bits).tobytes()
-
-    @property
-    def key_hex(self) -> str:
-        return self.key_bytes.hex()
 
 
 def random_session_key(seq: int, rng: np.random.Generator) -> SessionKey:
@@ -86,9 +80,7 @@ def random_session_key(seq: int, rng: np.random.Generator) -> SessionKey:
 
 
 def aes256_encrypt(plain: np.ndarray, key: SessionKey, codeword_index: int) -> np.ndarray:
-    """Encrypt a bit sequence under the active session key."""
-    if key.state != "active":
-        raise ValueError(f"key seq={key.seq} is {key.state}, not active")
+    """Encrypt a bit sequence under the given session key."""
     plain = np.asarray(plain).astype(np.uint8)
     return plain ^ keystream_bits(key.key_bytes, codeword_index, plain.size)
 
@@ -157,60 +149,58 @@ def assemble_key(f0: KeyFragmentMessage, f1: KeyFragmentMessage) -> SessionKey:
 
 
 class KeyStore:
-    """Serialized key state machine for one direction of one link.
+    """Serialized key state machine for one end of one link.
 
+    The store holds its pending keys, the active key, the last sequence
+    number it accepted and the lowest codeword index the active key may
+    still encrypt, which starts at the key's activation boundary.
     Guarantees: at most one active key, strictly increasing sequence
-    numbers, no reuse of a (key, codeword index) keystream, and an
-    auditable event log.  A key is never active twice, so one mark (the
-    lowest codeword index the active key may still encrypt) rules out
-    reuse in constant memory.
+    numbers, and no reuse of a (key, codeword index) keystream.
+    Activating a key drops the key it replaces and any older pending
+    key, so a key is never active twice, one mark rules out keystream
+    reuse, and the store stays bounded over any number of rotations.
     """
 
-    def __init__(self, direction: str = "downstream") -> None:
-        self.direction = direction
-        self._keys: dict[int, SessionKey] = {}
-        self._active_seq: int | None = None
+    def __init__(self) -> None:
+        self._pending: dict[int, SessionKey] = {}
+        self._active: SessionKey | None = None
         self._last_seq = -1
-        self._events: list[tuple[int, str, str]] = []
         self._next_codeword = 0
 
     @property
     def active_key(self) -> SessionKey | None:
-        return None if self._active_seq is None else self._keys[self._active_seq]
+        return self._active
+
+    @property
+    def next_seq(self) -> int:
+        """The lowest sequence number the store still accepts."""
+        return self._last_seq + 1
+
+    @property
+    def pending_key(self) -> SessionKey | None:
+        """The newest pending key, or None when no key is pending."""
+        return self._pending.get(self._last_seq)
 
     def pending_seqs(self) -> list[int]:
-        return sorted(s for s, k in self._keys.items() if k.state == "pending")
+        return sorted(self._pending)
 
     def add_pending(self, key: SessionKey) -> None:
-        if key.state != "pending":
-            raise ValueError("only pending keys can be added")
         if key.seq <= self._last_seq:
             raise ValueError(f"sequence {key.seq} does not advance past {self._last_seq}")
-        self._keys[key.seq] = key
+        self._pending[key.seq] = key
         self._last_seq = key.seq
-        self._events.append((key.seq, "pending", "-"))
 
     def activate(self, seq: int, codeword_index: int) -> None:
         """Make the pending key current from the given codeword boundary."""
-        if seq not in self._keys:
-            raise ValueError(f"unknown key sequence {seq}")
-        key = self._keys[seq]
-        if key.state == "retired":
-            raise ValueError(f"key sequence {seq} is retired")
-        if key.state == "active":
-            raise ValueError(f"key sequence {seq} is already active")
-        old = self.active_key
-        if old is not None:
-            old.state = "retired"
-            self._events.append((old.seq, "retired", "-"))
-        key.state = "active"
-        self._active_seq = seq
-        self._next_codeword = 0
-        self._events.append((seq, "active", str(codeword_index)))
+        if seq not in self._pending:
+            raise ValueError(f"key sequence {seq} is not pending")
+        self._active = self._pending[seq]
+        self._pending = {s: k for s, k in self._pending.items() if s > seq}
+        self._next_codeword = codeword_index
 
     def consume(self, codeword_index: int) -> SessionKey:
         """Hand out the active key for one codeword; indices must increase."""
-        key = self.active_key
+        key = self._active
         if key is None:
             raise ValueError("no active key")
         if codeword_index < self._next_codeword:
@@ -218,10 +208,3 @@ class KeyStore:
                              f"its next codeword {self._next_codeword}")
         self._next_codeword = codeword_index + 1
         return key
-
-    def export_key_log(self) -> str:
-        lines = ["seq,direction,state,activation_codeword,key_hex"]
-        for seq, state, boundary in self._events:
-            lines.append(f"{seq},{self.direction},{state},{boundary},{self._keys[seq].key_hex}")
-        return "\n".join(lines) + "\n"
-

@@ -129,18 +129,20 @@ def allocate_tfdma(onu_ids: list[str]) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class OnuSession:
-    """Per-ONU state shared by the upstream and downstream runners."""
+    """Per-ONU state shared by the upstream and downstream runners.
+
+    Key state lives in the two stores: the ONU sends fragments of its
+    store's pending key and the OLT expects its store's next sequence
+    number.  ``tx_phase`` is the fragment half the ONU sends next and
+    ``rx_fragments`` the halves the OLT holds so far.
+    """
 
     onu_id: str
     subcarriers: tuple[int, ...]
     onu_store: KeyStore
     olt_store: KeyStore
-    next_seq: int = 1
     codeword_counter: int = 0
-    current_key: SessionKey | None = None
-    tx_fragments: tuple[KeyFragmentMessage, KeyFragmentMessage] | None = None
     tx_phase: int = 0
-    expected_seq: int = 1
     rx_fragments: dict[int, KeyFragmentMessage] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -172,8 +174,7 @@ def make_sessions(allocation: dict[str, tuple[int, ...]],
     for i, (onu_id, scs) in enumerate(allocation.items()):
         bits = _rng(seed, _KEYGEN, i, 0).integers(0, 2, 256).astype(np.uint8)
         session = OnuSession(onu_id=onu_id, subcarriers=scs,
-                            onu_store=KeyStore("downstream"),
-                            olt_store=KeyStore("downstream"))
+                            onu_store=KeyStore(), olt_store=KeyStore())
         for store in (session.onu_store, session.olt_store):
             store.add_pending(SessionKey(bits=bits.copy(), seq=0))
             store.activate(0, codeword_index=0)
@@ -376,15 +377,11 @@ def _correct_onu_offset(aggregate: SymbolStream, session: OnuSession,
 
 def _start_fragment_cycle(session: OnuSession, seed: int, frame: int,
                           report: SessionReport) -> None:
-    if session.current_key is None or session.current_key.state != "pending":
-        key = random_session_key(
-            session.next_seq,
-            _rng(seed, _KEYGEN, _stable_id(session.onu_id), session.next_seq, 1))
+    if session.onu_store.pending_key is None:
+        seq = session.onu_store.next_seq
+        key = random_session_key(seq, _rng(seed, _KEYGEN, _stable_id(session.onu_id), seq, 1))
         session.onu_store.add_pending(key)
-        session.current_key = key
-        session.tx_fragments = split_key(key.bits, key.seq)
         session.tx_phase = 0
-        session.next_seq += 1
         report.key_events.append(KeyEventRecord(frame, session.onu_id,
                                                 "key_generated", key.seq))
 
@@ -428,7 +425,8 @@ def _upstream_frame(sessions, cfg, f, seed, loss_probability, report) -> list[Fr
     onu_waves = []
     for idx, session in enumerate(sessions):
         _start_fragment_cycle(session, seed, f, report)
-        fragment = session.tx_fragments[session.tx_phase]
+        key = session.onu_store.pending_key
+        fragment = split_key(key.bits, key.seq)[session.tx_phase]
         coded = KeyCodeword.from_payload(fragment.to_bits(), POLAR).coded_bits
         key_bits = np.zeros(n * len(session.key_subcarriers), dtype=np.uint8)
         key_bits[:coded.size] = coded
@@ -486,28 +484,28 @@ def _receive_fragment(session: OnuSession, decoded: tuple[np.ndarray, bool] | No
     ``decoded`` is the polar decoder's (payload, CRC flag) for the
     session's fragment, or None when the fragment was lost.
     """
+    next_seq = session.olt_store.next_seq
     if decoded is None:
         report.fragments_lost += 1
         report.key_events.append(KeyEventRecord(frame, session.onu_id,
-                                                "fragment_lost", session.expected_seq))
+                                                "fragment_lost", next_seq))
     else:
         payload, crc_ok = decoded
         if not crc_ok:
             report.crc_failures += 1
             report.key_events.append(KeyEventRecord(frame, session.onu_id,
-                                                    "fragment_crc_fail",
-                                                    session.expected_seq))
+                                                    "fragment_crc_fail", next_seq))
         else:
             try:
                 msg = KeyFragmentMessage.from_bits(payload)
             except ValueError:
                 report.crc_failures += 1
                 report.key_events.append(KeyEventRecord(
-                    frame, session.onu_id, "fragment_malformed", session.expected_seq))
+                    frame, session.onu_id, "fragment_malformed", next_seq))
             else:
-                if msg.seq == session.expected_seq:
+                if msg.seq == next_seq:
                     session.rx_fragments[msg.fragment_index] = msg
-                elif msg.seq < session.expected_seq:
+                elif msg.seq < next_seq:
                     report.key_events.append(KeyEventRecord(
                         frame, session.onu_id, "fragment_stale", msg.seq))
                 else:
@@ -517,12 +515,11 @@ def _receive_fragment(session: OnuSession, decoded: tuple[np.ndarray, bool] | No
         key = assemble_key(session.rx_fragments[0], session.rx_fragments[1])
         session.rx_fragments.clear()
         report.keys_assembled += 1
-        if not np.array_equal(key.bits, session.current_key.bits):
+        if not np.array_equal(key.bits, session.onu_store.pending_key.bits):
             report.key_mismatches += 1
             report.key_events.append(KeyEventRecord(frame, session.onu_id,
                                                     "key_mismatch", key.seq))
         session.olt_store.add_pending(key)
-        session.expected_seq += 1
         report.key_events.append(KeyEventRecord(frame, session.onu_id,
                                                 "key_assembled", key.seq))
     else:
@@ -608,9 +605,8 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                               seed=_child_seed(cfg.seed, _DSCHAN, f))
     taps = [(frame_cfg, None)]
     if eavesdropper:
-        made_up = _rng(seed, _EVEKEY, 0).integers(0, 2, 256).astype(np.uint8)
         taps.append((eavesdropper_config(frame_cfg),
-                     SessionKey(bits=made_up, seq=254, state="active")))
+                     random_session_key(0, _rng(seed, _EVEKEY, 0))))
     for tap_cfg, eve_key in taps:
         rx = apply_channel(clean, tap_cfg)
         received = [_receive_onu(rx, session, DOWNSTREAM, seed, f, tap_cfg)

@@ -181,8 +181,7 @@ def test_criterion_8_cipher_core():
         "f3eed1bdb5d2a03c064b5a7e3db181f8"
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2, 1_000_000).astype(np.uint8)
-    sk = SessionKey(bits=rng.integers(0, 2, 256).astype(np.uint8),
-                    seq=1, state="active")
+    sk = SessionKey(bits=rng.integers(0, 2, 256).astype(np.uint8), seq=1)
     round_trip = aes256_decrypt(aes256_encrypt(bits, sk, 7), sk, 7)
     assert np.array_equal(round_trip, bits)
     assert not np.array_equal(aes256_encrypt(bits, sk, 7), bits)

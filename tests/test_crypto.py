@@ -1,15 +1,22 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from secpon import crypto, protocol
 
 
-def _active_key(rng_or_bits, seq=0):
-    if isinstance(rng_or_bits, np.random.Generator):
-        bits = rng_or_bits.integers(0, 2, 256).astype(np.uint8)
-    else:
-        bits = rng_or_bits
-    return crypto.SessionKey(bits=bits, seq=seq, state="active")
+def _bits(n):
+    return st.binary(min_size=n // 8, max_size=n // 8).map(
+        lambda raw: np.unpackbits(np.frombuffer(raw, dtype=np.uint8)))
+
+
+_SEQS = st.integers(0, 2 ** crypto.SEQ_BITS - 1)
+_PAD_START = crypto.SEQ_BITS + 1 + crypto.FRAGMENT_BITS
 
 
 class TestBlockCipherCore:
@@ -72,7 +79,7 @@ class TestKeystream:
 class TestEncryptDecrypt:
     def test_identity_on_a_million_bits(self):
         rng = np.random.default_rng(0)
-        key = _active_key(rng)
+        key = crypto.random_session_key(0, rng)
         plain = rng.integers(0, 2, 1_000_000).astype(np.uint8)
         cipher = crypto.aes256_encrypt(plain, key, 42)
         assert np.array_equal(crypto.aes256_decrypt(cipher, key, 42), plain)
@@ -80,8 +87,8 @@ class TestEncryptDecrypt:
 
     def test_wrong_key_agreement_is_a_coin_flip(self):
         rng = np.random.default_rng(1)
-        key = _active_key(rng, seq=0)
-        wrong = _active_key(rng, seq=1)
+        key = crypto.random_session_key(0, rng)
+        wrong = crypto.random_session_key(1, rng)
         plain = rng.integers(0, 2, 1_000_000).astype(np.uint8)
         garbled = crypto.aes256_decrypt(crypto.aes256_encrypt(plain, key, 3), wrong, 3)
         agreement = np.mean(garbled == plain)
@@ -89,34 +96,24 @@ class TestEncryptDecrypt:
 
     def test_wrong_counter_also_garbles(self):
         rng = np.random.default_rng(2)
-        key = _active_key(rng)
+        key = crypto.random_session_key(0, rng)
         plain = rng.integers(0, 2, 100_000).astype(np.uint8)
         garbled = crypto.aes256_decrypt(crypto.aes256_encrypt(plain, key, 0), key, 1)
         assert 0.45 <= np.mean(garbled == plain) <= 0.55
 
-    def test_inactive_key_rejected(self):
-        rng = np.random.default_rng(3)
-        pending = crypto.random_session_key(0, rng)
-        with pytest.raises(ValueError):
-            crypto.aes256_encrypt(np.zeros(8, np.uint8), pending, 0)
-        retired = crypto.SessionKey(bits=pending.bits, seq=1, state="retired")
-        with pytest.raises(ValueError):
-            crypto.aes256_decrypt(np.zeros(8, np.uint8), retired, 0)
-
     def test_empty_message_passes_through(self):
-        key = _active_key(np.zeros(256, np.uint8))
+        key = crypto.SessionKey(bits=np.zeros(256, np.uint8), seq=0)
         out = crypto.aes256_encrypt(np.array([], dtype=np.uint8), key, 0)
         assert out.size == 0
 
 
 class TestSessionKey:
-    def test_bytes_and_hex_views(self):
+    def test_bytes_view(self):
         bits = np.zeros(256, np.uint8)
         bits[0] = 1          # most significant bit of byte 0
         key = crypto.SessionKey(bits=bits, seq=5)
         assert key.key_bytes[0] == 0x80
-        assert key.key_hex.startswith("80")
-        assert len(key.key_hex) == 64
+        assert len(key.key_bytes) == 32
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -125,8 +122,6 @@ class TestSessionKey:
             crypto.SessionKey(bits=np.full(256, 2, np.uint8), seq=0)
         with pytest.raises(ValueError):
             crypto.SessionKey(bits=np.zeros(256, np.uint8), seq=256)
-        with pytest.raises(ValueError):
-            crypto.SessionKey(bits=np.zeros(256, np.uint8), seq=0, state="stale")
 
 
 class TestKeyFragments:
@@ -134,36 +129,39 @@ class TestKeyFragments:
         # one fragment message is exactly one polar block's payload
         assert crypto.FRAGMENT_MESSAGE_BITS == protocol.POLAR.payload_capacity
 
-    def test_roundtrip(self):
-        rng = np.random.default_rng(4)
-        frag = rng.integers(0, 2, 128).astype(np.uint8)
-        msg = crypto.KeyFragmentMessage(seq=171, fragment_index=1, key_fragment=frag)
-        bits = msg.to_bits()
-        assert bits.size == 245
+    @settings(max_examples=200, deadline=None)
+    @given(seq=_SEQS, index=st.integers(0, 1), frag=_bits(crypto.FRAGMENT_BITS))
+    def test_roundtrip(self, seq, index, frag):
+        bits = crypto.KeyFragmentMessage(seq, index, frag).to_bits()
+        assert bits.size == crypto.FRAGMENT_MESSAGE_BITS
         back = crypto.KeyFragmentMessage.from_bits(bits)
-        assert back.seq == 171 and back.fragment_index == 1
+        assert back.seq == seq and back.fragment_index == index
         assert np.array_equal(back.key_fragment, frag)
 
-    def test_nonzero_padding_rejected(self):
-        msg = crypto.KeyFragmentMessage(0, 0, np.zeros(128, np.uint8))
-        bits = msg.to_bits()
-        bits[-1] = 1
-        with pytest.raises(ValueError):
+    @settings(max_examples=200, deadline=None)
+    @given(seq=_SEQS, index=st.integers(0, 1), frag=_bits(crypto.FRAGMENT_BITS),
+           pad=st.sets(st.integers(_PAD_START, crypto.FRAGMENT_MESSAGE_BITS - 1),
+                       min_size=1))
+    def test_nonzero_padding_rejected(self, seq, index, frag, pad):
+        bits = crypto.KeyFragmentMessage(seq, index, frag).to_bits()
+        bits[sorted(pad)] = 1
+        with pytest.raises(ValueError, match="padding"):
             crypto.KeyFragmentMessage.from_bits(bits)
 
-    def test_split_then_assemble_recovers_key(self):
-        rng = np.random.default_rng(5)
-        key_bits = rng.integers(0, 2, 256).astype(np.uint8)
-        f0, f1 = crypto.split_key(key_bits, seq=9)
-        key = crypto.assemble_key(f1, f0)      # order must not matter
-        assert key.state == "pending" and key.seq == 9
-        assert np.array_equal(key.bits, key_bits)
+    @settings(max_examples=100, deadline=None)
+    @given(seq=_SEQS, key_bits=_bits(crypto.KEY_BITS))
+    def test_split_then_assemble_recovers_key(self, seq, key_bits):
+        f0, f1 = crypto.split_key(key_bits, seq)
+        for pair in ((f0, f1), (f1, f0)):      # order must not matter
+            key = crypto.assemble_key(*pair)
+            assert key.seq == seq
+            assert np.array_equal(key.bits, key_bits)
 
     def test_zero_fragments_make_zero_pending_key(self):
         z = np.zeros(128, np.uint8)
         key = crypto.assemble_key(crypto.KeyFragmentMessage(0, 0, z),
                                   crypto.KeyFragmentMessage(0, 1, z))
-        assert not key.bits.any() and key.state == "pending"
+        assert not key.bits.any() and key.seq == 0
 
     def test_mismatches_rejected(self):
         z = np.zeros(128, np.uint8)
@@ -179,22 +177,25 @@ class TestKeyFragments:
             crypto.KeyFragmentMessage.from_bits(np.zeros(244, np.uint8))
 
 
+
+
 class TestKeyStore:
     def _pending(self, seq, rng):
         return crypto.random_session_key(seq, rng)
 
     def test_lifecycle_and_single_active(self):
         rng = np.random.default_rng(6)
-        store = crypto.KeyStore("upstream")
+        store = crypto.KeyStore()
         store.add_pending(self._pending(1, rng))
         store.add_pending(self._pending(2, rng))
         assert store.active_key is None
+        assert store.pending_seqs() == [1, 2] and store.pending_key.seq == 2
+        assert store.next_seq == 3
         store.activate(1, codeword_index=0)
-        assert store.active_key.seq == 1
+        assert store.active_key.seq == 1 and store.pending_seqs() == [2]
         store.activate(2, codeword_index=10)
         assert store.active_key.seq == 2
-        states = {s: k.state for s, k in store._keys.items()}
-        assert states == {1: "retired", 2: "active"}
+        assert store.pending_seqs() == [] and store.pending_key is None
 
     def test_sequence_must_increase(self):
         rng = np.random.default_rng(7)
@@ -210,14 +211,17 @@ class TestKeyStore:
         store = crypto.KeyStore()
         with pytest.raises(ValueError):
             store.activate(1, 0)
-        store.add_pending(self._pending(1, rng))
-        store.add_pending(self._pending(2, rng))
+        for seq in (1, 2, 3, 4):
+            store.add_pending(self._pending(seq, rng))
         store.activate(1, 0)
         with pytest.raises(ValueError):
             store.activate(1, 5)       # already active
-        store.activate(2, 5)
+        store.activate(3, 5)           # drops key 2, which is older
+        assert store.pending_seqs() == [4]
         with pytest.raises(ValueError):
-            store.activate(1, 9)       # retired now
+            store.activate(1, 9)       # replaced
+        with pytest.raises(ValueError):
+            store.activate(2, 9)       # skipped
 
     def test_keystream_reuse_refused(self):
         rng = np.random.default_rng(9)
@@ -229,8 +233,10 @@ class TestKeyStore:
         with pytest.raises(ValueError):
             store.consume(0)
         store.add_pending(self._pending(2, rng))
-        store.activate(2, 2)
-        store.consume(0)               # new key, old codeword index is fine
+        store.activate(2, 5)
+        with pytest.raises(ValueError):
+            store.consume(4)           # the new key starts at its boundary
+        assert store.consume(5).seq == 2
 
     def test_codeword_indices_must_increase_per_key(self):
         rng = np.random.default_rng(11)
@@ -246,17 +252,105 @@ class TestKeyStore:
         with pytest.raises(ValueError):
             store.consume(0)
 
-    def test_key_log_format(self):
-        rng = np.random.default_rng(10)
-        store = crypto.KeyStore("downstream")
-        store.add_pending(self._pending(1, rng))
-        store.activate(1, 7)
-        store.add_pending(self._pending(2, rng))
-        store.activate(2, 19)
-        log = store.export_key_log()
-        lines = log.strip().split("\n")
-        assert lines[0] == "seq,direction,state,activation_codeword,key_hex"
-        assert len(lines) == 6      # 2 pending + 2 active + 1 retired + header
-        fields = lines[2].split(",")
-        assert fields[0] == "1" and fields[1] == "downstream" and fields[2] == "active"
-        assert fields[3] == "7" and len(fields[4]) == 64
+    def test_rotations_keep_only_the_active_key(self):
+        """After 254 rotations the store holds the active key alone: every
+        key it replaced is freed, and its memory does not grow."""
+        rng = np.random.default_rng(12)
+        store = crypto.KeyStore()
+        replaced = []
+        tracemalloc.start()
+        try:
+            for seq in range(255):
+                if seq == 10:
+                    gc.collect()
+                    before = tracemalloc.take_snapshot()
+                key = self._pending(seq, rng)
+                store.add_pending(key)
+                store.activate(seq, codeword_index=seq)
+                assert store.consume(seq) is key
+                replaced.append(weakref.ref(key))
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert store.active_key.seq == 254 and store.pending_seqs() == []
+        assert [seq for seq, ref in enumerate(replaced) if ref() is not None] == [254]
+        in_crypto = [tracemalloc.Filter(True, crypto.__file__)]
+        grown = sum(stat.size_diff for stat in after.filter_traces(in_crypto).compare_to(
+            before.filter_traces(in_crypto), "filename"))
+        assert grown < 1024
+
+
+class KeyStoreMachine(RuleBasedStateMachine):
+    """One store driven by arbitrary calls and checked against a model
+    that holds the pending keys, the active key, the last sequence
+    number and the codeword indices handed out under the active key."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = crypto.KeyStore()
+        self.pending: dict[int, bytes] = {}
+        self.active: tuple[int, bytes] | None = None
+        self.last_seq = -1
+        self.next_codeword = 0
+        self.activated: list[int] = []
+        self.consumed: list[int] = []
+
+    @rule(step=st.integers(-2, 3), raw=st.binary(min_size=32, max_size=32))
+    def add_pending(self, step, raw):
+        seq = min(max(self.last_seq + step, 0), 2 ** crypto.SEQ_BITS - 1)
+        key = crypto.SessionKey(bits=np.unpackbits(np.frombuffer(raw, np.uint8)), seq=seq)
+        if seq <= self.last_seq:
+            with pytest.raises(ValueError):
+                self.store.add_pending(key)
+            return
+        self.store.add_pending(key)
+        self.pending[seq] = raw
+        self.last_seq = seq
+
+    @rule(back=st.integers(-1, 3), boundary=st.integers(0, 60))
+    def activate(self, back, boundary):
+        seq = self.last_seq - back
+        if seq not in self.pending:
+            with pytest.raises(ValueError):
+                self.store.activate(seq, boundary)
+            return
+        self.store.activate(seq, boundary)
+        self.active = (seq, self.pending[seq])
+        self.pending = {s: raw for s, raw in self.pending.items() if s > seq}
+        self.next_codeword = boundary
+        self.activated.append(seq)
+        self.consumed = []
+
+    @rule(index=st.integers(0, 80))
+    def consume(self, index):
+        if self.active is None or index < self.next_codeword:
+            with pytest.raises(ValueError):
+                self.store.consume(index)
+            return
+        key = self.store.consume(index)
+        assert key is self.store.active_key
+        assert (key.seq, key.key_bytes) == self.active
+        self.consumed.append(index)
+        self.next_codeword = index + 1
+
+    @invariant()
+    def matches_model(self):
+        active = self.store.active_key
+        assert (None if active is None else (active.seq, active.key_bytes)) == self.active
+        assert self.store.pending_seqs() == sorted(self.pending)
+        assert self.store.next_seq == self.last_seq + 1
+        newest = self.store.pending_key
+        assert (None if newest is None else newest.seq) == max(self.pending, default=None)
+
+    @invariant()
+    def one_active_key_and_increasing_sequences(self):
+        if self.active is not None:
+            assert all(seq > self.active[0] for seq in self.store.pending_seqs())
+        assert all(a < b for a, b in zip(self.activated, self.activated[1:]))
+        assert all(a < b for a, b in zip(self.consumed, self.consumed[1:]))
+
+
+KeyStoreMachine.TestCase.settings = settings(max_examples=100, stateful_step_count=40,
+                                             deadline=None)
+TestKeyStoreMachine = KeyStoreMachine.TestCase

@@ -57,7 +57,7 @@ class TestSessions:
         assert active_keys_synchronized(sessions)
         for s in sessions:
             assert s.olt_store.active_key.seq == 0
-            assert s.onu_store.active_key.key_hex == s.olt_store.active_key.key_hex
+            assert s.onu_store.active_key.key_bytes == s.olt_store.active_key.key_bytes
 
     def test_overlapping_subcarriers_rejected(self):
         with pytest.raises(ValueError):
@@ -131,14 +131,14 @@ class TestUpstreamKeydist:
     def test_deterministic_for_fixed_seeds(self):
         cfg = ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5, seed=23)
         reps = []
-        hexes = []
+        keys = []
         for _ in range(2):
             sessions = _two_onus(seed=7)
             reps.append(run_upstream_keydist(sessions, cfg, 3, seed=7))
-            hexes.append([s.olt_store.active_key.key_hex for s in sessions])
+            keys.append([s.olt_store.active_key.key_bytes for s in sessions])
         assert reps[0].to_json() == reps[1].to_json()
         assert reps[0].frame_metrics == reps[1].frame_metrics
-        assert hexes[0] == hexes[1]
+        assert keys[0] == keys[1]
 
     def test_report_counters_consistent(self):
         sessions = _two_onus()
