@@ -200,9 +200,8 @@ class PolarCode:
 
 @dataclass
 class KeyCodeword:
-    """One coded key-channel block: payload, its CRC, and the coded bits."""
+    """One coded key-channel block: the payload's CRC and the coded bits."""
 
-    info_bits: np.ndarray
     crc_bits: np.ndarray
     coded_bits: np.ndarray
 
@@ -214,7 +213,7 @@ class KeyCodeword:
             raise ValueError(f"expected {code.payload_capacity} payload bits, got {payload.size}")
         crc = crc11(payload, code.crc_poly)
         coded = polar_encode(np.concatenate([payload, crc]), code)
-        return cls(info_bits=payload, crc_bits=crc, coded_bits=coded)
+        return cls(crc_bits=crc, coded_bits=coded)
 
 
 def polar_transform(u: np.ndarray) -> np.ndarray:

@@ -45,31 +45,20 @@ def channel_snr_to_formula_snr(snr_db):
     return FORMULA_SNR_SCALE * 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
 
 
-def ber_pilot_first_bit(snr_db, a: float, *, convention: str = "channel"):
-    """Phase-steering (sign) bit error rate of the shaped pilot.
-
-    ``convention="channel"`` treats snr_db as measured channel SNR and
-    applies the fixed convention bridge; ``"formula"`` treats it as already
-    being in the formula convention.
-    """
-    u = d_over_sqrt_n0(_to_formula_linear(snr_db, convention), a)
+def ber_pilot_first_bit(snr_db, a: float):
+    """Phase-steering (sign) bit error rate of the shaped pilot at measured
+    channel SNR (dB), through the fixed convention bridge."""
+    u = d_over_sqrt_n0(channel_snr_to_formula_snr(snr_db), a)
     return 0.25 * (erfc(a * u) + erfc(3.0 * u))
 
 
-def ber_pilot_second_bit(snr_db, a: float, *, convention: str = "channel"):
-    """Key-carrying (magnitude) bit error rate of the shaped pilot."""
-    u = d_over_sqrt_n0(_to_formula_linear(snr_db, convention), a)
+def ber_pilot_second_bit(snr_db, a: float):
+    """Key-carrying (magnitude) bit error rate of the shaped pilot at
+    measured channel SNR (dB)."""
+    u = d_over_sqrt_n0(channel_snr_to_formula_snr(snr_db), a)
     return 0.25 * (2.0 * erfc(0.5 * (3.0 - a) * u)
                    + erfc(0.5 * (3.0 + 3.0 * a) * u)
                    - erfc(0.5 * (9.0 + a) * u))
-
-
-def _to_formula_linear(snr_db, convention: str):
-    if convention == "channel":
-        return channel_snr_to_formula_snr(snr_db)
-    if convention == "formula":
-        return 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
-    raise ValueError(f"unknown SNR convention {convention!r}")
 
 
 def ber_16qam(snr_db):

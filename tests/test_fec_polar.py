@@ -2,6 +2,7 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secpon import fec_polar as fp
 from secpon import framing, theory
@@ -17,6 +18,14 @@ def crc_by_long_division(bits, poly):
             for j, p in enumerate(g):
                 work[i + j] ^= p
     return np.array(work[-deg:], dtype=np.uint8)
+
+
+def _messages(n):
+    return st.lists(st.integers(0, 1), min_size=n, max_size=n).map(
+        lambda m: np.array(m, dtype=np.uint8))
+
+
+_LENGTHS = st.integers(1, 300)
 
 
 class TestReliabilityTable:
@@ -73,6 +82,19 @@ class TestCrc11:
             bad = framed.copy()
             bad[i] ^= 1
             assert not fp.crc11_check(bad), i
+
+    @settings(max_examples=100, deadline=None)
+    @given(_LENGTHS.flatmap(lambda n: st.tuples(_messages(n), _messages(n))))
+    def test_linear_over_gf2(self, pair):
+        a, b = pair
+        assert np.array_equal(fp.crc11(a ^ b), fp.crc11(a) ^ fp.crc11(b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_LENGTHS.flatmap(_messages))
+    def test_matrix_agrees_with_crc11(self, m):
+        # the list decoder checks every candidate path through this matrix
+        mat = fp._crc_matrix(fp.CRC11_POLY, m.size)
+        assert np.array_equal(mat.astype(int) @ m % 2, fp.crc11(m))
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
