@@ -163,15 +163,14 @@ def demux_select(samples: SymbolStream, sc_index: int, plan: DscmPlan | None = N
     return SymbolStream(symbols=symbols, symbol_rate_hz=plan.baud_per_sc)
 
 
-def aggregate_snr_db(plan: DscmPlan, sc_index: int, snr_sc_db: float,
-                     symbol_power: float = 1.0) -> float:
+def aggregate_snr_db(plan: DscmPlan, sc_index: int, snr_sc_db: float) -> float:
     """Aggregate-waveform SNR that yields the target post-demux SNR.
 
-    Assumes every subcarrier carries streams of the given mean symbol
-    power.  Useful for driving a channel whose noise level is set
-    against the measured aggregate power.
+    Assumes every subcarrier carries streams of unit mean symbol power.
+    Useful for driving a channel whose noise level is set against the
+    measured aggregate power.
     """
     sps = plan.samples_per_symbol
-    agg_power = symbol_power * sum(plan.weights) / sps ** 2
-    noise_var = plan.weights[sc_index] * symbol_power / (sps * 10 ** (snr_sc_db / 10))
+    agg_power = sum(plan.weights) / sps ** 2
+    noise_var = plan.weights[sc_index] / (sps * 10 ** (snr_sc_db / 10))
     return 10 * np.log10(agg_power / noise_var)

@@ -1,12 +1,19 @@
 """Experiment runner behind the ``secpon`` command.
 
-Each experiment expands a parameter grid into independent cells, runs them
-(optionally on a process pool), and writes two files into the output
-directory: ``<name>.csv`` with one row per result cell and
-``<name>.meta.json`` echoing the resolved spec, the column schema, a
-version string, and wall time.  Cell seeds are derived from the master
-seed and the cell's own parameters, so re-running any single cell in a
-smaller grid reproduces its row byte for byte.
+Each experiment declares its config keys once, in a table of
+``{key: (default, parser)}``: ``_params`` rejects keys the table does
+not name and puts every value, given or default, through its parser.
+Numbers are JSON numbers (a bool is not one), counts are whole, flags
+are ``true``/``false``.  The experiment then expands its grid into
+independent cells, runs them (optionally on a process pool), and writes
+two files into the output directory: ``<name>.csv`` with one row per
+result cell and ``<name>.meta.json`` echoing the spec as given, the
+column schema, a version string, and wall time.  The columns are read
+off the rows, after ``experiment`` and ``seed``, which
+``run_experiment`` prepends; the session experiments write one row per
+``FrameMetrics``, field for field.  Cell seeds are derived from the
+master seed and the cell's own parameters, so re-running any single
+cell in a smaller grid reproduces its row byte for byte.
 
 cpr-penalty runs by (linewidth, SNR) point: each pilot shape draws its
 own data, and per frame all shapes share one channel draw as the rows of
@@ -21,13 +28,15 @@ and reports violations instead of silently writing numbers.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import numbers
 import subprocess
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -71,6 +80,7 @@ EXPERIMENT_NAMES = (
 )
 
 LOW_CONFIDENCE_ERRORS = 100
+CPR_PENALTY_BOUND_DB = 0.15     # criterion 3: a=1.7 at most, a=1.0 at least, at 100 kHz
 _MC_CHUNK = 1_000_000
 _POLAR_CHUNK = 100      # blocks per list-decoder call, about 9 MiB of decoder state
 
@@ -103,12 +113,17 @@ class ExperimentResult:
     """Rows plus bookkeeping, as written to disk."""
 
     spec: ExperimentSpec
-    columns: list[str]
     rows: list[dict[str, Any]]
     summary: dict[str, Any]
     check_failures: list[str] = field(default_factory=list)
     csv_path: Path | None = None
     meta_path: Path | None = None
+
+    @property
+    def columns(self) -> list[str]:
+        """CSV header: the keys of the first row; every experiment writes
+        at least one row."""
+        return list(self.rows[0])
 
     @property
     def passed(self) -> bool:
@@ -146,64 +161,96 @@ def _version_string() -> str:
     return __version__
 
 
-def _require(params: dict[str, Any], allowed: dict[str, Any],
-             name: str) -> dict[str, Any]:
-    """Merge user params over defaults, rejecting unknown keys."""
-    unknown = set(params) - set(allowed)
+_Parser = Callable[[Any, str], Any]
+
+
+def _params(spec: ExperimentSpec, table: dict[str, tuple[Any, _Parser]]) -> dict[str, Any]:
+    """Every key of ``table`` parsed from the spec's params or its default,
+    rejecting keys the table does not name."""
+    unknown = set(spec.params) - set(table)
     if unknown:
-        raise ConfigError(f"{name}: unknown config keys {sorted(unknown)}; "
-                          f"allowed: {sorted(allowed)}")
-    merged = dict(allowed)
-    merged.update(params)
-    return merged
+        raise ConfigError(f"{spec.name}: unknown config keys {sorted(unknown)}; "
+                          f"allowed: {sorted(table)}")
+    return {key: parse(spec.params.get(key, default), key)
+            for key, (default, parse) in table.items()}
 
 
-def _as_floats(value: Any, key: str) -> list[float]:
+def _number(value: Any, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _optional_number(value: Any, key: str) -> float | None:
+    return None if value is None else _number(value, key)
+
+
+def _numbers(value: Any, key: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{key} must be a nonempty list of numbers")
-    try:
-        return [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must contain only numbers") from exc
+    return [_number(v, key) for v in value]
 
 
-def _as_float(value: Any, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number") from exc
+def _count(value: Any, key: str, minimum: int = 1) -> int:
+    n = _number(value, key)
+    if not n.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    if n < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return int(n)
+
+
+def _flag(value: Any, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _pilot_shape(value: Any, key: str) -> float:
     """A pilot shaping parameter ``a``, which must lie in (0, 3]."""
-    a = _as_float(value, key)
+    a = _number(value, key)
     if not 0.0 < a <= 3.0:
         raise ConfigError(f"{key} must lie in (0, 3], got {a}")
     return a
 
 
-def _as_int(value: Any, key: str, minimum: int = 1) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer") from exc
-    if out < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {out}")
-    return out
+def _pilot_shapes(value: Any, key: str) -> list[float]:
+    return [_pilot_shape(a, key) for a in _numbers(value, key)]
 
 
-def _snr_grid(spec: Any, key: str) -> list[float]:
+def _snr_grid(value: Any, key: str) -> list[float]:
     """Either an explicit list or a {start, stop, step} range, inclusive."""
-    if isinstance(spec, dict):
-        extra = set(spec) - {"start", "stop", "step"}
-        if extra or not {"start", "stop", "step"} <= set(spec):
+    if isinstance(value, dict):
+        extra = set(value) - {"start", "stop", "step"}
+        if extra or not {"start", "stop", "step"} <= set(value):
             raise ConfigError(f"{key} range needs exactly start/stop/step")
-        start, stop, step = (_as_float(spec[k], key) for k in ("start", "stop", "step"))
+        start, stop, step = (_number(value[k], key) for k in ("start", "stop", "step"))
         if step <= 0 or stop < start:
             raise ConfigError(f"{key} range must run forward with step > 0")
         n = int(round((stop - start) / step))
         return [round(start + i * step, 10) for i in range(n + 1)]
-    return _as_floats(spec, key)
+    return _numbers(value, key)
+
+
+def _onu_ids(value: Any, key: str) -> list[str]:
+    if not isinstance(value, (list, tuple)) or not value \
+            or not all(isinstance(o, str) for o in value):
+        raise ConfigError(f"{key} must be a nonempty list of strings")
+    return list(value)
+
+
+def _probability(value: Any, key: str) -> float:
+    p = _number(value, key)
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"{key} must lie in [0, 1), got {p}")
+    return p
+
+
+def _band(value: Any, key: str) -> list[float]:
+    band = _numbers(value, key)
+    if len(band) != 2 or not 0 <= band[0] < band[1] <= 1:
+        raise ConfigError(f"{key} must be [lo, hi] within [0, 1]")
+    return band
 
 
 def _map_cells(fn: Callable, cells: Sequence, jobs: int) -> list:
@@ -217,17 +264,15 @@ def _map_cells(fn: Callable, cells: Sequence, jobs: int) -> list:
 # theory-curves: closed-form pilot-bit and payload BER over an SNR grid
 
 def _run_theory_curves(spec: ExperimentSpec) -> ExperimentResult:
-    p = _require(spec.params, {
-        "a_values": [1.0, 1.7, 3.0],
-        "snr_db": {"start": 4.0, "stop": 16.0, "step": 0.5},
-    }, spec.name)
-    a_values = [_pilot_shape(a, "a_values") for a in _as_floats(p["a_values"], "a_values")]
-    snrs = _snr_grid(p["snr_db"], "snr_db")
+    p = _params(spec, {
+        "a_values": ([1.0, 1.7, 3.0], _pilot_shapes),
+        "snr_db": ({"start": 4.0, "stop": 16.0, "step": 0.5}, _snr_grid),
+    })
+    a_values, snrs = p["a_values"], p["snr_db"]
     rows = []
     for a in a_values:
         for snr in snrs:
             rows.append({
-                "experiment": spec.name, "seed": spec.seed,
                 "a": a, "snr_db": snr,
                 "ber_first_bit": float(theory.ber_pilot_first_bit(snr, a)),
                 "ber_second_bit": float(theory.ber_pilot_second_bit(snr, a)),
@@ -243,15 +288,19 @@ def _run_theory_curves(spec: ExperimentSpec) -> ExperimentResult:
                     failures.append(f"{col} not nonincreasing in SNR at a={a}")
                 if any(not 0.0 <= v <= 0.5 + 1e-12 for v in vals):
                     failures.append(f"{col} outside [0, 0.5] at a={a}")
-    columns = ["experiment", "seed", "a", "snr_db",
-               "ber_first_bit", "ber_second_bit", "ber_16qam"]
     summary = {"n_cells": len(rows), "a_values": a_values,
                "snr_points": len(snrs)}
-    return ExperimentResult(spec, columns, rows, summary, failures)
+    return ExperimentResult(spec, rows, summary, failures)
 
 
 # --------------------------------------------------------------------------
 # sweep-a: Monte-Carlo pilot-bit BER against the closed forms
+
+def _awgn(rng: np.random.Generator, tx: np.ndarray, sigma2: float) -> np.ndarray:
+    """``tx`` plus complex Gaussian noise of total variance ``sigma2``."""
+    noise = rng.normal(scale=np.sqrt(sigma2 / 2), size=(2, tx.size))
+    return tx + noise[0] + 1j * noise[1]
+
 
 def _pilot_mc_cell(args: tuple) -> dict[str, Any]:
     master, a, snr_db, n_symbols = args
@@ -265,10 +314,8 @@ def _pilot_mc_cell(args: tuple) -> dict[str, Any]:
         n = min(_MC_CHUNK, n_symbols - done)
         first = rng.integers(0, 2, n).astype(np.uint8)
         second = rng.integers(0, 2, n).astype(np.uint8)
-        tx = map_pilot(first, second, params)
-        noise = rng.normal(scale=np.sqrt(sigma2 / 2), size=(2, n))
-        rx = tx + noise[0] + 1j * noise[1]
-        got1, got2 = demap_pilot(rx, params)
+        got1, got2 = demap_pilot(_awgn(rng, map_pilot(first, second, params), sigma2),
+                                 params)
         err1 += int(np.count_nonzero(got1 != first))
         err2 += int(np.count_nonzero(got2 != second))
         done += n
@@ -277,20 +324,17 @@ def _pilot_mc_cell(args: tuple) -> dict[str, Any]:
 
 
 def _run_sweep_a(spec: ExperimentSpec) -> ExperimentResult:
-    p = _require(spec.params, {
-        "a_values": [0.5, 1.0, 1.5, 2.0, 2.5, 2.9],
-        "snr_db": [10.0],
-        "n_symbols": 1_000_000,
-        "dex_tolerance": 0.05,
-        "min_theory_ber": 1e-4,
-    }, spec.name)
-    a_values = sorted(_pilot_shape(a, "a_values") for a in _as_floats(p["a_values"], "a_values"))
-    snrs = _snr_grid(p["snr_db"], "snr_db")
-    n_symbols = _as_int(p["n_symbols"], "n_symbols")
-    tol = _as_float(p["dex_tolerance"], "dex_tolerance")
-    floor = _as_float(p["min_theory_ber"], "min_theory_ber")
+    p = _params(spec, {
+        "a_values": ([0.5, 1.0, 1.5, 2.0, 2.5, 2.9], _pilot_shapes),
+        "snr_db": ([10.0], _snr_grid),
+        "n_symbols": (1_000_000, _count),
+        "dex_tolerance": (0.05, _number),
+        "min_theory_ber": (1e-4, _number),
+    })
+    snrs, tol, floor = p["snr_db"], p["dex_tolerance"], p["min_theory_ber"]
 
-    cells = [(spec.seed, a, snr, n_symbols) for a in a_values for snr in snrs]
+    cells = [(spec.seed, a, snr, p["n_symbols"])
+             for a in sorted(p["a_values"]) for snr in snrs]
     raw = _map_cells(_pilot_mc_cell, cells, spec.jobs)
     raw.sort(key=lambda r: (r["a"], r["snr_db"]))
 
@@ -306,7 +350,6 @@ def _run_sweep_a(spec: ExperimentSpec) -> ExperimentResult:
             dex = abs(float(np.log10(ber) - np.log10(ref))) \
                 if errs > 0 and ref > 0 else None
             rows.append({
-                "experiment": spec.name, "seed": spec.seed,
                 "a": r["a"], "snr_db": r["snr_db"], "bit": bit,
                 "n_symbols": r["n_symbols"], "n_errors": errs,
                 "ber_mc": ber, "ber_theory": ref,
@@ -338,15 +381,12 @@ def _run_sweep_a(spec: ExperimentSpec) -> ExperimentResult:
                 failures.append(
                     f"MC/theory gap {r['dex_error']} dex > {tol} at "
                     f"a={r['a']}, {r['snr_db']} dB, bit {r['bit']}")
-    columns = ["experiment", "seed", "a", "snr_db", "bit", "n_symbols",
-               "n_errors", "ber_mc", "ber_theory", "dex_error",
-               "ci95_lo", "ci95_hi", "low_confidence"]
     summary = {"n_cells": len(rows),
                "max_dex": max((r["dex_error"] for r in rows
                                if isinstance(r["dex_error"], float)
                                and not r["low_confidence"]
                                and r["ber_theory"] >= floor), default=None)}
-    return ExperimentResult(spec, columns, rows, summary, failures)
+    return ExperimentResult(spec, rows, summary, failures)
 
 
 # --------------------------------------------------------------------------
@@ -377,7 +417,7 @@ def _cpr_point(args: tuple) -> tuple[list[int], int]:
         for k, (row, (first, _, payload_bits)) in enumerate(zip(rx.symbols, sent)):
             got = receive_subcarrier(SymbolStream(row, rx.symbol_rate_hz), first, layout)
             errors[k] += int(np.count_nonzero(
-                demap_payload_16qam(got.cpr.payload) != payload_bits))
+                demap_payload_16qam(got.payload) != payload_bits))
     return errors, n_frames * 4 * layout.payload_len
 
 
@@ -399,24 +439,17 @@ def _required_snr(scan: list[tuple[float, float]], target: float) -> float:
 
 
 def _run_cpr_penalty(spec: ExperimentSpec) -> ExperimentResult:
-    p = _require(spec.params, {
-        "a_values": [1.0, 1.35, 1.7, 2.35],
-        "linewidths_hz": [1e5, 5e5, 1e6],
-        "baseline_a": 3.0,
-        "n_symbols": 200_000,
-        "scan_snrs_db": [12.2, 12.5, 12.8, 13.1, 13.4, 13.7, 14.0],
-        "target_ber": theory.SD_FEC_LIMIT,
-        "penalty_max_db_a17": 0.15,
-        "penalty_min_db_a10": 0.15,
-    }, spec.name)
-    a_values = sorted(_pilot_shape(a, "a_values") for a in _as_floats(p["a_values"], "a_values"))
-    linewidths = _as_floats(p["linewidths_hz"], "linewidths_hz")
-    baseline_a = _pilot_shape(p["baseline_a"], "baseline_a")
-    n_symbols = _as_int(p["n_symbols"], "n_symbols", minimum=1000)
-    scan_snrs = _as_floats(p["scan_snrs_db"], "scan_snrs_db")
-    target = _as_float(p["target_ber"], "target_ber")
-    max_a17 = _as_float(p["penalty_max_db_a17"], "penalty_max_db_a17")
-    min_a10 = _as_float(p["penalty_min_db_a10"], "penalty_min_db_a10")
+    p = _params(spec, {
+        "a_values": ([1.0, 1.35, 1.7, 2.35], _pilot_shapes),
+        "linewidths_hz": ([1e5, 5e5, 1e6], _numbers),
+        "baseline_a": (3.0, _pilot_shape),
+        "n_symbols": (200_000, functools.partial(_count, minimum=1000)),
+        "scan_snrs_db": ([12.2, 12.5, 12.8, 13.1, 13.4, 13.7, 14.0], _numbers),
+    })
+    a_values = sorted(p["a_values"])
+    linewidths, baseline_a = p["linewidths_hz"], p["baseline_a"]
+    n_symbols, scan_snrs = p["n_symbols"], p["scan_snrs_db"]
+    target = theory.SD_FEC_LIMIT
 
     todo = sorted(set(a_values) | {baseline_a})
     points = [(lw, snr) for lw in linewidths for snr in scan_snrs]
@@ -435,7 +468,6 @@ def _run_cpr_penalty(spec: ExperimentSpec) -> ExperimentResult:
         for a in todo:
             min_errors = min(errors[(a, lw, snr)] for snr in scan_snrs)
             rows.append({
-                "experiment": spec.name, "seed": spec.seed,
                 "a": a, "linewidth_hz": lw, "n_symbols": n_symbols,
                 "required_snr_db": round(required[a], 6),
                 "baseline_snr_db": round(base, 6),
@@ -453,10 +485,12 @@ def _run_cpr_penalty(spec: ExperimentSpec) -> ExperimentResult:
 
         lw0 = 1e5
         p17, p10 = penalty(1.7, lw0), penalty(1.0, lw0)
-        if p17 is not None and p17 > max_a17:
-            failures.append(f"a=1.7 penalty {p17:.3f} dB exceeds {max_a17} dB at 100 kHz")
-        if p10 is not None and p10 < min_a10:
-            failures.append(f"a=1.0 penalty {p10:.3f} dB below {min_a10} dB at 100 kHz")
+        if p17 is not None and p17 > CPR_PENALTY_BOUND_DB:
+            failures.append(f"a=1.7 penalty {p17:.3f} dB exceeds "
+                            f"{CPR_PENALTY_BOUND_DB} dB at 100 kHz")
+        if p10 is not None and p10 < CPR_PENALTY_BOUND_DB:
+            failures.append(f"a=1.0 penalty {p10:.3f} dB below "
+                            f"{CPR_PENALTY_BOUND_DB} dB at 100 kHz")
         slack = 0.02    # MC jitter allowance on ordering comparisons
         for lw in linewidths:
             pens = [penalty(a, lw) for a in todo]
@@ -468,19 +502,16 @@ def _run_cpr_penalty(spec: ExperimentSpec) -> ExperimentResult:
             if any(later < earlier - slack
                    for earlier, later in zip(by_lw, by_lw[1:])):
                 failures.append(f"penalty not ordered by linewidth at a={a}")
-    columns = ["experiment", "seed", "a", "linewidth_hz", "n_symbols",
-               "required_snr_db", "baseline_snr_db", "penalty_db",
-               "low_confidence"]
     summary = {"n_cells": len(rows), "baseline_a": baseline_a,
                "target_ber": target}
-    return ExperimentResult(spec, columns, rows, summary, failures)
+    return ExperimentResult(spec, rows, summary, failures)
 
 
 # --------------------------------------------------------------------------
 # fec-waterfall: coded performance of the data and key channels
 
 def _ldpc_cell(args: tuple) -> dict[str, Any]:
-    master, snr_db, n_codewords, max_iterations = args
+    master, snr_db, n_codewords = args
     code = default_code()
     rng = np.random.default_rng(
         _cell_seed(master, f"ldpc|snr={snr_db!r}|n={n_codewords}"))
@@ -494,9 +525,8 @@ def _ldpc_cell(args: tuple) -> dict[str, Any]:
         llrs = np.empty((b, code.n))
         for i in range(b):
             syms = map_payload_16qam(code.encode(info[i]))
-            noise = rng.normal(scale=np.sqrt(sigma2 / 2), size=(2, syms.size))
-            llrs[i] = payload_llrs_16qam(syms + noise[0] + 1j * noise[1], sigma2)
-        hard, _, _ = code.decode_batch(llrs, max_iterations=max_iterations)
+            llrs[i] = payload_llrs_16qam(_awgn(rng, syms, sigma2), sigma2)
+        hard, _, _ = code.decode_batch(llrs)
         diff = hard[:, :LDPC_K] != info
         bit_errors += int(diff.sum())
         block_errors += int(np.count_nonzero(diff.any(axis=1)))
@@ -524,8 +554,7 @@ def _polar_cell(args: tuple) -> dict[str, Any]:
             coded = KeyCodeword.from_payload(payloads[i], POLAR).coded_bits
             first = rng.integers(0, 2, coded.size).astype(np.uint8)
             tx = map_pilot(first, coded, params)
-            noise = rng.normal(scale=np.sqrt(sigma2 / 2), size=(2, tx.size))
-            llrs[i] = demap_pilot_llrs(tx + noise[0] + 1j * noise[1], params, sigma2)
+            llrs[i] = demap_pilot_llrs(_awgn(rng, tx, sigma2), params, sigma2)
         got, ok = polar_decode_scl(llrs, POLAR)
         diff = np.where(ok, np.count_nonzero(got != payloads, axis=1), k)
         bit_errors += int(diff.sum())
@@ -538,33 +567,26 @@ def _polar_cell(args: tuple) -> dict[str, Any]:
 
 def _run_fec_waterfall(spec: ExperimentSpec) -> ExperimentResult:
     op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
-    p = _require(spec.params, {
-        "ldpc_snrs_db": [11.0, 11.3, 11.6, 11.9, round(op, 4)],
-        "polar_snrs_db": [10.0, 11.0, round(op, 4)],
-        "n_codewords_ldpc": 100,
-        "n_codewords_polar": 1000,
-        "a": 1.7,
-        "max_iterations": 50,
-        "op_snr_db": round(op, 4),
-    }, spec.name)
-    ldpc_snrs = _as_floats(p["ldpc_snrs_db"], "ldpc_snrs_db")
-    polar_snrs = _as_floats(p["polar_snrs_db"], "polar_snrs_db")
-    n_ldpc = _as_int(p["n_codewords_ldpc"], "n_codewords_ldpc")
-    n_polar = _as_int(p["n_codewords_polar"], "n_codewords_polar")
-    a = _pilot_shape(p["a"], "a")
-    op_snr = _as_float(p["op_snr_db"], "op_snr_db")
+    p = _params(spec, {
+        "ldpc_snrs_db": ([11.0, 11.3, 11.6, 11.9, round(op, 4)], _numbers),
+        "polar_snrs_db": ([10.0, 11.0, round(op, 4)], _numbers),
+        "n_codewords_ldpc": (100, _count),
+        "n_codewords_polar": (1000, _count),
+        "a": (1.7, _pilot_shape),
+        "op_snr_db": (round(op, 4), _number),
+    })
+    op_snr = p["op_snr_db"]
 
     default_code()      # build once before forking workers
-    cells = [("ldpc", (spec.seed, snr, n_ldpc, _as_int(p["max_iterations"], "max_iterations")))
-             for snr in ldpc_snrs]
-    cells += [("polar", (spec.seed, a, snr, n_polar)) for snr in polar_snrs]
+    cells = [("ldpc", (spec.seed, snr, p["n_codewords_ldpc"])) for snr in p["ldpc_snrs_db"]]
+    cells += [("polar", (spec.seed, p["a"], snr, p["n_codewords_polar"]))
+              for snr in p["polar_snrs_db"]]
     raw = _map_cells(_fec_cell_dispatch, cells, spec.jobs)
     raw.sort(key=lambda r: (r["code"], r["snr_db"]))
 
     rows = []
     for r in raw:
         rows.append({
-            "experiment": spec.name, "seed": spec.seed,
             "code": r["code"], "snr_db": r["snr_db"],
             "n_codewords": r["n_codewords"],
             "bit_errors": r["bit_errors"], "block_errors": r["block_errors"],
@@ -592,10 +614,8 @@ def _run_fec_waterfall(spec: ExperimentSpec) -> ExperimentResult:
         elif polar_op["block_errors"]:
             failures.append(f"key channel not block-error-free at {op_snr} dB: "
                             f"{polar_op['block_errors']} failures")
-    columns = ["experiment", "seed", "code", "snr_db", "n_codewords",
-               "bit_errors", "block_errors", "ber", "bler", "low_confidence"]
     summary = {"n_cells": len(rows), "op_snr_db": op_snr}
-    return ExperimentResult(spec, columns, rows, summary, failures)
+    return ExperimentResult(spec, rows, summary, failures)
 
 
 def _fec_cell_dispatch(cell: tuple) -> dict[str, Any]:
@@ -606,54 +626,28 @@ def _fec_cell_dispatch(cell: tuple) -> dict[str, Any]:
 # --------------------------------------------------------------------------
 # keydist / e2e-secure: full multi-subcarrier sessions
 
-def _session_rows(spec: ExperimentSpec, report) -> list[dict[str, Any]]:
-    rows = []
-    for m in report.frame_metrics:
-        rows.append({
-            "experiment": spec.name, "seed": spec.seed,
-            "frame": m.frame_index, "direction": m.direction,
-            "onu": m.onu_id, "sc": m.sc_index,
-            "pre_bits": m.pre_bits, "pre_errors": m.pre_errors,
-            "post_bits": m.post_bits, "post_errors": m.post_errors,
-            "cycle_slips": m.cycle_slips,
-        })
-    return rows
+def _session_rows(report) -> list[dict[str, Any]]:
+    return [asdict(m) for m in report.frame_metrics]
 
 
-_SESSION_COLUMNS = ["experiment", "seed", "frame", "direction", "onu", "sc",
-                    "pre_bits", "pre_errors", "post_bits", "post_errors",
-                    "cycle_slips"]
-
-
-def _channel_from(p: dict[str, Any], snr_key: str, seed: int,
-                  tag: str) -> ChannelConfig:
+def _channel(p: dict[str, Any], snr_key: str, seed: int, tag: str) -> ChannelConfig:
+    """The channel of parsed session params ``p``; ``p[snr_key]`` is the
+    per-subcarrier SNR, or None for no noise."""
     snr_sc = p[snr_key]
-    agg = None if snr_sc is None else aggregate_snr_db(DscmPlan(), 0,
-                                                       _as_float(snr_sc, snr_key))
     return ChannelConfig(
-        snr_db=agg,
-        linewidth_hz=_as_float(p["linewidth_hz"], "linewidth_hz"),
-        freq_offset_hz=_as_float(p["freq_offset_hz"], "freq_offset_hz"),
+        snr_db=None if snr_sc is None else aggregate_snr_db(DscmPlan(), 0, snr_sc),
+        linewidth_hz=p["linewidth_hz"],
+        freq_offset_hz=p["freq_offset_hz"],
         seed=_cell_seed(seed, tag)[1],
     )
 
 
-def _sessions(p: dict[str, Any], seed: int) -> list[OnuSession]:
+def _sessions(onu_ids: list[str], seed: int) -> list[OnuSession]:
     """Sessions for the configured ONUs on the fixed subcarrier plan."""
-    onu_ids = list(p["onu_ids"])
-    if not onu_ids or not all(isinstance(o, str) for o in onu_ids):
-        raise ConfigError("onu_ids must be a nonempty list of strings")
     try:
         return make_sessions(allocate_tfdma(onu_ids), seed=seed)
     except ValueError as exc:
         raise ConfigError(f"onu_ids: {exc}") from exc
-
-
-def _loss_probability(p: dict[str, Any]) -> float:
-    loss = _as_float(p["loss_probability"], "loss_probability")
-    if not 0.0 <= loss < 1.0:
-        raise ConfigError(f"loss_probability must lie in [0, 1), got {loss}")
-    return loss
 
 
 def _key_channel_failures(report, expected_rotations: int) -> list[str]:
@@ -669,22 +663,20 @@ def _key_channel_failures(report, expected_rotations: int) -> list[str]:
 
 def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
     op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
-    p = _require(spec.params, {
-        "onu_ids": ["onu1", "onu2"],
-        "n_frames": 20,
-        "snr_sc_db": round(op, 4),
-        "linewidth_hz": 1e5,
-        "freq_offset_hz": 0.0,
-        "loss_probability": 0.0,
-    }, spec.name)
-    sessions = _sessions(p, spec.seed)
-    n_frames = _as_int(p["n_frames"], "n_frames")
-    loss = _loss_probability(p)
+    p = _params(spec, {
+        "onu_ids": (["onu1", "onu2"], _onu_ids),
+        "n_frames": (20, _count),
+        "snr_sc_db": (round(op, 4), _optional_number),
+        "linewidth_hz": (1e5, _number),
+        "freq_offset_hz": (0.0, _number),
+        "loss_probability": (0.0, _probability),
+    })
+    sessions = _sessions(p["onu_ids"], spec.seed)
+    n_frames = p["n_frames"]
 
-    cfg = _channel_from(p, "snr_sc_db", spec.seed, "keydist-chan")
+    cfg = _channel(p, "snr_sc_db", spec.seed, "keydist-chan")
     report = run_upstream_keydist(sessions, cfg, n_frames, seed=spec.seed,
-                                  loss_probability=loss)
-    rows = _session_rows(spec, report)
+                                  loss_probability=p["loss_probability"])
 
     expected_rotations = len(sessions) * (n_frames // 2)
     failures = []
@@ -705,36 +697,31 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
         "expected_rotations": expected_rotations,
         "synchronized": active_keys_synchronized(sessions),
     }
-    return ExperimentResult(spec, _SESSION_COLUMNS, rows, summary, failures)
+    return ExperimentResult(spec, _session_rows(report), summary, failures)
 
 
 def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
     op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
-    p = _require(spec.params, {
-        "onu_ids": ["onu1", "onu2"],
-        "n_superframes": 4,
-        "us_snr_sc_db": round(op, 4),
-        "ds_snr_sc_db": round(op + 1.2, 4),
-        "linewidth_hz": 1e5,
-        "freq_offset_hz": 0.0,
-        "loss_probability": 0.0,
-        "eavesdropper": True,
-        "agreement_band": [0.49, 0.51],
-    }, spec.name)
-    sessions = _sessions(p, spec.seed)
-    n_super = _as_int(p["n_superframes"], "n_superframes")
-    loss = _loss_probability(p)
-    band = _as_floats(p["agreement_band"], "agreement_band")
-    if len(band) != 2 or not 0 <= band[0] < band[1] <= 1:
-        raise ConfigError("agreement_band must be [lo, hi] within [0, 1]")
+    p = _params(spec, {
+        "onu_ids": (["onu1", "onu2"], _onu_ids),
+        "n_superframes": (4, _count),
+        "us_snr_sc_db": (round(op, 4), _optional_number),
+        "ds_snr_sc_db": (round(op + 1.2, 4), _optional_number),
+        "linewidth_hz": (1e5, _number),
+        "freq_offset_hz": (0.0, _number),
+        "loss_probability": (0.0, _probability),
+        "eavesdropper": (True, _flag),
+        "agreement_band": ([0.49, 0.51], _band),
+    })
+    sessions = _sessions(p["onu_ids"], spec.seed)
+    n_super, band = p["n_superframes"], p["agreement_band"]
 
-    us_cfg = _channel_from(p, "us_snr_sc_db", spec.seed, "e2e-us-chan")
-    ds_cfg = _channel_from(p, "ds_snr_sc_db", spec.seed, "e2e-ds-chan")
     report = run_secure_session(
-        sessions, us_cfg, ds_cfg, n_super, seed=spec.seed,
-        loss_probability=loss, eavesdropper=bool(p["eavesdropper"]),
+        sessions, _channel(p, "us_snr_sc_db", spec.seed, "e2e-us-chan"),
+        _channel(p, "ds_snr_sc_db", spec.seed, "e2e-ds-chan"), n_super,
+        seed=spec.seed, loss_probability=p["loss_probability"],
+        eavesdropper=p["eavesdropper"],
     )
-    rows = _session_rows(spec, report)
 
     expected_rotations = len(sessions) * (n_super // 2)
     failures = []
@@ -746,7 +733,7 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
         if report.post_fec_ber() != 0.0:
             failures.append(f"legitimate post-FEC BER {report.post_fec_ber():.3e} "
                             "nonzero above threshold")
-        if bool(p["eavesdropper"]):
+        if p["eavesdropper"]:
             if not band[0] <= agreement <= band[1]:
                 failures.append(f"eavesdropper agreement {agreement:.4f} outside "
                                 f"[{band[0]}, {band[1]}]")
@@ -766,7 +753,7 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
         "eavesdropper_low_confidence": report.eavesdropper_bits < 1_000_000,
         "synchronized": active_keys_synchronized(sessions),
     }
-    return ExperimentResult(spec, _SESSION_COLUMNS, rows, summary, failures)
+    return ExperimentResult(spec, _session_rows(report), summary, failures)
 
 
 # --------------------------------------------------------------------------
@@ -833,5 +820,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Expand, run, and persist one experiment; see module docstring."""
     started = time.perf_counter()
     result = _RUNNERS[spec.name](spec)
+    result.rows = [dict(experiment=spec.name, seed=spec.seed, **row) for row in result.rows]
     result.summary["wall_time_s"] = round(time.perf_counter() - started, 3)
     return write_result(result)

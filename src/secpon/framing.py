@@ -16,12 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fec_ldpc import LDPC_K, LDPC_N
+
 PAYLOAD_SYMBOLS_PER_FRAME = 8640
 UPSTREAM_TRAINING_SYMBOLS = 416
 DOWNSTREAM_TRAINING_SYMBOLS = 480
 PILOT_SPACING = 32          # one pilot heads every 32-symbol block of the body
 LINE_RATE_GBPS = 256.0      # gross aggregate rate clocked through the frame
-LDPC_CODE_RATE = 14592 / 17280
+LDPC_CODE_RATE = LDPC_K / LDPC_N
 
 # Gray labels of four amplitude levels in ascending order: the high bit
 # flips with the sign, the low bit with the magnitude.
@@ -291,7 +293,7 @@ def assemble_frame(training: np.ndarray, pilots: np.ndarray,
     return frame
 
 
-def net_rate_gbps(layout: FrameLayout, code_rate: float = LDPC_CODE_RATE,
-                  line_rate_gbps: float = LINE_RATE_GBPS) -> float:
-    """Net information rate after frame overhead and FEC overhead."""
-    return layout.payload_len / layout.total_len * code_rate * line_rate_gbps
+def net_rate_gbps(layout: FrameLayout) -> float:
+    """Net information rate after frame overhead and LDPC overhead, at
+    the line rate."""
+    return layout.payload_len / layout.total_len * LDPC_CODE_RATE * LINE_RATE_GBPS

@@ -38,7 +38,6 @@ channel from ever desynchronizing the two stores.
 
 from __future__ import annotations
 
-import functools
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -195,10 +194,13 @@ def active_keys_synchronized(sessions: list[OnuSession]) -> bool:
 
 @dataclass
 class FrameMetrics:
-    frame_index: int
+    """Payload counts of one subcarrier in one frame; the session
+    experiments write these fields, in this order, as their CSV columns."""
+
+    frame: int
     direction: str
-    onu_id: str
-    sc_index: int
+    onu: str
+    sc: int
     pre_bits: int
     pre_errors: int
     post_bits: int
@@ -248,8 +250,8 @@ class SessionReport:
 
     def per_sc_summary(self) -> dict[int, dict[str, float]]:
         out: dict[int, dict[str, float]] = {}
-        for sc in sorted({m.sc_index for m in self.frame_metrics}):
-            rows = [m for m in self.frame_metrics if m.sc_index == sc]
+        for sc in sorted({m.sc for m in self.frame_metrics}):
+            rows = [m for m in self.frame_metrics if m.sc == sc]
             pre = sum(m.pre_bits for m in rows)
             post = sum(m.post_bits for m in rows)
             out[sc] = {
@@ -306,20 +308,6 @@ def _pilot_bits(seed: int, stream: int, frame: int, sc: int, n: int) -> np.ndarr
     return _rng(seed, stream, frame, sc).integers(0, 2, n).astype(np.uint8)
 
 
-@dataclass
-class SubcarrierReception:
-    """What the receiver recovers from one subcarrier of one frame."""
-
-    cpr: rxdsp.CprResult
-
-    @functools.cached_property
-    def noise_var(self) -> float:
-        """Decision-directed noise variance over the phase-corrected
-        payload, computed on first read."""
-        resid = self.cpr.payload - hard_decision_16qam(self.cpr.payload)
-        return max(float(np.mean(np.abs(resid) ** 2)), 1e-12)
-
-
 def transmit_subcarrier(signs: np.ndarray, second_bits: np.ndarray,
                         payload_bits: np.ndarray, train_seed: int,
                         layout: FrameLayout, pilot_params: GcsPilotParams) -> np.ndarray:
@@ -332,7 +320,7 @@ def transmit_subcarrier(signs: np.ndarray, second_bits: np.ndarray,
 
 
 def receive_subcarrier(rx: SymbolStream, signs: np.ndarray, layout: FrameLayout,
-                       sc: int | None = None) -> SubcarrierReception:
+                       sc: int | None = None) -> rxdsp.CprResult:
     """Recover one subcarrier's frame against its pilot sign bits.
 
     Subcarrier ``sc`` is first selected out of the DSCM aggregate ``rx``;
@@ -340,8 +328,14 @@ def receive_subcarrier(rx: SymbolStream, signs: np.ndarray, layout: FrameLayout,
     symbol rate.
     """
     frame = rx.symbols if sc is None else demux_select(rx, sc, PLAN).symbols
-    return SubcarrierReception(rxdsp.recover_carrier_phase(
-        frame[layout.training_len:], layout, pilot_phase_reference(signs)))
+    return rxdsp.recover_carrier_phase(frame[layout.training_len:], layout,
+                                       pilot_phase_reference(signs))
+
+
+def _noise_var(cpr: rxdsp.CprResult) -> float:
+    """Decision-directed noise variance over the phase-corrected payload."""
+    resid = cpr.payload - hard_decision_16qam(cpr.payload)
+    return max(float(np.mean(np.abs(resid) ** 2)), 1e-12)
 
 
 def _mux_frames(frames: dict[int, np.ndarray]) -> SymbolStream:
@@ -352,7 +346,7 @@ def _mux_frames(frames: dict[int, np.ndarray]) -> SymbolStream:
 
 
 def _receive_onu(rx: SymbolStream, session: OnuSession, layout: FrameLayout,
-                 seed: int, frame: int, cfg: ChannelConfig) -> dict[int, SubcarrierReception]:
+                 seed: int, frame: int, cfg: ChannelConfig) -> dict[int, rxdsp.CprResult]:
     """Receive every subcarrier of one ONU, after correcting its offset."""
     if cfg.freq_offset_hz:
         rx = _correct_onu_offset(rx, session, layout, seed, frame)
@@ -461,11 +455,11 @@ def _upstream_frame(sessions, cfg, f, seed, loss_probability, report) -> list[Fr
     for session, tx in zip(sessions, sent):
         received = _receive_onu(total, session, UPSTREAM, seed, f, cfg)
         for sc, got in received.items():
-            pre_errors = int(np.count_nonzero(demap_payload_16qam(got.cpr.payload) != tx[sc]))
+            pre_errors = int(np.count_nonzero(demap_payload_16qam(got.payload) != tx[sc]))
             metrics.append(FrameMetrics(f, "us", session.onu_id, sc, tx[sc].size,
-                                        pre_errors, 0, 0, got.cpr.cycle_slips))
+                                        pre_errors, 0, 0, got.cycle_slips))
         llrs.append(np.concatenate([
-            demap_pilot_llrs(received[sc].cpr.pilots, PILOT, received[sc].noise_var)
+            demap_pilot_llrs(received[sc].pilots, PILOT, _noise_var(received[sc]))
             for sc in session.key_subcarriers])[:POLAR.block_length])
     lost = [bool(loss_probability) and _rng(seed, _LOSS, f, _stable_id(s.onu_id)
                                             ).random() < loss_probability
@@ -613,7 +607,7 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                      for session in sessions]
         # one decoder call for the tap, rows in session, subcarrier, codeword
         # order; zip draws a codeword first, so each takes exactly its row
-        llrs = [payload_llrs_16qam(got.cpr.payload, got.noise_var)
+        llrs = [payload_llrs_16qam(got.payload, _noise_var(got))
                 for by_sc in received for got in by_sc.values()]
         hard, _, _ = ldpc.decode_batch(np.concatenate(llrs).reshape(-1, ldpc.n))
         rows = iter(hard[:, :LDPC_K])
@@ -638,10 +632,10 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                     report.eavesdropper_errors += errors
                     continue
                 pre_errors = int(np.count_nonzero(
-                    demap_payload_16qam(got.cpr.payload) != coded))
+                    demap_payload_16qam(got.payload) != coded))
                 report.frame_metrics.append(FrameMetrics(
                     f, "ds", session.onu_id, sc, coded.size, pre_errors, data_bits,
-                    errors, got.cpr.cycle_slips))
+                    errors, got.cycle_slips))
 
 
 def run_secure_session(sessions: list[OnuSession], us_cfg: ChannelConfig,

@@ -28,6 +28,7 @@ from .framing import FrameLayout, hard_decision_16qam
 RESIDUAL_HALF_WINDOW = 11       # Q: residual stage averages 2Q+1 decisions
 PILOT_SMOOTHING = 3             # boxcar over adjacent pilot phase estimates
 RESIDUAL_PASSES = 2
+FREQ_PAD_FACTOR = 8             # zero padding of the frequency-offset periodogram
 CYCLE_SLIP_STEP = np.pi / 2     # pilot-to-pilot jump flagged as a slip
 
 
@@ -114,12 +115,12 @@ def apply_pilot_phase(payload: np.ndarray, estimates: np.ndarray,
     return payload * np.exp(-1j * phase)
 
 
-def residual_phase(symbols: np.ndarray, half_window: int = RESIDUAL_HALF_WINDOW,
-                   decide=hard_decision_16qam) -> np.ndarray:
-    """Sliding-mean decision-directed residual phase per symbol."""
+def residual_phase(symbols: np.ndarray) -> np.ndarray:
+    """Sliding-mean decision-directed residual phase per symbol, against
+    16QAM hard decisions."""
     symbols = np.asarray(symbols)
-    err = np.angle(symbols * np.conj(decide(symbols)))
-    return _boxcar_mean(err, 2 * half_window + 1)
+    err = np.angle(symbols * np.conj(hard_decision_16qam(symbols)))
+    return _boxcar_mean(err, 2 * RESIDUAL_HALF_WINDOW + 1)
 
 
 def residual_cpr(payload: np.ndarray) -> np.ndarray:
@@ -165,7 +166,7 @@ def recover_carrier_phase(body: np.ndarray, layout: FrameLayout,
 
 
 def estimate_frequency_offset(rx_training: np.ndarray, known_training: np.ndarray,
-                              symbol_rate_hz: float, pad_factor: int = 8) -> float:
+                              symbol_rate_hz: float) -> float:
     """Data-aided frequency offset estimate from the training prefix.
 
     Strips modulation with the known sequence, then finds the tone that
@@ -176,7 +177,7 @@ def estimate_frequency_offset(rx_training: np.ndarray, known_training: np.ndarra
     if rx_training.shape != np.shape(known_training):
         raise ValueError("training and reference lengths differ")
     z = rx_training * np.conj(known_training)
-    n = z.size * pad_factor
+    n = z.size * FREQ_PAD_FACTOR
     spec = np.abs(np.fft.fft(z, n=n)) ** 2
     k = int(np.argmax(spec))
     # three-point parabolic refinement around the peak (log domain)
@@ -189,7 +190,8 @@ def estimate_frequency_offset(rx_training: np.ndarray, known_training: np.ndarra
 
 
 def correct_frequency_offset(symbols: np.ndarray, offset_hz: float,
-                             symbol_rate_hz: float, start_index: int = 0) -> np.ndarray:
-    """Derotate a symbol stream by a constant frequency offset."""
-    n = np.arange(start_index, start_index + len(symbols))
+                             symbol_rate_hz: float) -> np.ndarray:
+    """Derotate a symbol stream, from its first sample on, by a constant
+    frequency offset."""
+    n = np.arange(len(symbols))
     return symbols * np.exp(-2j * np.pi * offset_hz * n / symbol_rate_hz)

@@ -67,9 +67,10 @@ def ber_16qam(snr_db):
     return (3.0 / 8.0) * erfc(g) + 0.25 * erfc(3.0 * g) - (1.0 / 8.0) * erfc(5.0 * g)
 
 
-def snr_at_ber_16qam(target_ber: float, lo_db: float = 0.0, hi_db: float = 25.0) -> float:
-    """Channel SNR (dB) at which the 16QAM reference curve crosses target_ber."""
+def snr_at_ber_16qam(target_ber: float) -> float:
+    """Channel SNR (dB) at which the 16QAM reference curve crosses
+    target_ber, searched between 0 and 25 dB."""
     from scipy.optimize import brentq
     if not 0.0 < target_ber < 0.5:
         raise ValueError(f"target_ber must be in (0, 0.5), got {target_ber}")
-    return float(brentq(lambda s: ber_16qam(s) - target_ber, lo_db, hi_db))
+    return float(brentq(lambda s: ber_16qam(s) - target_ber, 0.0, 25.0))

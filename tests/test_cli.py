@@ -80,6 +80,11 @@ def test_unreadable_config_exits_2(tmp_path):
     ("cpr-penalty", {"baseline_a": 0}, "baseline_a"),
     ("sweep-a", {"dex_tolerance": None}, "dex_tolerance"),
     ("e2e-secure", {"loss_probability": 1.5}, "loss_probability"),
+    ("e2e-secure", {"eavesdropper": "false"}, "eavesdropper"),
+    ("keydist", {"onu_ids": "ab"}, "onu_ids"),
+    ("keydist", {"n_frames": 2.9}, "n_frames"),
+    ("keydist", {"n_frames": True}, "n_frames"),
+    ("keydist", {"snr_sc_db": True}, "snr_sc_db"),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, experiment, params, key):
     cfg = tmp_path / "cfg.json"
@@ -88,6 +93,18 @@ def test_malformed_number_exits_2(tmp_path, capsys, experiment, params, key):
     assert rc == EXIT_CONFIG
     assert f"config error: {key} must" in capsys.readouterr().err
     assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("cpr-penalty", {"target_ber": 0.01}),
+    ("fec-waterfall", {"max_iterations": 10}),
+])
+def test_fixed_settings_are_not_config_keys(tmp_path, capsys, experiment, params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(params))
+    rc = main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert f"unknown config keys {list(params)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_onus, message", [(3, "pilot budget"), (5, "oversubscribe")])
