@@ -15,6 +15,7 @@ from .experiments import (
     EXPERIMENT_NAMES,
     ConfigError,
     ExperimentSpec,
+    _whole,
     load_config,
     run_experiment,
 )
@@ -48,12 +49,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        config_seed = config.pop("seed", 12345)
-        seed = args.seed if args.seed is not None else config_seed
+        config_seed = _whole(config.pop("seed", 12345), "seed")
         spec = ExperimentSpec(
             name=args.experiment,
             params=config,
-            seed=int(seed),
+            seed=args.seed if args.seed is not None else config_seed,
             out_dir=args.out,
             jobs=args.jobs,
             check=args.check,

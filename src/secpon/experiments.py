@@ -191,13 +191,21 @@ def _numbers(value: Any, key: str) -> list[float]:
     return [_number(v, key) for v in value]
 
 
-def _count(value: Any, key: str, minimum: int = 1) -> int:
+def _whole(value: Any, key: str) -> int:
+    """A JSON number with no fractional part; JSON integers are kept exact."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
     n = _number(value, key)
     if not n.is_integer():
         raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(n)
+
+
+def _count(value: Any, key: str, minimum: int = 1) -> int:
+    n = _whole(value, key)
     if n < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return int(n)
+    return n
 
 
 def _flag(value: Any, key: str) -> bool:

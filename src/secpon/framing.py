@@ -32,6 +32,18 @@ _PAM4_GRAY_INV = np.argsort(_PAM4_GRAY).astype(np.uint8)   # label -> level inde
 _PAM4_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
 _QAM16_SCALE = 1.0 / np.sqrt(10.0)                          # unit mean symbol energy
 
+# 16QAM tables, each read with one gather.  A symbol's slicer index is
+# (I level index << 2) | Q level index; its label is its four bits
+# (I-high, I-low, Q-high, Q-low) read as one big-endian nibble.
+_QAM16_INDEX = np.arange(16)
+_QAM16_POINTS = (_PAM4_LEVELS[_QAM16_INDEX >> 2]
+                 + 1j * _PAM4_LEVELS[_QAM16_INDEX & 3]) * _QAM16_SCALE
+_QAM16_LABEL = (_PAM4_GRAY[_QAM16_INDEX >> 2] << 2) | _PAM4_GRAY[_QAM16_INDEX & 3]
+# index -> its four label bits, one byte each, packed into one word
+_QAM16_BITS = np.ascontiguousarray(
+    np.unpackbits(_QAM16_LABEL[:, None], axis=1)[:, 4:]).view("<u4")[:, 0]
+_QAM16_LABEL_POINTS = _QAM16_POINTS[np.argsort(_QAM16_LABEL)]      # label -> point
+
 
 @dataclass(frozen=True)
 class GcsPilotParams:
@@ -97,13 +109,26 @@ class FrameLayout:
         return self.training_len + self.body_len
 
     def pilot_body_positions(self) -> np.ndarray:
-        """Indices of pilots inside the frame body (training excluded)."""
-        return np.arange(self.n_pilots) * self.pilot_spacing
+        """Indices of pilots inside the frame body (training excluded);
+        read-only, shared by every caller with an equal layout."""
+        return _body_positions(self)[0]
 
     def payload_body_positions(self) -> np.ndarray:
-        mask = np.ones(self.body_len, dtype=bool)
-        mask[self.pilot_body_positions()] = False
-        return np.nonzero(mask)[0]
+        """Indices of payload symbols inside the frame body; read-only,
+        shared by every caller with an equal layout."""
+        return _body_positions(self)[1]
+
+
+@functools.lru_cache
+def _body_positions(layout: FrameLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Pilot and payload positions inside a layout's body, computed once."""
+    pilots = np.arange(layout.n_pilots) * layout.pilot_spacing
+    mask = np.ones(layout.body_len, dtype=bool)
+    mask[pilots] = False
+    payload = np.nonzero(mask)[0]
+    pilots.flags.writeable = False
+    payload.flags.writeable = False
+    return pilots, payload
 
 
 def upstream_layout() -> FrameLayout:
@@ -146,10 +171,9 @@ def map_payload_16qam(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.size % 4:
         raise ValueError(f"payload bit count must be a multiple of 4, got {bits.size}")
-    b = bits.reshape(-1, 4)
-    i_lv = _PAM4_LEVELS[_bits_to_level_idx(b[:, 0], b[:, 1])]
-    q_lv = _PAM4_LEVELS[_bits_to_level_idx(b[:, 2], b[:, 3])]
-    return (i_lv + 1j * q_lv) * _QAM16_SCALE
+    packed = np.packbits(bits.astype(np.uint8, copy=False))   # two labels per byte
+    labels = np.stack([packed >> 4, packed & 15], axis=1).reshape(-1)
+    return _QAM16_LABEL_POINTS.take(labels[:bits.size // 4])
 
 
 def _axis_level_idx(v: np.ndarray) -> np.ndarray:
@@ -159,25 +183,22 @@ def _axis_level_idx(v: np.ndarray) -> np.ndarray:
     return (v > -bound).astype(np.uint8) + (v > 0.0) + (v > bound)
 
 
+def _qam16_index(symbols: np.ndarray) -> np.ndarray:
+    """Slicer index (I level << 2) | Q level per symbol, in the input's
+    shape: one pass of the axis slicer over the interleaved (re, im) floats."""
+    symbols = np.asarray(symbols, dtype=complex)
+    lv = _axis_level_idx(symbols.ravel().view(np.float64))
+    return ((lv[0::2] << 2) | lv[1::2]).reshape(symbols.shape)
+
+
 def demap_payload_16qam(symbols: np.ndarray) -> np.ndarray:
     """Hard-decide 16QAM symbols back to bits (inverse of the mapper)."""
-    symbols = np.asarray(symbols)
-    i_lab = _PAM4_GRAY[_axis_level_idx(symbols.real)]
-    q_lab = _PAM4_GRAY[_axis_level_idx(symbols.imag)]
-    out = np.empty((symbols.size, 4), dtype=np.uint8)
-    out[:, 0] = i_lab >> 1
-    out[:, 1] = i_lab & 1
-    out[:, 2] = q_lab >> 1
-    out[:, 3] = q_lab & 1
-    return out.reshape(-1)
+    return _QAM16_BITS.take(_qam16_index(symbols).ravel()).view(np.uint8)
 
 
 def hard_decision_16qam(symbols: np.ndarray) -> np.ndarray:
     """Nearest constellation point for each received payload symbol."""
-    symbols = np.asarray(symbols)
-    i_lv = _PAM4_LEVELS[_axis_level_idx(symbols.real)]
-    q_lv = _PAM4_LEVELS[_axis_level_idx(symbols.imag)]
-    return (i_lv + 1j * q_lv) * _QAM16_SCALE
+    return _QAM16_POINTS.take(_qam16_index(symbols))
 
 
 def _axis_llrs(v: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:

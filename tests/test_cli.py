@@ -85,6 +85,9 @@ def test_unreadable_config_exits_2(tmp_path):
     ("keydist", {"n_frames": 2.9}, "n_frames"),
     ("keydist", {"n_frames": True}, "n_frames"),
     ("keydist", {"snr_sc_db": True}, "snr_sc_db"),
+    ("theory-curves", {"seed": "x"}, "seed"),
+    ("theory-curves", {"seed": 2.9}, "seed"),
+    ("theory-curves", {"seed": True}, "seed"),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, experiment, params, key):
     cfg = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """Experiment runner: grids, cell determinism, output files, checks."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -273,3 +274,32 @@ class TestSessionExperiments:
                               out_dir=tmp_path)
         with pytest.raises(ConfigError, match="agreement_band"):
             run_experiment(spec)
+
+
+# Full CSV sha256 of small fixed-seed runs (seed 901, check on).  Any change
+# that moves them changes a claimed output and must say why.  The CSVs hold
+# floats from numpy and libm, so a different numpy or C library may move
+# them without a code change.
+_FIXED_SEED_CSV_SHA256 = [
+    ("cpr-penalty", {"a_values": [1.7], "linewidths_hz": [1e5], "n_symbols": 30000,
+                     "scan_snrs_db": [12.2, 13.0, 13.8]},
+     "a3155dc556565b44942b5167da0e7bcd9d946a21dd2ef88c5b56616d6ec49e09"),
+    ("keydist", {"n_frames": 4},
+     "2aa3ef18f8bba0d8ad1eca6d3e5f59a1442d5502f3fe19ea55d69a5f9df72304"),
+    ("keydist", {"n_frames": 6, "snr_sc_db": None, "linewidth_hz": 0.0},
+     "3ca5814145c1304d11a26ef39cedcb29863fbb030629dcb2396ee4e6bf2b3e11"),
+    ("e2e-secure", {"n_superframes": 2},
+     "e7cedb14c4b132da922b1e7973afc594c5964c51414528b0e924ee4498781e00"),
+    ("fec-waterfall", {"ldpc_snrs_db": [12.3434], "polar_snrs_db": [12.3434],
+                       "n_codewords_ldpc": 4, "n_codewords_polar": 20,
+                       "op_snr_db": 12.3434},
+     "136a1a848413c5da7368008603c9697b4a55871a57f8c7c1ae277624a6343952"),
+]
+
+
+@pytest.mark.parametrize("name, params, digest", _FIXED_SEED_CSV_SHA256,
+                         ids=[f"{n}-{i}" for i, (n, _, _) in enumerate(_FIXED_SEED_CSV_SHA256)])
+def test_fixed_seed_csv_bytes(tmp_path, name, params, digest):
+    result = run_experiment(ExperimentSpec(name, params, seed=901,
+                                           out_dir=tmp_path, check=True))
+    assert hashlib.sha256(result.csv_path.read_bytes()).hexdigest() == digest

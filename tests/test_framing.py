@@ -113,6 +113,78 @@ class TestQam16Properties:
         assert np.array_equal(hard_decision_16qam(points), points)
 
 
+# The per-axis 16QAM bodies the table slicer replaced, kept as references:
+# the tables must reproduce them bit for bit.
+def _ref_bits_to_level_idx(hi, lo):
+    return framing._PAM4_GRAY_INV[(hi.astype(np.uint8) << 1) | lo.astype(np.uint8)]
+
+
+def _ref_map(bits):
+    b = np.asarray(bits).reshape(-1, 4)
+    i_lv = framing._PAM4_LEVELS[_ref_bits_to_level_idx(b[:, 0], b[:, 1])]
+    q_lv = framing._PAM4_LEVELS[_ref_bits_to_level_idx(b[:, 2], b[:, 3])]
+    return (i_lv + 1j * q_lv) * framing._QAM16_SCALE
+
+
+def _ref_demap(symbols):
+    """1-D input only."""
+    symbols = np.asarray(symbols)
+    i_lab = framing._PAM4_GRAY[framing._axis_level_idx(symbols.real)]
+    q_lab = framing._PAM4_GRAY[framing._axis_level_idx(symbols.imag)]
+    out = np.empty((symbols.size, 4), dtype=np.uint8)
+    out[:, 0] = i_lab >> 1
+    out[:, 1] = i_lab & 1
+    out[:, 2] = q_lab >> 1
+    out[:, 3] = q_lab & 1
+    return out.reshape(-1)
+
+
+def _ref_hard_decision(symbols):
+    symbols = np.asarray(symbols)
+    i_lv = framing._PAM4_LEVELS[framing._axis_level_idx(symbols.real)]
+    q_lv = framing._PAM4_LEVELS[framing._axis_level_idx(symbols.imag)]
+    return (i_lv + 1j * q_lv) * framing._QAM16_SCALE
+
+
+def _received(re, im, form):
+    """Slicer input of the given form built from the drawn axis values."""
+    y = np.empty(len(re), dtype=complex)
+    y.real, y.imag = re, im
+    if form == "real":
+        return np.array(re)
+    if form == "strided":
+        wide = np.zeros(2 * y.size, dtype=complex)
+        wide[::2] = y
+        return wide[::2]
+    if form == "2-D":
+        return np.stack([y, y[::-1]])
+    return y
+
+
+_AXIS_VALUE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(_EDGES))
+
+
+class TestQam16TablesMatchPerAxisSlicer:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_AXIS_VALUE, _AXIS_VALUE), min_size=1, max_size=32),
+           st.sampled_from(["complex", "real", "strided", "2-D"]))
+    def test_slicing(self, pairs, form):
+        re, im = (np.array(axis) for axis in zip(*pairs))
+        y = _received(re, im, form)
+        dec, ref = hard_decision_16qam(y), _ref_hard_decision(y)
+        assert dec.shape == ref.shape
+        assert np.array_equal(dec.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(demap_payload_16qam(y), _ref_demap(np.ravel(y)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_QAM16_BITS, st.sampled_from([np.uint8, np.int64, bool]), st.booleans())
+    def test_mapping(self, bits, dtype, two_d):
+        bits = bits.astype(dtype).reshape(-1, 4) if two_d else bits.astype(dtype)
+        assert np.array_equal(map_payload_16qam(bits).view(np.int64),
+                              _ref_map(bits).view(np.int64))
+
+
 class TestPilotConstellation:
     def test_points_and_normalization(self):
         p = GcsPilotParams(a=1.7)
@@ -197,6 +269,12 @@ class TestFrameLayout:
         assert ds.total_len == 9399
         assert us.pilot_body_positions()[0] == 0
         assert us.pilot_body_positions()[-1] == 278 * 32
+
+    def test_positions_are_read_only(self):
+        with pytest.raises(ValueError):
+            upstream_layout().payload_body_positions()[0] = 1
+        with pytest.raises(ValueError):
+            upstream_layout().pilot_body_positions()[0] = 1
 
     def test_net_rates(self):
         assert net_rate_gbps(upstream_layout()) == pytest.approx(200.08, abs=0.01)
