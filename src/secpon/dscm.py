@@ -4,8 +4,8 @@ shifting, aggregation, and receiver-side subcarrier selection.
 Everything happens on the spectrum of the whole burst.  ``mux`` takes the
 m-point FFT of each lit subcarrier's m symbols; upsampling by sps repeats
 that spectrum sps times, so bin b of the shaped subcarrier is
-``X[b % m] * h[b]``.  Each subcarrier's root-raised-cosine band, weighted,
-is written around its center bin of one n-point aggregate spectrum
+``X[b % m] * h[b]``.  Each subcarrier's root-raised-cosine band is
+written around its center bin of one n-point aggregate spectrum
 (n = m * sps), and a single inverse FFT gives the waveform.  Dark
 (all-zero) subcarriers are skipped.
 
@@ -25,10 +25,6 @@ under a megahertz here), which keeps the shifts circular.  At some burst
 lengths, including both frame lengths, the snapped bands of adjacent
 subcarriers share their outermost bin; the crosstalk through it is tiny
 (about -170 dB at the downstream frame length) but not zero.
-
-Power weights scale each subcarrier's transmit amplitude; the demux
-undoes the weight, so a weighted subcarrier trades noise for power and
-its post-demux SNR scales by exactly the weight ratio.
 """
 
 from __future__ import annotations
@@ -58,17 +54,10 @@ class DscmPlan:
     spacing_hz: float = SUBCARRIER_SPACING
     rolloff: float = RRC_ROLLOFF
     samples_per_symbol: int = SAMPLES_PER_SYMBOL
-    weights: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n_subcarriers < 1:
             raise ValueError("need at least one subcarrier")
-        if not self.weights:
-            object.__setattr__(self, "weights", (1.0,) * self.n_subcarriers)
-        if len(self.weights) != self.n_subcarriers:
-            raise ValueError("one weight per subcarrier required")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
         if not 0 < self.rolloff <= 1:
             raise ValueError("rolloff must be in (0, 1]")
         if self.spacing_hz < self.baud_per_sc * (1 + self.rolloff) - 1e-6:
@@ -119,7 +108,7 @@ def _center_bin(plan: DscmPlan, sc_index: int, n_samples: int) -> int:
 
 
 def mux(subcarrier_streams: list[SymbolStream], plan: DscmPlan | None = None) -> SymbolStream:
-    """Shape, shift, weight, and sum the subcarriers into one waveform."""
+    """Shape, shift and sum the subcarriers into one waveform."""
     plan = plan or DscmPlan()
     if len(subcarrier_streams) != plan.n_subcarriers:
         raise ValueError(f"expected {plan.n_subcarriers} streams, got {len(subcarrier_streams)}")
@@ -137,7 +126,7 @@ def mux(subcarrier_streams: list[SymbolStream], plan: DscmPlan | None = None) ->
             continue            # a dark subcarrier adds exactly nothing
         # the upsampled symbols' spectrum is theirs repeated sps times
         shaped = np.fft.fft(s.symbols)[band % n_sym] * mag
-        spectrum[(band + _center_bin(plan, k, n)) % n] += np.sqrt(plan.weights[k]) * shaped
+        spectrum[(band + _center_bin(plan, k, n)) % n] += shaped
     return SymbolStream(symbols=np.fft.ifft(spectrum), symbol_rate_hz=plan.sample_rate_hz)
 
 
@@ -159,18 +148,19 @@ def demux_select(samples: SymbolStream, sc_index: int, plan: DscmPlan | None = N
     fold = band % n_sym
     folded = (np.bincount(fold, filtered.real, n_sym)
               + 1j * np.bincount(fold, filtered.imag, n_sym))
-    symbols = np.fft.ifft(folded) / np.sqrt(plan.weights[sc_index])
+    symbols = np.fft.ifft(folded)
     return SymbolStream(symbols=symbols, symbol_rate_hz=plan.baud_per_sc)
 
 
-def aggregate_snr_db(plan: DscmPlan, sc_index: int, snr_sc_db: float) -> float:
-    """Aggregate-waveform SNR that yields the target post-demux SNR.
+def aggregate_snr_db(plan: DscmPlan, snr_sc_db: float) -> float:
+    """Aggregate-waveform SNR that yields the target post-demux SNR on
+    every subcarrier.
 
     Assumes every subcarrier carries streams of unit mean symbol power.
     Useful for driving a channel whose noise level is set against the
     measured aggregate power.
     """
     sps = plan.samples_per_symbol
-    agg_power = sum(plan.weights) / sps ** 2
-    noise_var = plan.weights[sc_index] / (sps * 10 ** (snr_sc_db / 10))
+    agg_power = plan.n_subcarriers / sps ** 2
+    noise_var = 1 / (sps * 10 ** (snr_sc_db / 10))
     return 10 * np.log10(agg_power / noise_var)

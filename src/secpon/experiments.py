@@ -31,6 +31,7 @@ import csv
 import functools
 import io
 import json
+import math
 import numbers
 import subprocess
 import time
@@ -178,7 +179,13 @@ def _params(spec: ExperimentSpec, table: dict[str, tuple[Any, _Parser]]) -> dict
 def _number(value: Any, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:       # a JSON integer too large for a float
+        x = math.inf
+    if not math.isfinite(x):    # JSON reads Infinity, NaN and 1e400 as floats
+        raise ConfigError(f"{key} must be a finite number")
+    return x
 
 
 def _optional_number(value: Any, key: str) -> float | None:
@@ -643,7 +650,7 @@ def _channel(p: dict[str, Any], snr_key: str, seed: int, tag: str) -> ChannelCon
     per-subcarrier SNR, or None for no noise."""
     snr_sc = p[snr_key]
     return ChannelConfig(
-        snr_db=None if snr_sc is None else aggregate_snr_db(DscmPlan(), 0, snr_sc),
+        snr_db=None if snr_sc is None else aggregate_snr_db(DscmPlan(), snr_sc),
         linewidth_hz=p["linewidth_hz"],
         freq_offset_hz=p["freq_offset_hz"],
         seed=_cell_seed(seed, tag)[1],

@@ -149,15 +149,6 @@ def crc11(bits: np.ndarray, poly: tuple[int, ...] = CRC11_POLY) -> np.ndarray:
     return out
 
 
-def crc11_check(bits_with_crc: np.ndarray, poly: tuple[int, ...] = CRC11_POLY) -> bool:
-    """True when the trailing CRC matches the leading message."""
-    bits_with_crc = np.asarray(bits_with_crc).astype(np.uint8)
-    deg = len(poly) - 1
-    if bits_with_crc.size <= deg:
-        raise ValueError("message shorter than its checksum")
-    return bool(np.array_equal(crc11(bits_with_crc[:-deg], poly), bits_with_crc[-deg:]))
-
-
 @dataclass(frozen=True)
 class PolarCode:
     """Code description: block length, frozen set, CRC, list size."""

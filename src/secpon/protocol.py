@@ -34,11 +34,16 @@ fragment that fails its CRC is simply dropped and retransmitted on the
 next cadence; no activation can happen without a valid CRC on both
 fragments and a decrypted echo, which is what keeps a lossy control
 channel from ever desynchronizing the two stores.
+
+Reports.  Each runner returns a ``SessionReport``: one ``FrameMetrics``
+row per subcarrier and frame, which the session experiments write as
+their CSV, and counters for the key channel (keys assembled, CRC
+failures, lost fragments, key mismatches, rotations) and the
+eavesdropper.  Those counters are the whole record of the key channel.
 """
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass, field
 
@@ -209,22 +214,10 @@ class FrameMetrics:
 
 
 @dataclass
-class KeyEventRecord:
-    frame_index: int
-    onu_id: str
-    event: str
-    seq: int
-    detail: str = ""
-
-
-@dataclass
 class SessionReport:
     """Counters and per-frame metrics from one protocol run."""
 
-    direction: str
-    n_frames: int = 0
     frame_metrics: list[FrameMetrics] = field(default_factory=list)
-    key_events: list[KeyEventRecord] = field(default_factory=list)
     pre_bits_transmitted: int = 0
     post_bits_transmitted: int = 0
     crc_failures: int = 0
@@ -248,19 +241,6 @@ class SessionReport:
             return float("nan")
         return 1.0 - self.eavesdropper_errors / self.eavesdropper_bits
 
-    def per_sc_summary(self) -> dict[int, dict[str, float]]:
-        out: dict[int, dict[str, float]] = {}
-        for sc in sorted({m.sc for m in self.frame_metrics}):
-            rows = [m for m in self.frame_metrics if m.sc == sc]
-            pre = sum(m.pre_bits for m in rows)
-            post = sum(m.post_bits for m in rows)
-            out[sc] = {
-                "pre_fec_ber": sum(m.pre_errors for m in rows) / pre if pre else float("nan"),
-                "post_fec_ber": sum(m.post_errors for m in rows) / post if post else float("nan"),
-                "cycle_slips": float(sum(m.cycle_slips for m in rows)),
-            }
-        return out
-
     def validate(self) -> None:
         """Every transmitted bit must have been compared exactly once."""
         pre = sum(m.pre_bits for m in self.frame_metrics)
@@ -269,30 +249,6 @@ class SessionReport:
             raise AssertionError(
                 f"compared {pre}/{post} bits but transmitted "
                 f"{self.pre_bits_transmitted}/{self.post_bits_transmitted}")
-
-    def to_json(self) -> str:
-        def clean(x: float) -> float | None:
-            return None if np.isnan(x) else x
-        doc = {
-            "direction": self.direction,
-            "n_frames": self.n_frames,
-            "pre_fec_ber": clean(self.pre_fec_ber()),
-            "post_fec_ber": clean(self.post_fec_ber()),
-            "crc_failures": self.crc_failures,
-            "fragments_lost": self.fragments_lost,
-            "keys_assembled": self.keys_assembled,
-            "key_mismatches": self.key_mismatches,
-            "rotations": self.rotations,
-            "eavesdropper_bits": self.eavesdropper_bits,
-            "eavesdropper_agreement": clean(self.eavesdropper_agreement()),
-            "per_sc": {str(k): v for k, v in self.per_sc_summary().items()},
-            "key_events": [
-                {"frame": e.frame_index, "onu": e.onu_id, "event": e.event,
-                 "seq": e.seq, "detail": e.detail}
-                for e in self.key_events
-            ],
-        }
-        return json.dumps(doc, indent=2, allow_nan=True)
 
 
 def _echo_bits(value: int) -> np.ndarray:
@@ -369,15 +325,12 @@ def _correct_onu_offset(aggregate: SymbolStream, session: OnuSession,
     return SymbolStream(fixed, aggregate.symbol_rate_hz)
 
 
-def _start_fragment_cycle(session: OnuSession, seed: int, frame: int,
-                          report: SessionReport) -> None:
+def _start_fragment_cycle(session: OnuSession, seed: int) -> None:
     if session.onu_store.pending_key is None:
         seq = session.onu_store.next_seq
         key = random_session_key(seq, _rng(seed, _KEYGEN, _stable_id(session.onu_id), seq, 1))
         session.onu_store.add_pending(key)
         session.tx_phase = 0
-        report.key_events.append(KeyEventRecord(frame, session.onu_id,
-                                                "key_generated", key.seq))
 
 
 def run_upstream_keydist(sessions: list[OnuSession], cfg: ChannelConfig,
@@ -391,14 +344,13 @@ def run_upstream_keydist(sessions: list[OnuSession], cfg: ChannelConfig,
     after assembly (the in-band echo path lives in the downstream
     runner).
     """
-    report = SessionReport(direction="upstream", n_frames=n_frames)
+    report = SessionReport()
     for f in range(n_frames):
         metrics = _upstream_frame(sessions, cfg, f, seed, loss_probability, report)
         report.frame_metrics += metrics
         report.pre_bits_transmitted += sum(m.pre_bits for m in metrics)
         for session in sessions:
-            _ideal_ack_activation(session, session.codeword_counter, f, report)
-        report.n_frames = f + 1
+            _ideal_ack_activation(session, session.codeword_counter, report)
     report.validate()
     return report
 
@@ -418,15 +370,12 @@ def _upstream_frame(sessions, cfg, f, seed, loss_probability, report) -> list[Fr
     sent: list[dict[int, np.ndarray]] = []
     onu_waves = []
     for idx, session in enumerate(sessions):
-        _start_fragment_cycle(session, seed, f, report)
+        _start_fragment_cycle(session, seed)
         key = session.onu_store.pending_key
         fragment = split_key(key.bits, key.seq)[session.tx_phase]
         coded = KeyCodeword.from_payload(fragment.to_bits(), POLAR).coded_bits
         key_bits = np.zeros(n * len(session.key_subcarriers), dtype=np.uint8)
         key_bits[:coded.size] = coded
-        report.key_events.append(KeyEventRecord(
-            f, session.onu_id, "fragment_sent", fragment.seq,
-            f"index={fragment.fragment_index}"))
         tx: dict[int, np.ndarray] = {}
         frames = {}
         for j, sc in enumerate(session.subcarriers):
@@ -467,64 +416,44 @@ def _upstream_frame(sessions, cfg, f, seed, loss_probability, report) -> list[Fr
     kept = [row for row, gone in zip(llrs, lost) if not gone]
     decoded = zip(*polar_decode_scl(np.stack(kept), POLAR)) if kept else iter(())
     for session, gone in zip(sessions, lost):
-        _receive_fragment(session, None if gone else next(decoded), f, report)
+        _receive_fragment(session, None if gone else next(decoded), report)
     return metrics
 
 
 def _receive_fragment(session: OnuSession, decoded: tuple[np.ndarray, bool] | None,
-                      frame: int, report: SessionReport) -> None:
+                      report: SessionReport) -> None:
     """CRC-gated fragment intake on the OLT side of one session.
 
     ``decoded`` is the polar decoder's (payload, CRC flag) for the
-    session's fragment, or None when the fragment was lost.
+    session's fragment, or None when the fragment was lost.  A fragment
+    that passes its CRC but carries a sequence number other than the one
+    the OLT expects next is dropped.
     """
-    next_seq = session.olt_store.next_seq
     if decoded is None:
         report.fragments_lost += 1
-        report.key_events.append(KeyEventRecord(frame, session.onu_id,
-                                                "fragment_lost", next_seq))
     else:
         payload, crc_ok = decoded
-        if not crc_ok:
+        try:
+            msg = KeyFragmentMessage.from_bits(payload) if crc_ok else None
+        except ValueError:          # nonzero padding under a passing CRC
+            msg = None
+        if msg is None:
             report.crc_failures += 1
-            report.key_events.append(KeyEventRecord(frame, session.onu_id,
-                                                    "fragment_crc_fail", next_seq))
-        else:
-            try:
-                msg = KeyFragmentMessage.from_bits(payload)
-            except ValueError:
-                report.crc_failures += 1
-                report.key_events.append(KeyEventRecord(
-                    frame, session.onu_id, "fragment_malformed", next_seq))
-            else:
-                if msg.seq == next_seq:
-                    session.rx_fragments[msg.fragment_index] = msg
-                elif msg.seq < next_seq:
-                    report.key_events.append(KeyEventRecord(
-                        frame, session.onu_id, "fragment_stale", msg.seq))
-                else:
-                    report.key_events.append(KeyEventRecord(
-                        frame, session.onu_id, "fragment_unexpected_seq", msg.seq))
+        elif msg.seq == session.olt_store.next_seq:
+            session.rx_fragments[msg.fragment_index] = msg
     if len(session.rx_fragments) == 2:
         key = assemble_key(session.rx_fragments[0], session.rx_fragments[1])
         session.rx_fragments.clear()
         report.keys_assembled += 1
         if not np.array_equal(key.bits, session.onu_store.pending_key.bits):
             report.key_mismatches += 1
-            report.key_events.append(KeyEventRecord(frame, session.onu_id,
-                                                    "key_mismatch", key.seq))
         session.olt_store.add_pending(key)
-        report.key_events.append(KeyEventRecord(frame, session.onu_id,
-                                                "key_assembled", key.seq))
     else:
         # cadence over with fragments missing: resend the pair
-        if session.tx_phase == 1:
-            session.tx_phase = 0
-        else:
-            session.tx_phase = 1
+        session.tx_phase ^= 1
 
 
-def _ideal_ack_activation(session: OnuSession, boundary: int, frame: int,
+def _ideal_ack_activation(session: OnuSession, boundary: int,
                           report: SessionReport) -> None:
     pending = session.olt_store.pending_seqs()
     if not pending:
@@ -533,8 +462,6 @@ def _ideal_ack_activation(session: OnuSession, boundary: int, frame: int,
     session.olt_store.activate(seq, boundary)
     session.onu_store.activate(seq, boundary)
     report.rotations += 1
-    report.key_events.append(KeyEventRecord(frame, session.onu_id, "key_activated",
-                                            seq, f"codeword={boundary}"))
 
 
 def run_downstream_encrypted(sessions: list[OnuSession], cfg: ChannelConfig,
@@ -550,10 +477,9 @@ def run_downstream_encrypted(sessions: list[OnuSession], cfg: ChannelConfig,
     for s in sessions:
         if s.olt_store.active_key is None or s.onu_store.active_key is None:
             raise ValueError(f"{s.onu_id}: downstream needs an active key on both sides")
-    report = SessionReport(direction="downstream", n_frames=n_frames)
+    report = SessionReport()
     for f in range(n_frames):
         _downstream_frame(sessions, cfg, f, seed, eavesdropper, report)
-        report.n_frames = f + 1
     report.validate()
     return report
 
@@ -585,8 +511,6 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                 session.codeword_counter += 1
                 if echo != ECHO_NONE:
                     session.olt_store.activate(echo, c + 1)
-                    report.key_events.append(KeyEventRecord(
-                        f, session.onu_id, "olt_activated", echo, f"codeword={c + 1}"))
             tx[sc] = (np.concatenate(coded), codewords)
             frames[sc] = transmit_subcarrier(
                 _pilot_bits(seed, _SIGNS, f, sc, n), _pilot_bits(seed, _PILOT2, f, sc, n),
@@ -624,8 +548,6 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                             and echo in session.onu_store.pending_seqs():
                         session.onu_store.activate(echo, c + 1)
                         report.rotations += 1
-                        report.key_events.append(KeyEventRecord(
-                            f, session.onu_id, "onu_activated", echo, f"codeword={c + 1}"))
                 data_bits = len(codewords) * DATA_BITS_PER_CODEWORD
                 if eve_key is not None:
                     report.eavesdropper_bits += data_bits
@@ -651,12 +573,11 @@ def run_secure_session(sessions: list[OnuSession], us_cfg: ChannelConfig,
     both stores rotate at the boundary after it.  The run asserts OLT
     and ONU agree on the active key after every superframe.
     """
-    report = SessionReport(direction="secure-session", n_frames=n_superframes)
+    report = SessionReport()
     for f in range(n_superframes):
         _upstream_frame(sessions, us_cfg, f, seed, loss_probability, report)
         _downstream_frame(sessions, ds_cfg, f, seed, eavesdropper, report)
         if not active_keys_synchronized(sessions):
             raise AssertionError(f"active keys desynchronized after superframe {f}")
-        report.n_frames = f + 1
     report.validate()
     return report

@@ -47,19 +47,17 @@ def _boxcar_mean(x: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(x, np.ones(window), mode="same") / _boxcar_counts(len(x), window)
 
 
-def pilot_phase_estimates(rx_pilots: np.ndarray, reference: np.ndarray,
-                          unwrap: bool = True) -> np.ndarray:
+def pilot_phase_estimates(rx_pilots: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Per-pilot phase: arg of received pilot minus arg of reference.
 
     Unwrapping removes 2*pi jumps between consecutive estimates so the
-    sequence can be interpolated; pass ``unwrap=False`` for the raw
-    wrapped angles.
+    sequence can be interpolated.
     """
     rx_pilots = np.asarray(rx_pilots)
     if rx_pilots.shape != np.shape(reference):
         raise ValueError("pilot and reference lengths differ")
     psi = np.angle(rx_pilots * np.conj(reference))
-    return np.unwrap(psi) if unwrap else psi
+    return np.unwrap(psi)
 
 
 def count_cycle_slips(estimates: np.ndarray) -> int:
@@ -85,33 +83,18 @@ def smooth_phase_estimates(estimates: np.ndarray, window: int = PILOT_SMOOTHING)
     return _boxcar_mean(estimates, window)
 
 
-def interpolate_phase(estimates: np.ndarray, pilot_positions: np.ndarray,
-                      target_positions: np.ndarray, mode: str = "linear") -> np.ndarray:
-    """Extend pilot-rate phase estimates to arbitrary symbol positions.
-
-    ``linear`` interpolates between neighboring pilots and clamps to the
-    nearest estimate beyond the first/last pilot; ``hold`` keeps each
-    pilot's estimate until the next one.
-    """
-    if mode == "linear":
-        return np.interp(target_positions, pilot_positions, estimates)
-    if mode == "hold":
-        idx = np.searchsorted(pilot_positions, target_positions, side="right") - 1
-        return estimates[np.clip(idx, 0, len(estimates) - 1)]
-    raise ValueError(f"unknown interpolation mode {mode!r}")
-
-
 def apply_pilot_phase(payload: np.ndarray, estimates: np.ndarray,
                       layout: FrameLayout) -> np.ndarray:
-    """Rotate payload symbols by the linearly interpolated pilot phase
-    estimates."""
+    """Rotate payload symbols by the pilot phase estimates, interpolated
+    linearly between pilots and held at the nearest pilot beyond the
+    first and last."""
     payload = np.asarray(payload)
     if payload.size != layout.payload_len:
         raise ValueError(f"expected {layout.payload_len} payload symbols, got {payload.size}")
     if np.size(estimates) != layout.n_pilots:
         raise ValueError(f"expected {layout.n_pilots} pilot estimates, got {np.size(estimates)}")
-    phase = interpolate_phase(np.asarray(estimates), layout.pilot_body_positions(),
-                              layout.payload_body_positions())
+    phase = np.interp(layout.payload_body_positions(), layout.pilot_body_positions(),
+                      estimates)
     return payload * np.exp(-1j * phase)
 
 

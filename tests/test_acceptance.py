@@ -30,7 +30,7 @@ PLAN = DscmPlan()
 
 
 def _agg(snr_sc_db):
-    return aggregate_snr_db(PLAN, 0, snr_sc_db)
+    return aggregate_snr_db(PLAN, snr_sc_db)
 
 
 def _done(n, detail):

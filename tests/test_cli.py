@@ -88,6 +88,9 @@ def test_unreadable_config_exits_2(tmp_path):
     ("theory-curves", {"seed": "x"}, "seed"),
     ("theory-curves", {"seed": 2.9}, "seed"),
     ("theory-curves", {"seed": True}, "seed"),
+    ("keydist", {"linewidth_hz": 10 ** 400}, "linewidth_hz"),
+    ("keydist", {"linewidth_hz": float("inf")}, "linewidth_hz"),
+    ("e2e-secure", {"ds_snr_sc_db": float("nan")}, "ds_snr_sc_db"),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, experiment, params, key):
     cfg = tmp_path / "cfg.json"

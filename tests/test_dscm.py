@@ -37,13 +37,13 @@ def _occupied_band_hz(plan):
     return plan.baud_per_sc * (1 + plan.rolloff)
 
 
-def _symbol_noise_variance(aggregate_noise_variance, plan, sc_index):
+def _symbol_noise_variance(aggregate_noise_variance, plan):
     """Post-demux per-symbol complex noise variance for white input noise.
 
     Decimation folds the full band back, so the variance grows by the
-    oversampling factor; the weight normalization then rescales it.
+    oversampling factor.
     """
-    return aggregate_noise_variance * plan.samples_per_symbol / plan.weights[sc_index]
+    return aggregate_noise_variance * plan.samples_per_symbol
 
 
 def _qpsk_streams(n_sym, seed=0, count=None, baud=PLAN.baud_per_sc):
@@ -87,14 +87,14 @@ def _reference_tone(n, plan, k):
 
 def _reference_mux(streams, plan):
     """Time domain: upsample by spectral tiling, shape, shift each
-    subcarrier with its own tone, weight and sum."""
+    subcarrier with its own tone and sum."""
     sps = plan.samples_per_symbol
     n = streams[0].symbols.size * sps
     h = _reference_rrc(n, plan)
     total = np.zeros(n, dtype=complex)
     for k, s in enumerate(streams):
         base = np.fft.ifft(np.tile(np.fft.fft(s.symbols), sps) * h)
-        total += np.sqrt(plan.weights[k]) * base * _reference_tone(n, plan, k)
+        total += base * _reference_tone(n, plan, k)
     return total
 
 
@@ -104,7 +104,7 @@ def _reference_demux(samples, k, plan):
     down = samples * np.conj(_reference_tone(n, plan, k))
     filtered = np.fft.ifft(np.fft.fft(down) * _reference_rrc(n, plan))
     sps = plan.samples_per_symbol
-    return filtered[::sps] * (sps / np.sqrt(plan.weights[k]))
+    return filtered[::sps] * sps
 
 
 class TestPlan:
@@ -113,7 +113,6 @@ class TestPlan:
         assert PLAN.baud_per_sc == 8e9
         assert PLAN.sample_rate_hz == 64e9
         assert _occupied_band_hz(PLAN) == pytest.approx(8.8e9)
-        assert PLAN.weights == (1.0, 1.0, 1.0, 1.0)
 
     def test_centers_symmetric_on_spacing_grid(self):
         c = PLAN.center_frequencies
@@ -123,12 +122,6 @@ class TestPlan:
     def test_rejects_narrow_spacing(self):
         with pytest.raises(ValueError):
             DscmPlan(spacing_hz=8.5e9)
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            DscmPlan(weights=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            DscmPlan(weights=(1.0, -1.0, 1.0, 1.0))
 
     def test_rejects_band_beyond_nyquist(self):
         with pytest.raises(ValueError):
@@ -153,14 +146,6 @@ class TestRoundtrip:
         for k, back in enumerate(_demux_all(agg, PLAN)):
             assert _evm(back.symbols, streams[k].symbols) < 1e-6
 
-    def test_weighted_plan_roundtrip_is_still_exact(self):
-        plan = DscmPlan(weights=(0.5, 1.0, 2.0, 1.0))
-        streams = _qpsk_streams(2048, seed=3)
-        agg = mux(streams, plan)
-        for k in range(4):
-            back = demux_select(agg, k, plan)
-            assert _evm(back.symbols, streams[k].symbols) < 1e-6
-
     def test_linearity(self):
         a = _qpsk_streams(1024, seed=4)
         b = _qpsk_streams(1024, seed=5)
@@ -174,27 +159,24 @@ class TestRoundtrip:
 
     @settings(max_examples=30, deadline=None)
     @given(n_sym=st.integers(64, 4096),
-           weights=st.tuples(*[st.floats(0.25, 4.0)] * 4),
            lit=st.tuples(*[st.booleans()] * 4).filter(any))
-    def test_noiseless_roundtrip_exact_but_for_shared_edge_bins(self, n_sym, weights, lit):
+    def test_noiseless_roundtrip_exact_but_for_shared_edge_bins(self, n_sym, lit):
         """Lit subcarriers come back with EVM below 1e-9 and dark ones with
         power below 1e-20, plus at most the crosstalk through bins where a
         lit neighbour's band meets this one.  Centers snap to the burst's
         bin grid, so at some lengths adjacent bands share their edge bin;
         with unit-modulus symbols, neighbour j adds at most an amplitude of
-        sqrt(w_j / w_k * sum of (h_j h_k)^2 over the shared bins)."""
-        plan = DscmPlan(weights=weights)
+        sqrt(sum of (h_j h_k)^2 over the shared bins)."""
         streams = _dark(_qpsk_streams(n_sym, seed=n_sym),
                         [k for k in range(4) if not lit[k]])
-        agg = mux(streams, plan)
+        agg = mux(streams, PLAN)
         n = agg.symbols.size
-        band, mag = _rrc_band(n, plan)
-        gain = [dict(zip(((band + _center_bin(plan, k, n)) % n).tolist(), mag))
+        band, mag = _rrc_band(n, PLAN)
+        gain = [dict(zip(((band + _center_bin(PLAN, k, n)) % n).tolist(), mag))
                 for k in range(4)]
-        for k, back in enumerate(_demux_all(agg, plan)):
-            leak = [np.sqrt(plan.weights[j] / plan.weights[k]
-                            * sum((gain[j][b] * gain[k][b]) ** 2
-                                  for b in gain[j].keys() & gain[k].keys()))
+        for k, back in enumerate(_demux_all(agg, PLAN)):
+            leak = [np.sqrt(sum((gain[j][b] * gain[k][b]) ** 2
+                                for b in gain[j].keys() & gain[k].keys()))
                     for j in range(4) if j != k and lit[j]]
             err = np.mean(np.abs(back.symbols - streams[k].symbols) ** 2)
             assert err <= (1e-18 if lit[k] else 1e-20) + sum(leak) ** 2
@@ -202,16 +184,18 @@ class TestRoundtrip:
 
 class TestMatchesTimeDomainReference:
     @pytest.mark.parametrize("n_sym", [9399, 9335])
-    @pytest.mark.parametrize("weights", [(), (0.5, 1.0, 2.0, 1.0)])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0, 1.0), (0.5, 1.0, 2.0, 1.0)])
     @pytest.mark.parametrize("dark", [(), (1, 3)], ids=["all-lit", "two-dark"])
     def test_mux_and_demux_match_reference(self, n_sym, weights, dark):
-        plan = DscmPlan(weights=weights)
-        streams = _dark(_qpsk_streams(n_sym, seed=n_sym), dark)
-        agg = mux(streams, plan)
-        assert np.max(np.abs(agg.symbols - _reference_mux(streams, plan))) <= 1e-10
-        for k in range(plan.n_subcarriers):
-            got = demux_select(agg, k, plan).symbols
-            assert np.max(np.abs(got - _reference_demux(agg.symbols, k, plan))) <= 1e-10
+        """``weights`` are the subcarriers' launch powers, as from ONUs
+        transmitting at different levels."""
+        streams = [SymbolStream(np.sqrt(w) * s.symbols, s.symbol_rate_hz)
+                   for w, s in zip(weights, _dark(_qpsk_streams(n_sym, seed=n_sym), dark))]
+        agg = mux(streams, PLAN)
+        assert np.max(np.abs(agg.symbols - _reference_mux(streams, PLAN))) <= 1e-10
+        for k in range(PLAN.n_subcarriers):
+            got = demux_select(agg, k, PLAN).symbols
+            assert np.max(np.abs(got - _reference_demux(agg.symbols, k, PLAN))) <= 1e-10
 
 
 class TestSharedSpectrum:
@@ -279,37 +263,21 @@ class TestSpectrum:
 class TestNoiseCalibration:
     def test_post_demux_noise_variance_matches_prediction(self):
         rng = np.random.default_rng(9)
-        plan = DscmPlan(weights=(0.5, 1.0, 2.0, 1.0))
         streams = _qpsk_streams(50_000, seed=10)
-        agg = mux(streams, plan)
+        agg = mux(streams, PLAN)
         sigma2 = 4e-4
         noise = (rng.normal(size=agg.symbols.size)
                  + 1j * rng.normal(size=agg.symbols.size)) * np.sqrt(sigma2 / 2)
         noisy = SymbolStream(agg.symbols + noise, agg.symbol_rate_hz)
-        for k in range(4):
-            back = demux_select(noisy, k, plan)
+        for k, back in enumerate(_demux_all(noisy, PLAN)):
             measured = np.mean(np.abs(back.symbols - streams[k].symbols) ** 2)
-            assert measured == pytest.approx(_symbol_noise_variance(sigma2, plan, k), rel=0.05)
-
-    def test_weight_ratio_equals_measured_snr_ratio(self):
-        plan = DscmPlan(weights=(0.5, 1.0, 2.0, 1.0))
-        streams = _qpsk_streams(100_000, seed=11)
-        agg = mux(streams, plan)
-        noisy = channel.add_awgn(agg, 12.0, seed=12)
-        snr = []
-        for k in range(4):
-            back = demux_select(noisy, k, plan)
-            nv = np.mean(np.abs(back.symbols - streams[k].symbols) ** 2)
-            snr.append(1.0 / nv)
-        for k in range(4):
-            assert snr[k] / snr[1] == pytest.approx(plan.weights[k] / plan.weights[1],
-                                                    rel=0.03)
+            assert measured == pytest.approx(_symbol_noise_variance(sigma2, PLAN), rel=0.05)
 
     def test_aggregate_snr_helper_hits_target(self):
         streams = _qpsk_streams(100_000, seed=13)
         agg = mux(streams, PLAN)
         target = 9.0
-        noisy = channel.add_awgn(agg, aggregate_snr_db(PLAN, 2, target), seed=14)
+        noisy = channel.add_awgn(agg, aggregate_snr_db(PLAN, target), seed=14)
         back = demux_select(noisy, 2, PLAN)
         nv = np.mean(np.abs(back.symbols - streams[2].symbols) ** 2)
         assert 10 * np.log10(1.0 / nv) == pytest.approx(target, abs=0.1)
@@ -323,7 +291,7 @@ class TestNoiseCalibration:
         streams = [SymbolStream(map_payload_16qam(b), PLAN.baud_per_sc) for b in bits]
         target = 12.0
         agg = mux(streams, PLAN)
-        noisy = channel.add_awgn(agg, aggregate_snr_db(PLAN, 0, target), seed=16)
+        noisy = channel.add_awgn(agg, aggregate_snr_db(PLAN, target), seed=16)
         errors = bits_total = 0
         for k, back in enumerate(_demux_all(noisy, PLAN)):
             hard = demap_payload_16qam(back.symbols)

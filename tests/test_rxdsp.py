@@ -22,6 +22,18 @@ def _frame_body(rng, layout, params, linewidth, snr_db, seed):
     return rx.symbols, pay_bits, ref
 
 
+def _wrapped_phase_estimates(rx_pilots, reference):
+    """Per-pilot phase as ``pilot_phase_estimates`` reads it, not unwrapped."""
+    return np.angle(np.asarray(rx_pilots) * np.conj(reference))
+
+
+def _hold_phase(estimates, pilot_positions, target_positions):
+    """Zero-order hold: each pilot's estimate until the next pilot, the
+    first one before it (the ablation against linear interpolation)."""
+    idx = np.searchsorted(pilot_positions, target_positions, side="right") - 1
+    return estimates[np.clip(idx, 0, len(estimates) - 1)]
+
+
 class TestPilotPhaseEstimates:
     def test_clean_pilots_give_zero(self):
         ref = framing.pilot_phase_reference(np.array([0, 1, 1, 0]))
@@ -40,10 +52,11 @@ class TestPilotPhaseEstimates:
     def test_unwrap_disabled_keeps_wrapped_angles(self):
         ref = np.ones(3, dtype=complex)
         rx = np.exp(1j * np.array([3.0, -3.0, 3.0]))
-        raw = rxdsp.pilot_phase_estimates(rx, ref, unwrap=False)
+        raw = _wrapped_phase_estimates(rx, ref)
         assert np.allclose(raw, [3.0, -3.0, 3.0])
         unwrapped = rxdsp.pilot_phase_estimates(rx, ref)
         assert np.all(np.abs(np.diff(unwrapped)) < np.pi)
+        assert np.allclose(np.exp(1j * unwrapped), np.exp(1j * raw))
 
     def test_tracks_wiener_walk_at_pilot_snr(self):
         # estimate = true walk + angle noise; check the noise floor matches
@@ -65,21 +78,22 @@ class TestPilotPhaseEstimates:
 
 class TestInterpolateAndSmooth:
     def test_linear_ramp_is_exact(self):
-        pos = np.array([0, 10, 20, 30])
-        est = 0.01 * pos
-        targets = np.arange(31)
-        out = rxdsp.interpolate_phase(est, pos, targets, mode="linear")
-        assert np.allclose(out, 0.01 * targets, atol=1e-12)
+        """A phase ramp across the pilots comes off every payload symbol
+        exactly, bar the payload outside the first and last pilot, which
+        gets the nearest pilot's estimate."""
+        layout = framing.upstream_layout()
+        pilots = layout.pilot_body_positions()
+        targets = layout.payload_body_positions()
+        out = rxdsp.apply_pilot_phase(np.exp(1j * 0.01 * targets), 0.01 * pilots, layout)
+        held = np.clip(targets, pilots[0], pilots[-1])
+        assert np.allclose(out, np.exp(1j * 0.01 * (targets - held)), atol=1e-12)
+        assert np.count_nonzero(targets == held) > 0.99 * targets.size
 
     def test_hold_keeps_previous_estimate(self):
         pos = np.array([0, 4])
         est = np.array([1.0, 2.0])
-        out = rxdsp.interpolate_phase(est, pos, np.array([1, 3, 4, 6]), mode="hold")
+        out = _hold_phase(est, pos, np.array([1, 3, 4, 6]))
         assert np.allclose(out, [1.0, 1.0, 2.0, 2.0])
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            rxdsp.interpolate_phase(np.zeros(2), np.array([0, 1]), np.array([0]), mode="spline")
 
     def test_smoothing_window_one_is_noop(self):
         x = np.array([0.4, -0.2, 0.9])
@@ -182,14 +196,19 @@ def _residual_passes(payload, passes):
     return payload
 
 
-def _recover_payload(body, layout, ref, mode="linear", passes=rxdsp.RESIDUAL_PASSES):
+def _recover_payload(body, layout, ref, hold=False, passes=rxdsp.RESIDUAL_PASSES):
     """The payload of ``recover_carrier_phase``, composed from its stage
-    functions with the interpolation mode and residual pass count open."""
+    functions, with zero-order hold in place of linear interpolation on
+    request and the residual pass count open."""
     psi = rxdsp.smooth_phase_estimates(
         rxdsp.pilot_phase_estimates(body[layout.pilot_body_positions()], ref))
-    phase = rxdsp.interpolate_phase(psi, layout.pilot_body_positions(),
-                                    layout.payload_body_positions(), mode=mode)
-    payload = body[layout.payload_body_positions()] * np.exp(-1j * phase)
+    payload = body[layout.payload_body_positions()]
+    if hold:
+        phase = _hold_phase(psi, layout.pilot_body_positions(),
+                            layout.payload_body_positions())
+        payload = payload * np.exp(-1j * phase)
+    else:
+        payload = rxdsp.apply_pilot_phase(payload, psi, layout)
     return _residual_passes(payload, passes)
 
 
@@ -219,8 +238,8 @@ class TestChainProperties:
     def test_linear_interpolation_not_worse_than_hold(self):
         # 1 MHz linewidth stresses tracking between pilots
         seeds = range(8)
-        lin, _ = _payload_errors(1e6, 13.0, seeds, mode="linear")
-        hold, _ = _payload_errors(1e6, 13.0, seeds, mode="hold")
+        lin, _ = _payload_errors(1e6, 13.0, seeds)
+        hold, _ = _payload_errors(1e6, 13.0, seeds, hold=True)
         assert lin <= hold
 
     def test_residual_stage_improves_on_pilot_only(self):
