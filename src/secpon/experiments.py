@@ -83,7 +83,7 @@ EXPERIMENT_NAMES = (
 LOW_CONFIDENCE_ERRORS = 100
 CPR_PENALTY_BOUND_DB = 0.15     # criterion 3: a=1.7 at most, a=1.0 at least, at 100 kHz
 _MC_CHUNK = 1_000_000
-_POLAR_CHUNK = 100      # blocks per list-decoder call, about 9 MiB of decoder state
+_POLAR_CHUNK = 100      # blocks per list-decoder call, about 8 MiB of decoder state at peak
 
 
 class ConfigError(ValueError):

@@ -10,7 +10,7 @@ the surviving paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -182,11 +182,18 @@ class PolarCode:
     def payload_capacity(self) -> int:
         return self.info_length - (len(self.crc_poly) - 1)
 
-    @property
+    @cached_property
+    def frozen_mask(self) -> np.ndarray:
+        mask = np.zeros(self.block_length, dtype=bool)
+        mask[list(self.frozen)] = True
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
     def info_positions(self) -> np.ndarray:
-        mask = np.ones(self.block_length, dtype=bool)
-        mask[list(self.frozen)] = False
-        return np.nonzero(mask)[0]
+        pos = np.flatnonzero(~self.frozen_mask)
+        pos.flags.writeable = False
+        return pos
 
 
 @dataclass
@@ -199,24 +206,22 @@ class KeyCodeword:
     @classmethod
     def from_payload(cls, payload: np.ndarray, code: PolarCode | None = None) -> "KeyCodeword":
         code = code or PolarCode()
-        payload = np.asarray(payload).astype(np.uint8)
-        if payload.size != code.payload_capacity:
-            raise ValueError(f"expected {code.payload_capacity} payload bits, got {payload.size}")
-        crc = crc11(payload, code.crc_poly)
+        payload = _bits(payload, code.payload_capacity, "payload bits")
+        crc = _crc_matrix(code.crc_poly, payload.size) @ payload & 1  # parity survives uint8 wrap
         coded = polar_encode(np.concatenate([payload, crc]), code)
         return cls(crc_bits=crc, coded_bits=coded)
 
 
 def polar_transform(u: np.ndarray) -> np.ndarray:
     """Arikan butterfly over GF(2) in natural bit order."""
-    x = np.asarray(u).astype(np.uint8).copy()
+    x = np.array(u, dtype=np.uint8, order="C")
     n = x.shape[-1]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
     h = 1
     while h < n:
-        for i in range(0, n, 2 * h):
-            x[..., i:i + h] ^= x[..., i + h:i + 2 * h]
+        pairs = x.reshape(*x.shape[:-1], n // (2 * h), 2, h)   # a view: x is C-ordered
+        pairs[..., 0, :] ^= pairs[..., 1, :]
         h *= 2
     return x
 
@@ -224,9 +229,7 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
 def polar_encode(info: np.ndarray, code: PolarCode | None = None) -> np.ndarray:
     """Place info+CRC bits on the reliable positions and transform."""
     code = code or PolarCode()
-    info = np.asarray(info).astype(np.uint8)
-    if info.size != code.info_length:
-        raise ValueError(f"expected {code.info_length} bits, got {info.size}")
+    info = _bits(info, code.info_length, "bits")
     u = np.zeros(code.block_length, dtype=np.uint8)
     u[code.info_positions] = info
     return polar_transform(u)
@@ -239,8 +242,10 @@ def polar_decode_scl(llrs: np.ndarray, code: PolarCode | None = None
     Positive LLR means bit 0 is more likely.  Returns the (batch,
     payload_capacity) payloads of the most likely CRC-passing path per
     block, or of the best path where no survivor checks out, and the
-    (batch,) CRC flags.  This is the LLR-domain list decoder of
-    Balatsoukas-Stimming, Bastani Parizi and Burg (IEEE TSP 2015).
+    (batch,) CRC flags.  A block whose chosen payload and CRC are all
+    zero, as a total erasure decodes, is flagged as failing.  This is
+    the LLR-domain list decoder of Balatsoukas-Stimming, Bastani Parizi
+    and Burg (IEEE TSP 2015).
     """
     code = code or PolarCode()
     llrs = np.asarray(llrs, dtype=np.float64)
@@ -257,8 +262,19 @@ def polar_decode_scl(llrs: np.ndarray, code: PolarCode | None = None
     passes = np.all(rem == cand[..., -deg:], axis=2)   # (batch, list)
     any_ok = np.any(passes, axis=1)
     chosen = np.where(any_ok, np.argmax(passes, axis=1), 0)  # paths are best-first
-    payloads = cand[np.arange(b), chosen, :-deg].astype(np.uint8)
-    return payloads, any_ok
+    word = cand[np.arange(b), chosen]
+    # the all-zero word passes the zero-initialised CRC; it is what an erasure decodes to
+    return word[:, :-deg], any_ok & word.any(axis=1)
+
+
+def _bits(values: np.ndarray, size: int, what: str) -> np.ndarray:
+    """A uint8 copy of ``size`` values that must each be 0 or 1."""
+    values = np.asarray(values)
+    if values.size != size:
+        raise ValueError(f"expected {size} {what}, got {values.size}")
+    if not np.all((values == 0) | (values == 1)):
+        raise ValueError(f"{what} must be 0 or 1")
+    return values.astype(np.uint8)
 
 
 @lru_cache(maxsize=8)
@@ -277,33 +293,38 @@ def _crc_matrix(poly: tuple[int, ...], length: int) -> np.ndarray:
 def _scl_paths(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
     """Run list decoding; returns u-domain paths ordered best-first.
 
-    Shape (batch, list, block_length).  State lives in per-level arrays
-    so that path pruning can reorder everything with one gather.  A
-    level array whose path axis has length 1 is shared by every path
-    (the channel LLRs, and the left spine down to the first leaf),
-    so pruning leaves it alone and it costs 1/list_size of the memory.
+    Shape (batch, list, block_length).  State lives in per-level arrays:
+    ``llr_lv[t]`` holds the LLRs of the depth-t node on the way to the
+    current leaf and ``left_bits[t]`` the re-encoded bits of a finished
+    left child at depth t.  A prune at leaf i gathers, along the path
+    axis, only the state that is read again: every ``left_bits`` entry,
+    and ``llr_lv[t]`` while leaf i lies in the left child of its depth-t
+    ancestor, which re-reads it for the right child.  Any other level
+    is overwritten before its next read.  A level whose path axis has
+    length 1 is shared by every path (the channel LLRs, and the left
+    spine down to the first leaf), so it is never gathered and costs
+    1/list_size of the memory.  No u-domain state is kept: the root
+    returns each path's codeword estimate, and the butterfly, its own
+    inverse over GF(2), turns that back into u.
     """
     b, n = llrs.shape
     lsz = code.list_size
     stages = n.bit_length() - 1
-    frozen_mask = np.zeros(n, dtype=bool)
-    frozen_mask[list(code.frozen)] = True
+    frozen_mask = code.frozen_mask
 
     pm = np.full((b, lsz), np.inf)
     pm[:, 0] = 0.0
     llr_lv: dict[int, np.ndarray] = {0: llrs[:, None, :]}
     left_bits: dict[int, np.ndarray] = {}
-    u_hat = np.zeros((b, lsz, n), dtype=np.uint8)
     leaf = [0]
     rows = np.arange(b)[:, None]
 
-    def permute(src: np.ndarray) -> None:
-        for t in list(llr_lv):
-            if llr_lv[t].shape[1] > 1:
+    def permute(src: np.ndarray, i: int) -> None:
+        for t in range(stages):
+            if not (i >> (stages - 1 - t)) & 1 and llr_lv[t].shape[1] > 1:
                 llr_lv[t] = llr_lv[t][rows, src]
-        for t in list(left_bits):
+        for t in left_bits:
             left_bits[t] = left_bits[t][rows, src]
-        u_hat[...] = u_hat[rows, src]
 
     def visit(t: int) -> np.ndarray:
         nonlocal pm
@@ -324,8 +345,7 @@ def _scl_paths(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
             keep = np.take_along_axis(keep, order, axis=1)
             pm = np.take_along_axis(newpm, order, axis=1)
             src, bit = keep % lsz, (keep // lsz).astype(np.uint8)
-            permute(src)
-            u_hat[..., i] = bit
+            permute(src, i)
             return bit[..., None]
         half = size // 2
         a, c = llr_lv[t][..., :half], llr_lv[t][..., half:]
@@ -339,10 +359,10 @@ def _scl_paths(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
         bl = left_bits.pop(t)
         return np.concatenate([bl ^ br, br], axis=-1)
 
-    visit(0)
+    x_hat = visit(0)
     # visit reaches itself through its closure; dropping it frees the
     # per-level state on return instead of at the next cyclic collection
     del visit
     assert leaf[0] == n
     order = np.argsort(pm, axis=1)
-    return u_hat[rows, order]
+    return polar_transform(x_hat[rows, order])

@@ -33,6 +33,106 @@ def _messages(n):
 _LENGTHS = st.integers(1, 300)
 
 
+def _reference_transform(u):
+    """The butterfly one slice pair at a time: the plain form that
+    ``polar_transform`` must match."""
+    x = np.asarray(u).astype(np.uint8).copy()
+    n = x.shape[-1]
+    h = 1
+    while h < n:
+        for i in range(0, n, 2 * h):
+            x[..., i:i + h] ^= x[..., i + h:i + 2 * h]
+        h *= 2
+    return x
+
+
+def _reference_scl_paths(llrs, code):
+    """The plain list decoder that ``_scl_paths`` must match: it keeps
+    every path's u bits and reorders every per-path level at each prune."""
+    b, n = llrs.shape
+    lsz = code.list_size
+    frozen_mask = np.zeros(n, dtype=bool)
+    frozen_mask[list(code.frozen)] = True
+    pm = np.full((b, lsz), np.inf)
+    pm[:, 0] = 0.0
+    llr_lv = {0: llrs[:, None, :]}
+    left_bits = {}
+    u_hat = np.zeros((b, lsz, n), dtype=np.uint8)
+    leaf = [0]
+    rows = np.arange(b)[:, None]
+
+    def permute(src):
+        for t in list(llr_lv):
+            if llr_lv[t].shape[1] > 1:
+                llr_lv[t] = llr_lv[t][rows, src]
+        for t in list(left_bits):
+            left_bits[t] = left_bits[t][rows, src]
+        u_hat[...] = u_hat[rows, src]
+
+    def visit(t):
+        nonlocal pm
+        size = n >> t
+        if size == 1:
+            i = leaf[0]
+            leaf[0] += 1
+            alpha = llr_lv[t][..., 0]
+            if frozen_mask[i]:
+                pm = pm + np.where(alpha < 0, -alpha, 0.0)
+                return np.zeros((b, lsz, 1), dtype=np.uint8)
+            pm0 = pm + np.where(alpha < 0, -alpha, 0.0)
+            pm1 = pm + np.where(alpha > 0, alpha, 0.0)
+            cand = np.concatenate([pm0, pm1], axis=1)
+            keep = np.argpartition(cand, lsz - 1, axis=1)[:, :lsz]
+            newpm = np.take_along_axis(cand, keep, axis=1)
+            order = np.argsort(newpm, axis=1)
+            keep = np.take_along_axis(keep, order, axis=1)
+            pm = np.take_along_axis(newpm, order, axis=1)
+            src, bit = keep % lsz, (keep // lsz).astype(np.uint8)
+            permute(src)
+            u_hat[..., i] = bit
+            return bit[..., None]
+        half = size // 2
+        a, c = llr_lv[t][..., :half], llr_lv[t][..., half:]
+        llr_lv[t + 1] = np.sign(a) * np.sign(c) * np.minimum(np.abs(a), np.abs(c))
+        left_bits[t] = visit(t + 1)
+        a, c = llr_lv[t][..., :half], llr_lv[t][..., half:]
+        llr_lv[t + 1] = c + (1.0 - 2.0 * left_bits[t]) * a
+        br = visit(t + 1)
+        bl = left_bits.pop(t)
+        return np.concatenate([bl ^ br, br], axis=-1)
+
+    visit(0)
+    order = np.argsort(pm, axis=1)
+    return u_hat[rows, order]
+
+
+@st.composite
+def _bit_arrays(draw):
+    lead = draw(st.lists(st.integers(1, 4), max_size=2))
+    n = 2 ** draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).integers(0, 2, (*lead, n)).astype(np.uint8)
+
+
+@st.composite
+def _decoder_inputs(draw):
+    """Random LLRs, some on a coarse integer grid so that exact zeros
+    and path-metric ties are common."""
+    block = draw(st.sampled_from([64, 512]))
+    lsz = draw(st.sampled_from([1, 2, 8]))
+    code = fp.PolarCode(block, block // 2, list_size=lsz)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 5)), block)
+    kind = draw(st.sampled_from(["normal", "grid", "sparse"]))
+    if kind == "normal":
+        llr = rng.normal(draw(st.sampled_from([0.0, 1.0, 3.0])), 2.0, shape)
+    elif kind == "grid":
+        llr = rng.integers(-2, 3, shape).astype(float)
+    else:
+        llr = np.where(rng.random(shape) < 0.5, 0.0, rng.normal(1.0, 2.0, shape))
+    return llr, code
+
+
 class TestReliabilityTable:
     def test_is_permutation_of_1024(self):
         assert fp.RELIABILITY_1024.size == 1024
@@ -101,6 +201,11 @@ class TestCrc11:
         mat = fp._crc_matrix(fp.CRC11_POLY, m.size)
         assert np.array_equal(mat.astype(int) @ m % 2, fp.crc11(m))
 
+    @settings(max_examples=100, deadline=None)
+    @given(_messages(245))
+    def test_codeword_crc_agrees_with_crc11(self, m):
+        assert np.array_equal(fp.KeyCodeword.from_payload(m).crc_bits, fp.crc11(m))
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
             fp.crc11(np.array([], dtype=np.uint8))
@@ -114,6 +219,14 @@ class TestPolarCodeDescription:
         assert len(code.frozen) == 256
         assert code.payload_capacity == 245
         assert code.info_positions.size == 256
+
+    def test_positions_computed_once_and_read_only(self):
+        code = fp.PolarCode()
+        assert code.info_positions is code.info_positions
+        assert code.frozen_mask is code.frozen_mask
+        assert np.array_equal(np.flatnonzero(code.frozen_mask), code.frozen)
+        with pytest.raises(ValueError):
+            code.info_positions[0] = 0
 
     def test_frozen_positions_are_least_reliable(self):
         code = fp.PolarCode()
@@ -163,6 +276,24 @@ class TestEncoder:
         with pytest.raises(ValueError):
             fp.polar_transform(np.zeros(48, np.uint8))
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, 256])
+    def test_non_bits_rejected(self, bad):
+        info = np.zeros(256)
+        info[7] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            fp.polar_encode(info)
+        with pytest.raises(ValueError, match="0 or 1"):
+            fp.KeyCodeword.from_payload(info[:245])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_bit_arrays())
+    def test_transform_matches_reference(self, u):
+        assert np.array_equal(fp.polar_transform(u), _reference_transform(u))
+
+    def test_transform_is_its_own_inverse(self):
+        u = np.random.default_rng(13).integers(0, 2, (3, 512)).astype(np.uint8)
+        assert np.array_equal(fp.polar_transform(fp.polar_transform(u)), u)
+
     def test_key_codeword_assembly(self):
         rng = np.random.default_rng(4)
         pay = rng.integers(0, 2, 245).astype(np.uint8)
@@ -192,14 +323,23 @@ class TestSclDecoder:
 
     def test_erasure_output_carries_no_information(self):
         # total erasure collapses every path metric; the decoder settles on
-        # the zero codeword, whose checksum is trivially self-consistent, so
-        # the decoded payload is independent of what was sent
-        dec = fp.polar_decode_scl(np.zeros((1, 512)))[0][0]
+        # the zero codeword, whose checksum the zero-initialised CRC would
+        # pass, so it is flagged as failing, and the decoded payload is
+        # independent of what was sent
+        dec, ok = fp.polar_decode_scl(np.zeros((1, 512)))
+        assert not ok[0]
+        dec = dec[0]
         assert not dec.any()
         rng = np.random.default_rng(6)
         sent = rng.integers(0, 2, 245).astype(np.uint8)
         assert sent.any()
         assert not np.array_equal(dec, sent)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_decoder_inputs())
+    def test_paths_match_reference_decoder(self, case):
+        llr, code = case
+        assert np.array_equal(fp._scl_paths(llr, code), _reference_scl_paths(llr, code))
 
     def test_determinism(self):
         rng = np.random.default_rng(7)

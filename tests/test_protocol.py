@@ -180,6 +180,15 @@ class TestFragmentIntake:
         assert report.crc_failures == 1
         assert not session.rx_fragments
 
+    def test_erased_fragment_counts_as_crc_failure(self):
+        session, _ = self._session()
+        report = protocol.SessionReport()
+        decoded = protocol.polar_decode_scl(np.zeros((1, protocol.POLAR.block_length)),
+                                            protocol.POLAR)
+        protocol._receive_fragment(session, next(zip(*decoded)), report)
+        assert report.crc_failures == 1
+        assert not session.rx_fragments
+
     def test_lost_fragment_flips_tx_phase(self):
         session, _ = self._session()
         report = protocol.SessionReport()
