@@ -44,8 +44,12 @@ class ChannelConfig:
             raise ValueError(f"linewidth_hz must be >= 0, got {self.linewidth_hz}")
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64([seed & (2**64 - 1), stream])))
+def _rng(seed: int, *ids: int) -> np.random.Generator:
+    """Philox generator keyed by the seed and the ids folded into one word."""
+    sub = 0
+    for x in ids:
+        sub = (sub * 1000003 + x) & (2 ** 64 - 1)
+    return np.random.Generator(np.random.Philox(key=np.uint64([seed & (2 ** 64 - 1), sub])))
 
 
 def phase_noise_walk(n: int, linewidth_hz: float, rate_hz: float, seed: int) -> np.ndarray:

@@ -22,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from .fec_polar import CRC_BITS, POLAR_K
+
 KEY_BITS = 256
 FRAGMENT_BITS = 128
 SEQ_BITS = 8
-FRAGMENT_MESSAGE_BITS = 245     # polar payload capacity
+FRAGMENT_MESSAGE_BITS = POLAR_K - CRC_BITS   # polar payload capacity
 _PAD_BITS = FRAGMENT_MESSAGE_BITS - SEQ_BITS - 1 - FRAGMENT_BITS
 _BLOCK_BITS = 128
 _MAX_CODEWORD_INDEX = 2 ** 64

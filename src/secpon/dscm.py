@@ -1,6 +1,9 @@
 """Digital subcarrier multiplexing: root-raised-cosine shaping, frequency
 shifting, aggregation, and receiver-side subcarrier selection.
 
+The subcarrier grid is fixed, as in the paper, by the module constants
+below; ``mux`` and ``demux_select`` check every stream against it.
+
 Everything happens on the spectrum of the whole burst.  ``mux`` takes the
 m-point FFT of each lit subcarrier's m symbols; upsampling by sps repeats
 that spectrum sps times, so bin b of the shaped subcarrier is
@@ -30,7 +33,6 @@ subcarriers share their outermost bin; the crosstalk through it is tiny
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,44 +45,14 @@ RRC_ROLLOFF = 0.1
 # aggregate runs at twice the total symbol rate: with four subcarriers
 # that is eight samples per subcarrier symbol
 SAMPLES_PER_SYMBOL = 8
-
-
-@dataclass(frozen=True)
-class DscmPlan:
-    """Static description of the subcarrier grid."""
-
-    n_subcarriers: int = N_SUBCARRIERS
-    baud_per_sc: float = SUBCARRIER_BAUD
-    spacing_hz: float = SUBCARRIER_SPACING
-    rolloff: float = RRC_ROLLOFF
-    samples_per_symbol: int = SAMPLES_PER_SYMBOL
-
-    def __post_init__(self) -> None:
-        if self.n_subcarriers < 1:
-            raise ValueError("need at least one subcarrier")
-        if not 0 < self.rolloff <= 1:
-            raise ValueError("rolloff must be in (0, 1]")
-        if self.spacing_hz < self.baud_per_sc * (1 + self.rolloff) - 1e-6:
-            raise ValueError("subcarrier spacing narrower than the occupied band")
-        if self.samples_per_symbol < 2:
-            raise ValueError("aggregate must be oversampled")
-        edge = max(abs(c) for c in self.center_frequencies) \
-            + self.baud_per_sc * (1 + self.rolloff) / 2
-        if edge > self.sample_rate_hz / 2 + 1e-6:
-            raise ValueError("subcarrier band exceeds the aggregate Nyquist range")
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.baud_per_sc * self.samples_per_symbol
-
-    @property
-    def center_frequencies(self) -> tuple[float, ...]:
-        mid = (self.n_subcarriers - 1) / 2
-        return tuple((k - mid) * self.spacing_hz for k in range(self.n_subcarriers))
+SAMPLE_RATE = SUBCARRIER_BAUD * SAMPLES_PER_SYMBOL
+# centers on the spacing grid, symmetric about zero
+CENTER_FREQUENCIES = tuple((k - (N_SUBCARRIERS - 1) / 2) * SUBCARRIER_SPACING
+                           for k in range(N_SUBCARRIERS))
 
 
 @functools.lru_cache(maxsize=16)
-def _rrc_band(n_samples: int, plan: DscmPlan) -> tuple[np.ndarray, np.ndarray]:
+def _rrc_band(n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Root-raised-cosine band on the burst's frequency grid.
 
     Returns the signed bin indices, ascending, where the response is
@@ -89,8 +61,8 @@ def _rrc_band(n_samples: int, plan: DscmPlan) -> tuple[np.ndarray, np.ndarray]:
     matched-filter output exact.  Both arrays are shared and read-only.
     """
     # bin width as np.fft.fftfreq computes it, so the magnitudes match its grid
-    df = 1.0 / (n_samples * (1.0 / plan.sample_rate_hz))
-    b, a = plan.baud_per_sc, plan.rolloff
+    df = 1.0 / (n_samples * (1.0 / SAMPLE_RATE))
+    b, a = SUBCARRIER_BAUD, RRC_ROLLOFF
     lo, hi = (1 - a) * b / 2, (1 + a) * b / 2
     edge = int(hi / df) + 1
     bins = np.arange(-edge, edge + 1)
@@ -102,57 +74,54 @@ def _rrc_band(n_samples: int, plan: DscmPlan) -> tuple[np.ndarray, np.ndarray]:
     return bins, mag
 
 
-def _center_bin(plan: DscmPlan, sc_index: int, n_samples: int) -> int:
-    bin_hz = plan.sample_rate_hz / n_samples
-    return int(round(plan.center_frequencies[sc_index] / bin_hz))
+def _center_bin(sc_index: int, n_samples: int) -> int:
+    bin_hz = SAMPLE_RATE / n_samples
+    return int(round(CENTER_FREQUENCIES[sc_index] / bin_hz))
 
 
-def mux(subcarrier_streams: list[SymbolStream], plan: DscmPlan | None = None) -> SymbolStream:
+def mux(subcarrier_streams: list[SymbolStream]) -> SymbolStream:
     """Shape, shift and sum the subcarriers into one waveform."""
-    plan = plan or DscmPlan()
-    if len(subcarrier_streams) != plan.n_subcarriers:
-        raise ValueError(f"expected {plan.n_subcarriers} streams, got {len(subcarrier_streams)}")
+    if len(subcarrier_streams) != N_SUBCARRIERS:
+        raise ValueError(f"expected {N_SUBCARRIERS} streams, got {len(subcarrier_streams)}")
     n_sym = subcarrier_streams[0].symbols.size
     for s in subcarrier_streams:
         if s.symbols.size != n_sym:
             raise ValueError("subcarrier streams must share one length")
-        if abs(s.symbol_rate_hz - plan.baud_per_sc) > 1e-3:
-            raise ValueError("stream symbol rate differs from the plan")
-    n = n_sym * plan.samples_per_symbol
-    band, mag = _rrc_band(n, plan)
+        if abs(s.symbol_rate_hz - SUBCARRIER_BAUD) > 1e-3:
+            raise ValueError("stream symbol rate differs from the subcarrier baud")
+    n = n_sym * SAMPLES_PER_SYMBOL
+    band, mag = _rrc_band(n)
     spectrum = np.zeros(n, dtype=complex)
     for k, s in enumerate(subcarrier_streams):
         if not s.symbols.any():
             continue            # a dark subcarrier adds exactly nothing
         # the upsampled symbols' spectrum is theirs repeated sps times
         shaped = np.fft.fft(s.symbols)[band % n_sym] * mag
-        spectrum[(band + _center_bin(plan, k, n)) % n] += shaped
-    return SymbolStream(symbols=np.fft.ifft(spectrum), symbol_rate_hz=plan.sample_rate_hz)
+        spectrum[(band + _center_bin(k, n)) % n] += shaped
+    return SymbolStream(symbols=np.fft.ifft(spectrum), symbol_rate_hz=SAMPLE_RATE)
 
 
-def demux_select(samples: SymbolStream, sc_index: int, plan: DscmPlan | None = None) -> SymbolStream:
+def demux_select(samples: SymbolStream, sc_index: int) -> SymbolStream:
     """Down-convert one subcarrier, matched-filter, decimate to symbols."""
-    plan = plan or DscmPlan()
-    if not 0 <= sc_index < plan.n_subcarriers:
+    if not 0 <= sc_index < N_SUBCARRIERS:
         raise ValueError(f"subcarrier index {sc_index} out of range")
     n = samples.symbols.size
-    sps = plan.samples_per_symbol
-    if n % sps:
+    if n % SAMPLES_PER_SYMBOL:
         raise ValueError("sample count is not a whole number of symbols")
-    if abs(samples.symbol_rate_hz - plan.sample_rate_hz) > 1e-3:
-        raise ValueError("sample rate differs from the plan")
-    n_sym = n // sps
-    band, mag = _rrc_band(n, plan)
-    filtered = samples.spectrum[(band + _center_bin(plan, sc_index, n)) % n] * mag
+    if abs(samples.symbol_rate_hz - SAMPLE_RATE) > 1e-3:
+        raise ValueError("sample rate differs from the aggregate's")
+    n_sym = n // SAMPLES_PER_SYMBOL
+    band, mag = _rrc_band(n)
+    filtered = samples.spectrum[(band + _center_bin(sc_index, n)) % n] * mag
     # keeping every sps-th sample aliases the spectrum onto n_sym bins
     fold = band % n_sym
     folded = (np.bincount(fold, filtered.real, n_sym)
               + 1j * np.bincount(fold, filtered.imag, n_sym))
     symbols = np.fft.ifft(folded)
-    return SymbolStream(symbols=symbols, symbol_rate_hz=plan.baud_per_sc)
+    return SymbolStream(symbols=symbols, symbol_rate_hz=SUBCARRIER_BAUD)
 
 
-def aggregate_snr_db(plan: DscmPlan, snr_sc_db: float) -> float:
+def aggregate_snr_db(snr_sc_db: float) -> float:
     """Aggregate-waveform SNR that yields the target post-demux SNR on
     every subcarrier.
 
@@ -160,7 +129,7 @@ def aggregate_snr_db(plan: DscmPlan, snr_sc_db: float) -> float:
     Useful for driving a channel whose noise level is set against the
     measured aggregate power.
     """
-    sps = plan.samples_per_symbol
-    agg_power = plan.n_subcarriers / sps ** 2
+    sps = SAMPLES_PER_SYMBOL
+    agg_power = N_SUBCARRIERS / sps ** 2
     noise_var = 1 / (sps * 10 ** (snr_sc_db / 10))
     return 10 * np.log10(agg_power / noise_var)

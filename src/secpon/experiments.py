@@ -45,9 +45,10 @@ import numpy as np
 
 from . import __version__, theory
 from .channel import ChannelConfig, apply_channel
-from .dscm import DscmPlan, aggregate_snr_db
+from .crypto import SEQ_BITS
+from .dscm import aggregate_snr_db
 from .fec_ldpc import LDPC_K, default_code
-from .fec_polar import KeyCodeword, polar_decode_scl
+from .fec_polar import POLAR, KeyCodeword, polar_decode_scl
 from .framing import (
     GcsPilotParams,
     SymbolStream,
@@ -60,7 +61,7 @@ from .framing import (
     upstream_layout,
 )
 from .protocol import (
-    POLAR,
+    ECHO_NONE,
     OnuSession,
     allocate_tfdma,
     active_keys_synchronized,
@@ -84,6 +85,13 @@ LOW_CONFIDENCE_ERRORS = 100
 CPR_PENALTY_BOUND_DB = 0.15     # criterion 3: a=1.7 at most, a=1.0 at least, at 100 kHz
 _MC_CHUNK = 1_000_000
 _POLAR_CHUNK = 100      # blocks per list-decoder call, about 8 MiB of decoder state at peak
+# Without losses each ONU draws key s in frame 2(s - 1), so keydist runs
+# out of sequence numbers at frame 2 * (2 ** SEQ_BITS - 1).  e2e-secure
+# activates one key per two superframes through the downstream echo, and
+# the echo of key ECHO_NONE reads as "nothing pending", so its last
+# rotation is key ECHO_NONE - 1.
+MAX_KEYDIST_FRAMES = 2 * (2 ** SEQ_BITS - 1)
+MAX_E2E_SUPERFRAMES = 2 * ECHO_NONE - 1
 
 
 class ConfigError(ValueError):
@@ -213,6 +221,17 @@ def _count(value: Any, key: str, minimum: int = 1) -> int:
     if n < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return n
+
+
+def _run_length(limit: int) -> _Parser:
+    """Parser of a frame count of at most ``limit``."""
+    def parse(value: Any, key: str) -> int:
+        n = _count(value, key)
+        if n > limit:
+            raise ConfigError(f"{key} must be <= {limit}: a longer run exhausts "
+                              f"the {SEQ_BITS}-bit key sequence space")
+        return n
+    return parse
 
 
 def _flag(value: Any, key: str) -> bool:
@@ -650,7 +669,7 @@ def _channel(p: dict[str, Any], snr_key: str, seed: int, tag: str) -> ChannelCon
     per-subcarrier SNR, or None for no noise."""
     snr_sc = p[snr_key]
     return ChannelConfig(
-        snr_db=None if snr_sc is None else aggregate_snr_db(DscmPlan(), snr_sc),
+        snr_db=None if snr_sc is None else aggregate_snr_db(snr_sc),
         linewidth_hz=p["linewidth_hz"],
         freq_offset_hz=p["freq_offset_hz"],
         seed=_cell_seed(seed, tag)[1],
@@ -658,7 +677,7 @@ def _channel(p: dict[str, Any], snr_key: str, seed: int, tag: str) -> ChannelCon
 
 
 def _sessions(onu_ids: list[str], seed: int) -> list[OnuSession]:
-    """Sessions for the configured ONUs on the fixed subcarrier plan."""
+    """Sessions for the configured ONUs on the fixed subcarrier grid."""
     try:
         return make_sessions(allocate_tfdma(onu_ids), seed=seed)
     except ValueError as exc:
@@ -680,7 +699,7 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
     op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
     p = _params(spec, {
         "onu_ids": (["onu1", "onu2"], _onu_ids),
-        "n_frames": (20, _count),
+        "n_frames": (20, _run_length(MAX_KEYDIST_FRAMES)),
         "snr_sc_db": (round(op, 4), _optional_number),
         "linewidth_hz": (1e5, _number),
         "freq_offset_hz": (0.0, _number),
@@ -719,7 +738,7 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
     op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
     p = _params(spec, {
         "onu_ids": (["onu1", "onu2"], _onu_ids),
-        "n_superframes": (4, _count),
+        "n_superframes": (4, _run_length(MAX_E2E_SUPERFRAMES)),
         "us_snr_sc_db": (round(op, 4), _optional_number),
         "ds_snr_sc_db": (round(op + 1.2, 4), _optional_number),
         "linewidth_hz": (1e5, _number),

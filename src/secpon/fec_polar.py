@@ -121,14 +121,14 @@ def reliability_order(n: int) -> np.ndarray:
     return RELIABILITY_1024[RELIABILITY_1024 < n]
 
 
-def crc11(bits: np.ndarray, poly: tuple[int, ...] = CRC11_POLY) -> np.ndarray:
-    """Remainder of message * x^len(crc) divided by the generator."""
+def crc11(bits: np.ndarray) -> np.ndarray:
+    """Remainder of message * x^11 divided by ``CRC11_POLY``."""
     bits = np.asarray(bits).astype(np.uint8)
     if bits.size == 0:
         raise ValueError("empty message")
-    deg = len(poly) - 1
+    deg = CRC_BITS
     low = 0
-    for p in poly[1:]:
+    for p in CRC11_POLY[1:]:
         low = (low << 1) | p
     mask = (1 << deg) - 1
     reg = 0
@@ -151,41 +151,39 @@ def crc11(bits: np.ndarray, poly: tuple[int, ...] = CRC11_POLY) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolarCode:
-    """Code description: block length, frozen set, CRC, list size."""
+    """Code description: block length, info length, list size.  The
+    frozen set is the block's n - k least reliable positions, and the
+    last ``CRC_BITS`` info bits are the CRC-11 of the payload."""
 
     block_length: int = POLAR_N
     info_length: int = POLAR_K
-    frozen: tuple[int, ...] = ()
-    crc_poly: tuple[int, ...] = CRC11_POLY
     list_size: int = DEFAULT_LIST_SIZE
 
     def __post_init__(self) -> None:
         n, k = self.block_length, self.info_length
-        if n < 2 or n & (n - 1):
-            raise ValueError("block length must be a power of two")
+        if n < 2 or n & (n - 1) or n > RELIABILITY_1024.size:
+            raise ValueError("block length must be a power of two up to 1024")
         if not 0 < k < n:
             raise ValueError("info length must be inside (0, block length)")
-        if not self.frozen:
-            object.__setattr__(self, "frozen",
-                               tuple(int(i) for i in reliability_order(n)[:n - k]))
-        object.__setattr__(self, "frozen", tuple(sorted(self.frozen)))
-        if len(self.frozen) != n - k:
-            raise ValueError("frozen set size must be block length - info length")
-        if any(not 0 <= i < n for i in self.frozen):
-            raise ValueError("frozen index out of range")
         if self.list_size < 1:
             raise ValueError("list size must be positive")
-        if self.info_length <= len(self.crc_poly) - 1:
+        if k <= CRC_BITS:
             raise ValueError("no payload room under the CRC")
 
     @property
     def payload_capacity(self) -> int:
-        return self.info_length - (len(self.crc_poly) - 1)
+        return self.info_length - CRC_BITS
+
+    @property
+    def frozen(self) -> tuple[int, ...]:
+        """The frozen positions, ascending."""
+        return tuple(np.flatnonzero(self.frozen_mask).tolist())
 
     @cached_property
     def frozen_mask(self) -> np.ndarray:
-        mask = np.zeros(self.block_length, dtype=bool)
-        mask[list(self.frozen)] = True
+        n = self.block_length
+        mask = np.zeros(n, dtype=bool)
+        mask[reliability_order(n)[:n - self.info_length]] = True
         mask.flags.writeable = False
         return mask
 
@@ -196,6 +194,9 @@ class PolarCode:
         return pos
 
 
+POLAR = PolarCode()
+
+
 @dataclass
 class KeyCodeword:
     """One coded key-channel block: the payload's CRC and the coded bits."""
@@ -204,10 +205,9 @@ class KeyCodeword:
     coded_bits: np.ndarray
 
     @classmethod
-    def from_payload(cls, payload: np.ndarray, code: PolarCode | None = None) -> "KeyCodeword":
-        code = code or PolarCode()
+    def from_payload(cls, payload: np.ndarray, code: PolarCode = POLAR) -> "KeyCodeword":
         payload = _bits(payload, code.payload_capacity, "payload bits")
-        crc = _crc_matrix(code.crc_poly, payload.size) @ payload & 1  # parity survives uint8 wrap
+        crc = _crc_matrix(payload.size) @ payload & 1  # parity survives uint8 wrap
         coded = polar_encode(np.concatenate([payload, crc]), code)
         return cls(crc_bits=crc, coded_bits=coded)
 
@@ -226,16 +226,15 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
     return x
 
 
-def polar_encode(info: np.ndarray, code: PolarCode | None = None) -> np.ndarray:
+def polar_encode(info: np.ndarray, code: PolarCode = POLAR) -> np.ndarray:
     """Place info+CRC bits on the reliable positions and transform."""
-    code = code or PolarCode()
     info = _bits(info, code.info_length, "bits")
     u = np.zeros(code.block_length, dtype=np.uint8)
     u[code.info_positions] = info
     return polar_transform(u)
 
 
-def polar_decode_scl(llrs: np.ndarray, code: PolarCode | None = None
+def polar_decode_scl(llrs: np.ndarray, code: PolarCode = POLAR
                      ) -> tuple[np.ndarray, np.ndarray]:
     """List-decode a (batch, block_length) LLR array, all blocks at once.
 
@@ -247,7 +246,6 @@ def polar_decode_scl(llrs: np.ndarray, code: PolarCode | None = None
     the LLR-domain list decoder of Balatsoukas-Stimming, Bastani Parizi
     and Burg (IEEE TSP 2015).
     """
-    code = code or PolarCode()
     llrs = np.asarray(llrs, dtype=np.float64)
     n = code.block_length
     if llrs.ndim != 2 or llrs.shape[1] != n:
@@ -255,16 +253,15 @@ def polar_decode_scl(llrs: np.ndarray, code: PolarCode | None = None
     u_all = _scl_paths(llrs, code)
     b = u_all.shape[0]
     info_pos = code.info_positions
-    deg = len(code.crc_poly) - 1
     cand = u_all[:, :, info_pos]                       # (batch, list, K)
-    mat = _crc_matrix(code.crc_poly, code.payload_capacity)
-    rem = np.einsum("blk,ck->blc", cand[..., :-deg], mat) & 1
-    passes = np.all(rem == cand[..., -deg:], axis=2)   # (batch, list)
+    mat = _crc_matrix(code.payload_capacity)
+    rem = np.einsum("blk,ck->blc", cand[..., :-CRC_BITS], mat) & 1
+    passes = np.all(rem == cand[..., -CRC_BITS:], axis=2)   # (batch, list)
     any_ok = np.any(passes, axis=1)
     chosen = np.where(any_ok, np.argmax(passes, axis=1), 0)  # paths are best-first
     word = cand[np.arange(b), chosen]
     # the all-zero word passes the zero-initialised CRC; it is what an erasure decodes to
-    return word[:, :-deg], any_ok & word.any(axis=1)
+    return word[:, :-CRC_BITS], any_ok & word.any(axis=1)
 
 
 def _bits(values: np.ndarray, size: int, what: str) -> np.ndarray:
@@ -278,14 +275,13 @@ def _bits(values: np.ndarray, size: int, what: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _crc_matrix(poly: tuple[int, ...], length: int) -> np.ndarray:
+def _crc_matrix(length: int) -> np.ndarray:
     """CRC of each unit message; the checksum is linear over GF(2)."""
-    deg = len(poly) - 1
-    mat = np.zeros((deg, length), dtype=np.uint8)
+    mat = np.zeros((CRC_BITS, length), dtype=np.uint8)
     unit = np.zeros(length, dtype=np.uint8)
     for i in range(length):
         unit[i] = 1
-        mat[:, i] = crc11(unit, poly)
+        mat[:, i] = crc11(unit)
         unit[i] = 0
     return mat
 

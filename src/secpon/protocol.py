@@ -1,11 +1,13 @@
 """OLT/ONU session machinery: one frame chain carrying key distribution
 upstream and encrypted broadcast downstream, plus subcarrier allocation.
 
-Link.  The link is fixed, as in the paper: one GCS-PAM4 pilot shape
-(``PILOT``), four DSCM subcarriers (``PLAN``), the upstream and
-downstream frame layouts (``UPSTREAM``, ``DOWNSTREAM``) and the
-(512, 256) polar key code (``POLAR``); the LDPC payload code is built on
-first use by ``default_code()``.  The runners take only the channel,
+Link.  The link is fixed, as in the paper, and each module owns its
+share as module constants: ``secpon.dscm`` the four DSCM subcarriers,
+``secpon.fec_polar`` the (512, 256) polar key code (``POLAR``) and
+``secpon.fec_ldpc`` the LDPC payload code, built on first use by
+``default_code()``.  This module adds the GCS-PAM4 pilot shape
+(``PILOT``) and the upstream and downstream frame layouts
+(``UPSTREAM``, ``DOWNSTREAM``).  The runners take only the channel,
 the frame count and the run switches.  A session needs two subcarriers,
 because one key codeword rides the pilots of both.
 
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rxdsp
-from .channel import ChannelConfig, add_awgn, apply_channel, eavesdropper_config
+from .channel import ChannelConfig, _rng, add_awgn, apply_channel, eavesdropper_config
 from .crypto import (
     KeyFragmentMessage,
     KeyStore,
@@ -61,9 +63,9 @@ from .crypto import (
     random_session_key,
     split_key,
 )
-from .dscm import DscmPlan, demux_select, mux
-from .fec_ldpc import LDPC_K, default_code
-from .fec_polar import KeyCodeword, PolarCode, polar_decode_scl
+from .dscm import N_SUBCARRIERS, SAMPLE_RATE, SUBCARRIER_BAUD, demux_select, mux
+from .fec_ldpc import LDPC_K, LDPC_N, default_code
+from .fec_polar import POLAR, KeyCodeword, polar_decode_scl
 from .framing import (
     FrameLayout,
     GcsPilotParams,
@@ -81,25 +83,17 @@ from .framing import (
     downstream_layout,
 )
 
+PILOT = GcsPilotParams()
+UPSTREAM = upstream_layout()
+DOWNSTREAM = downstream_layout()
+
 ECHO_NONE = 255                     # control byte meaning "nothing pending"
-CODEWORDS_PER_SC_PER_FRAME = 2      # 8640 payload symbols = 2 LDPC codewords
+# 16QAM carries 4 bits a payload symbol: 8640 symbols = 2 LDPC codewords
+CODEWORDS_PER_SC_PER_FRAME = 4 * DOWNSTREAM.payload_len // LDPC_N
 DATA_BITS_PER_CODEWORD = LDPC_K - 8  # one control byte leads each plaintext
 
 _KEYGEN, _SIGNS, _TRAIN, _DATA, _USDATA, _PILOT2 = 11, 13, 17, 19, 23, 29
 _USPHASE, _USNOISE, _DSCHAN, _LOSS, _EVEKEY = 31, 37, 41, 43, 47
-
-PILOT = GcsPilotParams()
-PLAN = DscmPlan()
-UPSTREAM = upstream_layout()
-DOWNSTREAM = downstream_layout()
-POLAR = PolarCode()
-
-
-def _rng(seed: int, *ids: int) -> np.random.Generator:
-    sub = 0
-    for x in ids:
-        sub = (sub * 1000003 + x) & (2 ** 64 - 1)
-    return np.random.Generator(np.random.Philox(key=np.uint64([seed & (2 ** 64 - 1), sub])))
 
 
 def _stable_id(name: str) -> int:
@@ -112,16 +106,15 @@ def _child_seed(seed: int, *ids: int) -> int:
 
 
 def allocate_tfdma(onu_ids: list[str]) -> dict[str, tuple[int, ...]]:
-    """Hand each ONU a contiguous block of the plan's subcarriers (pure
-    FDMA); every ONU sends in every frame."""
-    n_subcarriers = PLAN.n_subcarriers
+    """Hand each ONU a contiguous block of the subcarriers (pure FDMA);
+    every ONU sends in every frame."""
     if not onu_ids:
         raise ValueError("need at least one ONU")
     if len(set(onu_ids)) != len(onu_ids):
         raise ValueError("duplicate ONU ids")
-    if len(onu_ids) > n_subcarriers:
-        raise ValueError(f"{len(onu_ids)} ONUs oversubscribe {n_subcarriers} subcarriers")
-    share, extra = divmod(n_subcarriers, len(onu_ids))
+    if len(onu_ids) > N_SUBCARRIERS:
+        raise ValueError(f"{len(onu_ids)} ONUs oversubscribe {N_SUBCARRIERS} subcarriers")
+    share, extra = divmod(N_SUBCARRIERS, len(onu_ids))
     allocation = {}
     start = 0
     for i, onu in enumerate(onu_ids):
@@ -283,7 +276,7 @@ def receive_subcarrier(rx: SymbolStream, signs: np.ndarray, layout: FrameLayout,
     with ``sc=None``, ``rx`` already holds a single-carrier frame at the
     symbol rate.
     """
-    frame = rx.symbols if sc is None else demux_select(rx, sc, PLAN).symbols
+    frame = rx.symbols if sc is None else demux_select(rx, sc).symbols
     return rxdsp.recover_carrier_phase(frame[layout.training_len:], layout,
                                        pilot_phase_reference(signs))
 
@@ -297,8 +290,8 @@ def _noise_var(cpr: rxdsp.CprResult) -> float:
 def _mux_frames(frames: dict[int, np.ndarray]) -> SymbolStream:
     """DSCM aggregate of the given subcarrier frames; the rest stay dark."""
     dark = np.zeros_like(next(iter(frames.values())))
-    return mux([SymbolStream(frames.get(sc, dark), PLAN.baud_per_sc)
-                for sc in range(PLAN.n_subcarriers)], PLAN)
+    return mux([SymbolStream(frames.get(sc, dark), SUBCARRIER_BAUD)
+                for sc in range(N_SUBCARRIERS)])
 
 
 def _receive_onu(rx: SymbolStream, session: OnuSession, layout: FrameLayout,
@@ -316,12 +309,11 @@ def _correct_onu_offset(aggregate: SymbolStream, session: OnuSession,
     """Estimate the ONU's carrier offset on one training prefix and
     derotate the aggregate before selecting its subcarriers."""
     sc = session.subcarriers[0]
-    coarse = demux_select(aggregate, sc, PLAN)
+    coarse = demux_select(aggregate, sc)
     train = qpsk_training(layout.training_len, _child_seed(seed, _TRAIN, frame, sc))
     est = rxdsp.estimate_frequency_offset(
-        coarse.symbols[:layout.training_len], train, PLAN.baud_per_sc)
-    fixed = rxdsp.correct_frequency_offset(
-        aggregate.symbols, est, PLAN.sample_rate_hz)
+        coarse.symbols[:layout.training_len], train, SUBCARRIER_BAUD)
+    fixed = rxdsp.correct_frequency_offset(aggregate.symbols, est, SAMPLE_RATE)
     return SymbolStream(fixed, aggregate.symbol_rate_hz)
 
 
@@ -394,8 +386,7 @@ def _upstream_frame(sessions, cfg, f, seed, loss_probability, report) -> list[Fr
                                 seed=_child_seed(cfg.seed, _USPHASE, f, idx))
         onu_waves.append(apply_channel(_mux_frames(frames), onu_cfg))
 
-    total = SymbolStream(np.sum([w.symbols for w in onu_waves], axis=0),
-                         PLAN.sample_rate_hz)
+    total = SymbolStream(np.sum([w.symbols for w in onu_waves], axis=0), SAMPLE_RATE)
     if cfg.snr_db is not None:
         total = add_awgn(total, cfg.snr_db, seed=_child_seed(cfg.seed, _USNOISE, f))
 

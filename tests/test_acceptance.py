@@ -13,7 +13,7 @@ import pytest
 from secpon import theory
 from secpon.channel import ChannelConfig
 from secpon.crypto import SessionKey, aes256_decrypt, aes256_encrypt, aes256_encrypt_block
-from secpon.dscm import DscmPlan, aggregate_snr_db
+from secpon.dscm import aggregate_snr_db
 from secpon.experiments import ExperimentSpec, run_experiment
 from secpon.framing import downstream_layout, net_rate_gbps, upstream_layout
 from secpon.protocol import (
@@ -26,11 +26,10 @@ from secpon.protocol import (
 pytestmark = pytest.mark.acceptance
 
 OP_SNR = round(theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT), 4)
-PLAN = DscmPlan()
 
 
 def _agg(snr_sc_db):
-    return aggregate_snr_db(PLAN, snr_sc_db)
+    return aggregate_snr_db(snr_sc_db)
 
 
 def _done(n, detail):

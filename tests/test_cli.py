@@ -91,6 +91,9 @@ def test_unreadable_config_exits_2(tmp_path):
     ("keydist", {"linewidth_hz": 10 ** 400}, "linewidth_hz"),
     ("keydist", {"linewidth_hz": float("inf")}, "linewidth_hz"),
     ("e2e-secure", {"ds_snr_sc_db": float("nan")}, "ds_snr_sc_db"),
+    # one frame or superframe past the 8-bit key sequence space
+    ("keydist", {"n_frames": 511}, "n_frames"),
+    ("e2e-secure", {"n_superframes": 510}, "n_superframes"),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, experiment, params, key):
     cfg = tmp_path / "cfg.json"

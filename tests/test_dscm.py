@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from secpon import channel, rxdsp, theory
 from secpon.dscm import (
-    DscmPlan,
+    CENTER_FREQUENCIES,
+    N_SUBCARRIERS,
+    RRC_ROLLOFF,
+    SAMPLE_RATE,
+    SAMPLES_PER_SYMBOL,
+    SUBCARRIER_BAUD,
+    SUBCARRIER_SPACING,
     _center_bin,
     _rrc_band,
     aggregate_snr_db,
@@ -24,31 +30,26 @@ from secpon.framing import (
     qpsk_training,
 )
 
-PLAN = DscmPlan()
+# nominal two-sided width of one root-raised-cosine subcarrier
+OCCUPIED_BAND_HZ = SUBCARRIER_BAUD * (1 + RRC_ROLLOFF)
 
 
-def _demux_all(samples, plan):
+def _demux_all(samples):
     """Select every subcarrier of the aggregate."""
-    return [demux_select(samples, k, plan) for k in range(plan.n_subcarriers)]
+    return [demux_select(samples, k) for k in range(N_SUBCARRIERS)]
 
 
-def _occupied_band_hz(plan):
-    """Nominal two-sided width of one root-raised-cosine subcarrier."""
-    return plan.baud_per_sc * (1 + plan.rolloff)
-
-
-def _symbol_noise_variance(aggregate_noise_variance, plan):
+def _symbol_noise_variance(aggregate_noise_variance):
     """Post-demux per-symbol complex noise variance for white input noise.
 
     Decimation folds the full band back, so the variance grows by the
     oversampling factor.
     """
-    return aggregate_noise_variance * plan.samples_per_symbol
+    return aggregate_noise_variance * SAMPLES_PER_SYMBOL
 
 
-def _qpsk_streams(n_sym, seed=0, count=None, baud=PLAN.baud_per_sc):
+def _qpsk_streams(n_sym, seed=0, count=N_SUBCARRIERS, baud=SUBCARRIER_BAUD):
     rng = np.random.default_rng(seed)
-    count = PLAN.n_subcarriers if count is None else count
     out = []
     for _ in range(count):
         sym = np.exp(1j * (np.pi / 4 + rng.integers(0, 4, n_sym) * np.pi / 2))
@@ -70,9 +71,9 @@ def _dark(streams, dark):
             for k, s in enumerate(streams)]
 
 
-def _reference_rrc(n, plan):
-    f = np.abs(np.fft.fftfreq(n, d=1.0 / plan.sample_rate_hz))
-    b, a = plan.baud_per_sc, plan.rolloff
+def _reference_rrc(n):
+    f = np.abs(np.fft.fftfreq(n, d=1.0 / SAMPLE_RATE))
+    b, a = SUBCARRIER_BAUD, RRC_ROLLOFF
     lo, hi = (1 - a) * b / 2, (1 + a) * b / 2
     h2 = np.zeros(n)
     h2[f <= lo] = 1.0
@@ -81,69 +82,67 @@ def _reference_rrc(n, plan):
     return np.sqrt(h2)
 
 
-def _reference_tone(n, plan, k):
-    return np.exp(2j * np.pi * _center_bin(plan, k, n) * np.arange(n) / n)
+def _reference_tone(n, k):
+    return np.exp(2j * np.pi * _center_bin(k, n) * np.arange(n) / n)
 
 
-def _reference_mux(streams, plan):
+def _reference_mux(streams):
     """Time domain: upsample by spectral tiling, shape, shift each
     subcarrier with its own tone and sum."""
-    sps = plan.samples_per_symbol
+    sps = SAMPLES_PER_SYMBOL
     n = streams[0].symbols.size * sps
-    h = _reference_rrc(n, plan)
+    h = _reference_rrc(n)
     total = np.zeros(n, dtype=complex)
     for k, s in enumerate(streams):
         base = np.fft.ifft(np.tile(np.fft.fft(s.symbols), sps) * h)
-        total += base * _reference_tone(n, plan, k)
+        total += base * _reference_tone(n, k)
     return total
 
 
-def _reference_demux(samples, k, plan):
+def _reference_demux(samples, k):
     """Time domain: shift down, n-point matched filter, keep every sps-th."""
     n = samples.size
-    down = samples * np.conj(_reference_tone(n, plan, k))
-    filtered = np.fft.ifft(np.fft.fft(down) * _reference_rrc(n, plan))
-    sps = plan.samples_per_symbol
+    down = samples * np.conj(_reference_tone(n, k))
+    filtered = np.fft.ifft(np.fft.fft(down) * _reference_rrc(n))
+    sps = SAMPLES_PER_SYMBOL
     return filtered[::sps] * sps
 
 
 class TestPlan:
     def test_defaults(self):
-        assert PLAN.n_subcarriers == 4
-        assert PLAN.baud_per_sc == 8e9
-        assert PLAN.sample_rate_hz == 64e9
-        assert _occupied_band_hz(PLAN) == pytest.approx(8.8e9)
+        assert N_SUBCARRIERS == 4
+        assert SUBCARRIER_BAUD == 8e9
+        assert SAMPLE_RATE == 64e9
+        assert OCCUPIED_BAND_HZ == pytest.approx(8.8e9)
 
     def test_centers_symmetric_on_spacing_grid(self):
-        c = PLAN.center_frequencies
+        c = CENTER_FREQUENCIES
         assert c == pytest.approx((-13.2e9, -4.4e9, 4.4e9, 13.2e9))
         assert sum(c) == pytest.approx(0.0)
 
-    def test_rejects_narrow_spacing(self):
-        with pytest.raises(ValueError):
-            DscmPlan(spacing_hz=8.5e9)
-
-    def test_rejects_band_beyond_nyquist(self):
-        with pytest.raises(ValueError):
-            DscmPlan(samples_per_symbol=4)
-
-    def test_rejects_bad_rolloff(self):
-        with pytest.raises(ValueError):
-            DscmPlan(rolloff=0.0)
+    def test_bands_fit_the_grid(self):
+        """Adjacent bands do not overlap, the outermost band edge stays
+        within the aggregate's Nyquist range, and the aggregate is
+        oversampled."""
+        assert 0 < RRC_ROLLOFF <= 1
+        assert SUBCARRIER_SPACING >= OCCUPIED_BAND_HZ - 1e-6
+        edge = max(abs(c) for c in CENTER_FREQUENCIES) + OCCUPIED_BAND_HZ / 2
+        assert edge <= SAMPLE_RATE / 2
+        assert SAMPLES_PER_SYMBOL >= 2
 
 
 class TestRoundtrip:
     def test_single_subcarrier_evm_below_1e6(self):
         streams = _qpsk_streams(4096, seed=1)
-        agg = mux(streams, PLAN)
-        back = demux_select(agg, 0, PLAN)
-        assert back.symbol_rate_hz == PLAN.baud_per_sc
+        agg = mux(streams)
+        back = demux_select(agg, 0)
+        assert back.symbol_rate_hz == SUBCARRIER_BAUD
         assert _evm(back.symbols, streams[0].symbols) < 1e-6
 
     def test_all_four_indices(self):
         streams = _qpsk_streams(2048, seed=2)
-        agg = mux(streams, PLAN)
-        for k, back in enumerate(_demux_all(agg, PLAN)):
+        agg = mux(streams)
+        for k, back in enumerate(_demux_all(agg)):
             assert _evm(back.symbols, streams[k].symbols) < 1e-6
 
     def test_linearity(self):
@@ -151,11 +150,11 @@ class TestRoundtrip:
         b = _qpsk_streams(1024, seed=5)
         both = [SymbolStream(x.symbols + y.symbols, x.symbol_rate_hz)
                 for x, y in zip(a, b)]
-        agg_sum = mux(both, PLAN).symbols
-        agg_parts = mux(a, PLAN).symbols + mux(b, PLAN).symbols
+        agg_sum = mux(both).symbols
+        agg_parts = mux(a).symbols + mux(b).symbols
         assert np.max(np.abs(agg_sum - agg_parts)) < 1e-9
         scaled = [SymbolStream(2.5 * x.symbols, x.symbol_rate_hz) for x in a]
-        assert np.max(np.abs(mux(scaled, PLAN).symbols - 2.5 * mux(a, PLAN).symbols)) < 1e-9
+        assert np.max(np.abs(mux(scaled).symbols - 2.5 * mux(a).symbols)) < 1e-9
 
     @settings(max_examples=30, deadline=None)
     @given(n_sym=st.integers(64, 4096),
@@ -169,12 +168,12 @@ class TestRoundtrip:
         sqrt(sum of (h_j h_k)^2 over the shared bins)."""
         streams = _dark(_qpsk_streams(n_sym, seed=n_sym),
                         [k for k in range(4) if not lit[k]])
-        agg = mux(streams, PLAN)
+        agg = mux(streams)
         n = agg.symbols.size
-        band, mag = _rrc_band(n, PLAN)
-        gain = [dict(zip(((band + _center_bin(PLAN, k, n)) % n).tolist(), mag))
+        band, mag = _rrc_band(n)
+        gain = [dict(zip(((band + _center_bin(k, n)) % n).tolist(), mag))
                 for k in range(4)]
-        for k, back in enumerate(_demux_all(agg, PLAN)):
+        for k, back in enumerate(_demux_all(agg)):
             leak = [np.sqrt(sum((gain[j][b] * gain[k][b]) ** 2
                                 for b in gain[j].keys() & gain[k].keys()))
                     for j in range(4) if j != k and lit[j]]
@@ -191,16 +190,16 @@ class TestMatchesTimeDomainReference:
         transmitting at different levels."""
         streams = [SymbolStream(np.sqrt(w) * s.symbols, s.symbol_rate_hz)
                    for w, s in zip(weights, _dark(_qpsk_streams(n_sym, seed=n_sym), dark))]
-        agg = mux(streams, PLAN)
-        assert np.max(np.abs(agg.symbols - _reference_mux(streams, PLAN))) <= 1e-10
-        for k in range(PLAN.n_subcarriers):
-            got = demux_select(agg, k, PLAN).symbols
-            assert np.max(np.abs(got - _reference_demux(agg.symbols, k, PLAN))) <= 1e-10
+        agg = mux(streams)
+        assert np.max(np.abs(agg.symbols - _reference_mux(streams))) <= 1e-10
+        for k in range(N_SUBCARRIERS):
+            got = demux_select(agg, k).symbols
+            assert np.max(np.abs(got - _reference_demux(agg.symbols, k))) <= 1e-10
 
 
 class TestSharedSpectrum:
     def test_demux_all_transforms_the_aggregate_once(self, monkeypatch):
-        agg = mux(_qpsk_streams(9335, seed=30), PLAN)
+        agg = mux(_qpsk_streams(9335, seed=30))
         sizes = []
         fft = np.fft.fft
 
@@ -209,7 +208,7 @@ class TestSharedSpectrum:
             return fft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counting_fft)
-        _demux_all(agg, PLAN)
+        _demux_all(agg)
         assert sizes.count(agg.symbols.size) == 1
 
     def test_symbol_stream_is_frozen(self):
@@ -221,9 +220,9 @@ class TestSharedSpectrum:
 class TestSpectrum:
     def test_four_carriers_add_four_times_single_power(self):
         streams = _qpsk_streams(8192, seed=6)
-        full = _power(mux(streams, PLAN))
-        zero = SymbolStream(np.zeros(8192, dtype=complex), PLAN.baud_per_sc)
-        single = _power(mux([streams[0], zero, zero, zero], PLAN))
+        full = _power(mux(streams))
+        zero = SymbolStream(np.zeros(8192, dtype=complex), SUBCARRIER_BAUD)
+        single = _power(mux([streams[0], zero, zero, zero]))
         ratio_db = 10 * np.log10(full / single)
         assert ratio_db == pytest.approx(10 * np.log10(4.0), abs=0.01)
 
@@ -232,10 +231,10 @@ class TestSpectrum:
         stays within the nominal (1 + rolloff) band."""
         n_sym = 16384
         streams = _qpsk_streams(n_sym, seed=7)
-        zero = SymbolStream(np.zeros(n_sym, dtype=complex), PLAN.baud_per_sc)
-        agg = mux([zero, streams[1], zero, zero], PLAN)
+        zero = SymbolStream(np.zeros(n_sym, dtype=complex), SUBCARRIER_BAUD)
+        agg = mux([zero, streams[1], zero, zero])
         spec = np.abs(np.fft.fft(agg.symbols)) ** 2
-        freqs = np.fft.fftfreq(spec.size, d=1.0 / PLAN.sample_rate_hz)
+        freqs = np.fft.fftfreq(spec.size, d=1.0 / SAMPLE_RATE)
         # average the periodogram in 10 MHz bins to beat the chi-square scatter
         order = np.argsort(freqs)
         f, p = freqs[order], spec[order]
@@ -244,18 +243,18 @@ class TestSpectrum:
         p = p[: p.size - p.size % nbin].reshape(-1, nbin).mean(axis=1)
         occupied = f[p >= p.max() * 1e-4]
         width = occupied.max() - occupied.min()
-        center = PLAN.center_frequencies[1]
+        center = CENTER_FREQUENCIES[1]
         assert abs(0.5 * (occupied.max() + occupied.min()) - center) < 0.2e9
-        assert PLAN.baud_per_sc * (1 - PLAN.rolloff) < width <= _occupied_band_hz(PLAN) * 1.001
+        assert SUBCARRIER_BAUD * (1 - RRC_ROLLOFF) < width <= OCCUPIED_BAND_HZ * 1.001
 
     def test_adjacent_leakage_below_minus_30db(self):
         n_sym = 8192
         streams = _qpsk_streams(n_sym, seed=8)
-        zero = SymbolStream(np.zeros(n_sym, dtype=complex), PLAN.baud_per_sc)
-        agg = mux([zero, streams[1], zero, zero], PLAN)
-        active = demux_select(agg, 1, PLAN)
+        zero = SymbolStream(np.zeros(n_sym, dtype=complex), SUBCARRIER_BAUD)
+        agg = mux([zero, streams[1], zero, zero])
+        active = demux_select(agg, 1)
         for k in (0, 2, 3):
-            leak = demux_select(agg, k, PLAN)
+            leak = demux_select(agg, k)
             ratio_db = 10 * np.log10(_power(leak) / _power(active) + 1e-300)
             assert ratio_db < -30.0
 
@@ -264,21 +263,21 @@ class TestNoiseCalibration:
     def test_post_demux_noise_variance_matches_prediction(self):
         rng = np.random.default_rng(9)
         streams = _qpsk_streams(50_000, seed=10)
-        agg = mux(streams, PLAN)
+        agg = mux(streams)
         sigma2 = 4e-4
         noise = (rng.normal(size=agg.symbols.size)
                  + 1j * rng.normal(size=agg.symbols.size)) * np.sqrt(sigma2 / 2)
         noisy = SymbolStream(agg.symbols + noise, agg.symbol_rate_hz)
-        for k, back in enumerate(_demux_all(noisy, PLAN)):
+        for k, back in enumerate(_demux_all(noisy)):
             measured = np.mean(np.abs(back.symbols - streams[k].symbols) ** 2)
-            assert measured == pytest.approx(_symbol_noise_variance(sigma2, PLAN), rel=0.05)
+            assert measured == pytest.approx(_symbol_noise_variance(sigma2), rel=0.05)
 
     def test_aggregate_snr_helper_hits_target(self):
         streams = _qpsk_streams(100_000, seed=13)
-        agg = mux(streams, PLAN)
+        agg = mux(streams)
         target = 9.0
-        noisy = channel.add_awgn(agg, aggregate_snr_db(PLAN, target), seed=14)
-        back = demux_select(noisy, 2, PLAN)
+        noisy = channel.add_awgn(agg, aggregate_snr_db(target), seed=14)
+        back = demux_select(noisy, 2)
         nv = np.mean(np.abs(back.symbols - streams[2].symbols) ** 2)
         assert 10 * np.log10(1.0 / nv) == pytest.approx(target, abs=0.1)
 
@@ -288,12 +287,12 @@ class TestNoiseCalibration:
         n_sym = 250_000
         rng = np.random.default_rng(15)
         bits = rng.integers(0, 2, size=4 * n_sym * 4).reshape(4, -1).astype(np.uint8)
-        streams = [SymbolStream(map_payload_16qam(b), PLAN.baud_per_sc) for b in bits]
+        streams = [SymbolStream(map_payload_16qam(b), SUBCARRIER_BAUD) for b in bits]
         target = 12.0
-        agg = mux(streams, PLAN)
-        noisy = channel.add_awgn(agg, aggregate_snr_db(PLAN, target), seed=16)
+        agg = mux(streams)
+        noisy = channel.add_awgn(agg, aggregate_snr_db(target), seed=16)
         errors = bits_total = 0
-        for k, back in enumerate(_demux_all(noisy, PLAN)):
+        for k, back in enumerate(_demux_all(noisy)):
             hard = demap_payload_16qam(back.symbols)
             errors += int(np.sum(hard != bits[k]))
             bits_total += bits[k].size
@@ -309,50 +308,50 @@ class TestFrequencyOffsetIntegration:
         correction applies to the aggregate before the real demux."""
         n_sym = 4096
         train = qpsk_training(n_sym, seed=21)
-        streams = [SymbolStream(train.copy(), PLAN.baud_per_sc) for _ in range(4)]
-        agg = mux(streams, PLAN)
+        streams = [SymbolStream(train.copy(), SUBCARRIER_BAUD) for _ in range(4)]
+        agg = mux(streams)
         offset = 180e6
         n = np.arange(agg.symbols.size)
         shifted = SymbolStream(
-            agg.symbols * np.exp(2j * np.pi * offset * n / PLAN.sample_rate_hz),
-            PLAN.sample_rate_hz)
-        coarse = demux_select(shifted, 1, PLAN)
-        est = rxdsp.estimate_frequency_offset(coarse.symbols, train, PLAN.baud_per_sc)
+            agg.symbols * np.exp(2j * np.pi * offset * n / SAMPLE_RATE),
+            SAMPLE_RATE)
+        coarse = demux_select(shifted, 1)
+        est = rxdsp.estimate_frequency_offset(coarse.symbols, train, SUBCARRIER_BAUD)
         assert est == pytest.approx(offset, abs=2e6)
         fixed = SymbolStream(
-            rxdsp.correct_frequency_offset(shifted.symbols, est, PLAN.sample_rate_hz),
-            PLAN.sample_rate_hz)
-        back = demux_select(fixed, 1, PLAN)
+            rxdsp.correct_frequency_offset(shifted.symbols, est, SAMPLE_RATE),
+            SAMPLE_RATE)
+        back = demux_select(fixed, 1)
         assert _evm(back.symbols, train) < 2e-2
 
 
 class TestValidation:
     def test_mux_rejects_wrong_stream_count(self):
         with pytest.raises(ValueError):
-            mux(_qpsk_streams(256, count=3), PLAN)
+            mux(_qpsk_streams(256, count=3))
 
     def test_mux_rejects_length_mismatch(self):
         streams = _qpsk_streams(256)
-        streams[2] = SymbolStream(streams[2].symbols[:-1], PLAN.baud_per_sc)
+        streams[2] = SymbolStream(streams[2].symbols[:-1], SUBCARRIER_BAUD)
         with pytest.raises(ValueError):
-            mux(streams, PLAN)
+            mux(streams)
 
     def test_mux_rejects_wrong_symbol_rate(self):
         with pytest.raises(ValueError):
-            mux(_qpsk_streams(256, baud=16e9), PLAN)
+            mux(_qpsk_streams(256, baud=16e9))
 
     def test_demux_rejects_bad_index(self):
-        agg = mux(_qpsk_streams(256), PLAN)
+        agg = mux(_qpsk_streams(256))
         for bad in (-1, 4):
             with pytest.raises(ValueError):
-                demux_select(agg, bad, PLAN)
+                demux_select(agg, bad)
 
     def test_demux_rejects_wrong_sample_rate(self):
-        agg = mux(_qpsk_streams(256), PLAN)
+        agg = mux(_qpsk_streams(256))
         with pytest.raises(ValueError):
-            demux_select(SymbolStream(agg.symbols, 32e9), 0, PLAN)
+            demux_select(SymbolStream(agg.symbols, 32e9), 0)
 
     def test_demux_rejects_partial_symbol(self):
-        agg = mux(_qpsk_streams(256), PLAN)
+        agg = mux(_qpsk_streams(256))
         with pytest.raises(ValueError):
-            demux_select(SymbolStream(agg.symbols[:-3], agg.symbol_rate_hz), 0, PLAN)
+            demux_select(SymbolStream(agg.symbols[:-3], agg.symbol_rate_hz), 0)

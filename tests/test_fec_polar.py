@@ -1,4 +1,5 @@
 import gc
+import inspect
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ class TestCrc11:
     @given(_LENGTHS.flatmap(_messages))
     def test_matrix_agrees_with_crc11(self, m):
         # the list decoder checks every candidate path through this matrix
-        mat = fp._crc_matrix(fp.CRC11_POLY, m.size)
+        mat = fp._crc_matrix(m.size)
         assert np.array_equal(mat.astype(int) @ m % 2, fp.crc11(m))
 
     @settings(max_examples=100, deadline=None)
@@ -233,13 +234,16 @@ class TestPolarCodeDescription:
         worst = set(int(x) for x in fp.reliability_order(512)[:256])
         assert set(code.frozen) == worst
 
+    def test_entry_points_default_to_the_module_code(self):
+        # one code built at import, not a fresh one per call
+        for fn in (fp.polar_encode, fp.KeyCodeword.from_payload, fp.polar_decode_scl):
+            assert inspect.signature(fn).parameters["code"].default is fp.POLAR
+
     def test_invalid_descriptions_rejected(self):
         with pytest.raises(ValueError):
             fp.PolarCode(block_length=500)
         with pytest.raises(ValueError):
             fp.PolarCode(info_length=512)
-        with pytest.raises(ValueError):
-            fp.PolarCode(frozen=(0, 1, 2))
         with pytest.raises(ValueError):
             fp.PolarCode(list_size=0)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from secpon import protocol, theory
 from secpon.channel import ChannelConfig
 from secpon.crypto import KeyFragmentMessage, KeyStore, SessionKey, split_key
-from secpon.dscm import DscmPlan, aggregate_snr_db, demux_select, mux
+from secpon.dscm import SAMPLES_PER_SYMBOL, SUBCARRIER_BAUD, aggregate_snr_db, demux_select, mux
 from secpon.fec_ldpc import LdpcCode
 from secpon.framing import SymbolStream
 from secpon.protocol import (
@@ -20,9 +20,8 @@ from secpon.protocol import (
     run_upstream_keydist,
 )
 
-PLAN = DscmPlan()
 OP_SNR_SC = theory.snr_at_ber_16qam(2.4e-2)
-OP_SNR_AGG = aggregate_snr_db(PLAN, OP_SNR_SC)
+OP_SNR_AGG = aggregate_snr_db(OP_SNR_SC)
 
 
 def _two_onus(seed=5):
@@ -111,7 +110,7 @@ class TestUpstreamKeydist:
         sessions = _two_onus()
         raw = theory.ber_pilot_second_bit(1.0, 1.7)
         assert raw >= 0.2
-        cfg = ChannelConfig(snr_db=aggregate_snr_db(PLAN, 1.0), seed=17)
+        cfg = ChannelConfig(snr_db=aggregate_snr_db(1.0), seed=17)
         rep = run_upstream_keydist(sessions, cfg, 8, seed=5)
         assert rep.crc_failures > 0
         assert rep.key_mismatches == 0
@@ -237,7 +236,7 @@ class TestDownstreamEncrypted:
 
     def test_error_free_above_threshold_with_phase_noise(self):
         sessions = _two_onus()
-        cfg = ChannelConfig(snr_db=aggregate_snr_db(PLAN, OP_SNR_SC + 1.2),
+        cfg = ChannelConfig(snr_db=aggregate_snr_db(OP_SNR_SC + 1.2),
                             linewidth_hz=1e5, seed=31)
         rep = run_downstream_encrypted(sessions, cfg, 2, seed=5)
         assert rep.pre_fec_ber() > 1e-3
@@ -317,7 +316,7 @@ class TestSecureSession:
             return (rep.crc_failures, rep.fragments_lost, rep.keys_assembled,
                     rep.key_mismatches, [s.olt_store.next_seq for s in sessions])
 
-        us_cfg = ChannelConfig(snr_db=aggregate_snr_db(PLAN, 9.4),
+        us_cfg = ChannelConfig(snr_db=aggregate_snr_db(9.4),
                                linewidth_hz=1e5, seed=7)
         up_sessions = make_sessions(allocate_tfdma(onu_ids), seed=3)
         keydist = run_upstream_keydist(up_sessions, us_cfg, 4, seed=3)
@@ -342,10 +341,10 @@ class TestBandwidthPowerTradeoff:
         n = 50_000
         def qpsk():
             return SymbolStream(np.exp(1j * (np.pi / 4 + rng.integers(0, 4, n)
-                                             * np.pi / 2)), PLAN.baud_per_sc)
-        zero = SymbolStream(np.zeros(n, dtype=complex), PLAN.baud_per_sc)
-        two = mux([qpsk(), qpsk(), zero, zero], PLAN).symbols
-        four = mux([qpsk() for _ in range(4)], PLAN).symbols
+                                             * np.pi / 2)), SUBCARRIER_BAUD)
+        zero = SymbolStream(np.zeros(n, dtype=complex), SUBCARRIER_BAUD)
+        two = mux([qpsk(), qpsk(), zero, zero]).symbols
+        four = mux([qpsk() for _ in range(4)]).symbols
         ratio = np.mean(np.abs(four) ** 2) / np.mean(np.abs(two) ** 2)
         assert 10 * np.log10(ratio) == pytest.approx(3.01, abs=0.05)
 
@@ -354,19 +353,19 @@ class TestBandwidthPowerTradeoff:
         n = 50_000
         def qpsk():
             return SymbolStream(np.exp(1j * (np.pi / 4 + rng.integers(0, 4, n)
-                                             * np.pi / 2)), PLAN.baud_per_sc)
-        zero = SymbolStream(np.zeros(n, dtype=complex), PLAN.baud_per_sc)
+                                             * np.pi / 2)), SUBCARRIER_BAUD)
+        zero = SymbolStream(np.zeros(n, dtype=complex), SUBCARRIER_BAUD)
         s0 = qpsk()
-        two = mux([s0, qpsk(), zero, zero], PLAN)
+        two = mux([s0, qpsk(), zero, zero])
         f2 = qpsk()
-        four = mux([qpsk(), qpsk(), f2, qpsk()], PLAN)
+        four = mux([qpsk(), qpsk(), f2, qpsk()])
         sigma2 = 1e-3
-        noise = (rng.normal(size=n * PLAN.samples_per_symbol)
-                 + 1j * rng.normal(size=n * PLAN.samples_per_symbol)) * np.sqrt(sigma2 / 2)
+        noise = (rng.normal(size=n * SAMPLES_PER_SYMBOL)
+                 + 1j * rng.normal(size=n * SAMPLES_PER_SYMBOL)) * np.sqrt(sigma2 / 2)
         got = []
         for wave, sc, tx in ((two, 0, s0), (four, 2, f2)):
             noisy = SymbolStream(wave.symbols + noise, wave.symbol_rate_hz)
-            back = demux_select(noisy, sc, PLAN)
+            back = demux_select(noisy, sc)
             nv = np.mean(np.abs(back.symbols - tx.symbols) ** 2)
             got.append(10 * np.log10(1.0 / nv))
         assert got[0] == pytest.approx(got[1], abs=0.1)
