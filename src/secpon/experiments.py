@@ -196,6 +196,17 @@ def _number(value: Any, key: str) -> float:
     return x
 
 
+def _nonnegative(value: Any, key: str) -> float:
+    x = _number(value, key)
+    if x < 0:
+        raise ConfigError(f"{key} must be >= 0, got {x}")
+    return x
+
+
+def _nonnegatives(value: Any, key: str) -> list[float]:
+    return [_nonnegative(x, key) for x in _numbers(value, key)]
+
+
 def _optional_number(value: Any, key: str) -> float | None:
     return None if value is None else _number(value, key)
 
@@ -261,7 +272,8 @@ def _snr_grid(value: Any, key: str) -> list[float]:
         start, stop, step = (_number(value[k], key) for k in ("start", "stop", "step"))
         if step <= 0 or stop < start:
             raise ConfigError(f"{key} range must run forward with step > 0")
-        n = int(round((stop - start) / step))
+        # the tolerance keeps the last point of an exact grid
+        n = math.floor((stop - start) / step + 1e-9)
         return [round(start + i * step, 10) for i in range(n + 1)]
     return _numbers(value, key)
 
@@ -475,7 +487,7 @@ def _required_snr(scan: list[tuple[float, float]], target: float) -> float:
 def _run_cpr_penalty(spec: ExperimentSpec) -> ExperimentResult:
     p = _params(spec, {
         "a_values": ([1.0, 1.35, 1.7, 2.35], _pilot_shapes),
-        "linewidths_hz": ([1e5, 5e5, 1e6], _numbers),
+        "linewidths_hz": ([1e5, 5e5, 1e6], _nonnegatives),
         "baseline_a": (3.0, _pilot_shape),
         "n_symbols": (200_000, functools.partial(_count, minimum=1000)),
         "scan_snrs_db": ([12.2, 12.5, 12.8, 13.1, 13.4, 13.7, 14.0], _numbers),
@@ -701,7 +713,7 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
         "onu_ids": (["onu1", "onu2"], _onu_ids),
         "n_frames": (20, _run_length(MAX_KEYDIST_FRAMES)),
         "snr_sc_db": (round(op, 4), _optional_number),
-        "linewidth_hz": (1e5, _number),
+        "linewidth_hz": (1e5, _nonnegative),
         "freq_offset_hz": (0.0, _number),
         "loss_probability": (0.0, _probability),
     })
@@ -741,7 +753,7 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
         "n_superframes": (4, _run_length(MAX_E2E_SUPERFRAMES)),
         "us_snr_sc_db": (round(op, 4), _optional_number),
         "ds_snr_sc_db": (round(op + 1.2, 4), _optional_number),
-        "linewidth_hz": (1e5, _number),
+        "linewidth_hz": (1e5, _nonnegative),
         "freq_offset_hz": (0.0, _number),
         "loss_probability": (0.0, _probability),
         "eavesdropper": (True, _flag),

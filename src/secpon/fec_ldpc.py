@@ -7,6 +7,10 @@ with circulant shifts chosen to avoid length-4 cycles.  Construction is
 deterministic for a given seed, so every build of the package decodes
 the waterfall tests identically.
 
+Encoding is systematic and needs no matrix inverse: the parity part is
+lower-triangular with a unit diagonal, so each parity bit is the running
+XOR of the information syndrome down its staircase chain of checks.
+
 Decoding is layered sum-product in the log domain (Hocevar, SiPS 2004;
 Mansour and Shanbhag, IEEE TVLSI 2003): the checks are split once into
 layers of consecutive checks that share no variable, 56 base rows of 48
@@ -49,7 +53,6 @@ class LdpcCode:
     m: int
     check_of_edge: np.ndarray       # edge -> check index, sorted by check
     var_of_edge: np.ndarray         # edge -> variable index (same edge order)
-    accumulator_lift: int | None = None  # staircase parity with this lift factor
 
     def __post_init__(self) -> None:
         self.k = self.n - self.m
@@ -63,7 +66,6 @@ class LdpcCode:
         if np.any(np.bincount(self.var_of_edge, minlength=self.n) == 0):
             raise ValueError("parity-check matrix has an empty column")
         self._layers = self._build_layers(counts)
-        self._solver = None
 
     def _build_layers(self, counts: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
         """Split the checks into runs of consecutive checks of equal degree
@@ -104,20 +106,20 @@ class LdpcCode:
         return np.bitwise_and(np.add.reduceat(contrib, self._check_starts), 1)
 
     def encode(self, info: np.ndarray) -> np.ndarray:
-        """Systematic encoding: codeword is info bits followed by parity."""
+        """Systematic encoding: codeword is info bits followed by parity.
+
+        The parity part must be the block staircase of the shipped code:
+        parity bit j enters check j and, below the last block of 48, check
+        j + 48, and no other check.
+        """
         info = np.asarray(info).astype(np.uint8)
         if info.size != self.k:
             raise ValueError(f"expected {self.k} information bits, got {info.size}")
-        if self.accumulator_lift:
-            s = self._info_syndrome(info.astype(np.int64))
-            # staircase: parity block i closes check block i given block i-1,
-            # one independent chain per position within the lifted block
-            blocks = s.reshape(-1, self.accumulator_lift)
-            parity = np.bitwise_xor.accumulate(blocks, axis=0).ravel().astype(np.uint8)
-        else:
-            if self._solver is None:
-                self._solver = _GenericParitySolver(self)
-            parity = self._solver.solve(info)
+        s = self._info_syndrome(info.astype(np.int64))
+        # staircase: parity block i closes check block i given block i-1,
+        # one independent chain per position within the lifted block
+        blocks = s.reshape(-1, _LIFT)
+        parity = np.bitwise_xor.accumulate(blocks, axis=0).ravel().astype(np.uint8)
         out = np.concatenate([info, parity])
         assert not self.syndrome_weight(out)
         return out
@@ -187,56 +189,6 @@ class LdpcCode:
 def _phi(x: np.ndarray) -> np.ndarray:
     """Self-inverse check-node kernel -log(tanh(x/2)) for x > 0."""
     return -np.log(np.tanh(0.5 * x))
-
-
-class _GenericParitySolver:
-    """Gauss-elimination parity solver for codes without helper structure."""
-
-    def __init__(self, code: LdpcCode) -> None:
-        n, m, k = code.n, code.m, code.k
-        words = (n + 63) // 64
-        rows = np.zeros((m, words), dtype=np.uint64)
-        e_r = code.check_of_edge
-        e_c = code.var_of_edge
-        np.bitwise_xor.at(rows, (e_r, e_c // 64), np.uint64(1) << (e_c % 64).astype(np.uint64))
-        # eliminate on parity columns first so pivots land there
-        piv_rows: list[int] = []
-        piv_cols: list[int] = []
-        r = 0
-        for c in list(range(k, n)) + list(range(k)):
-            w, b = c // 64, np.uint64(1) << np.uint64(c % 64)
-            cand = np.nonzero(rows[r:, w] & b)[0]
-            if cand.size == 0:
-                continue
-            p = r + cand[0]
-            rows[[r, p]] = rows[[p, r]]
-            hit = np.nonzero(rows[:, w] & b)[0]
-            hit = hit[hit != r]
-            rows[hit] ^= rows[r]
-            piv_rows.append(r)
-            piv_cols.append(c)
-            r += 1
-            if r == m:
-                break
-        if len(piv_cols) != m or any(c < k for c in piv_cols):
-            raise ValueError("parity-check matrix is rank-deficient on parity columns")
-        self._pivot_cols = np.array(piv_cols) - k
-        mat = np.zeros((m, k), dtype=np.uint8)
-        for i in range(m):
-            unpacked = np.unpackbits(rows[i].view(np.uint8), bitorder="little")[:n]
-            mat[i] = unpacked[:k]
-        self._mat = np.packbits(mat, axis=1)
-        self._k = k
-
-    def solve(self, info: np.ndarray) -> np.ndarray:
-        info_p = np.packbits(info.astype(np.uint8))
-        acc = np.bitwise_and(self._mat, info_p[None, :])
-        # parity of popcount per row
-        bits = np.unpackbits(acc, axis=1)
-        vals = np.bitwise_and(np.sum(bits, axis=1), 1).astype(np.uint8)
-        parity = np.zeros(len(vals), dtype=np.uint8)
-        parity[self._pivot_cols] = vals
-        return parity
 
 
 def _peg_base_graph(rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -349,10 +301,6 @@ def default_code() -> LdpcCode:
         if p + 1 < _BASE_ROWS:
             rows.append((p + 1) * _LIFT + r)
             cols.append(j * _LIFT + r)
-    code = LdpcCode(
-        n=LDPC_N, m=LDPC_N - LDPC_K,
-        check_of_edge=np.concatenate(rows), var_of_edge=np.concatenate(cols),
-        accumulator_lift=_LIFT,
-    )
-    return code
+    return LdpcCode(n=LDPC_N, m=LDPC_N - LDPC_K,
+                    check_of_edge=np.concatenate(rows), var_of_edge=np.concatenate(cols))
 

@@ -69,18 +69,14 @@ def count_cycle_slips(estimates: np.ndarray) -> int:
     return int(np.sum(np.abs(np.diff(estimates)) > CYCLE_SLIP_STEP))
 
 
-def smooth_phase_estimates(estimates: np.ndarray, window: int = PILOT_SMOOTHING) -> np.ndarray:
-    """Boxcar-average unwrapped pilot phases; window 1 is a no-op.
+def smooth_phase_estimates(estimates: np.ndarray) -> np.ndarray:
+    """Boxcar-average unwrapped pilot phases over PILOT_SMOOTHING pilots.
 
     Ends are averaged over however much of the window fits.  That pulls
     the outermost estimates slightly toward the interior on a phase
     ramp, which costs far less than the estimate noise it removes.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValueError("smoothing window must be odd and positive")
-    if window == 1:
-        return np.asarray(estimates, dtype=float)
-    return _boxcar_mean(estimates, window)
+    return _boxcar_mean(estimates, PILOT_SMOOTHING)
 
 
 def apply_pilot_phase(payload: np.ndarray, estimates: np.ndarray,

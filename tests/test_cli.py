@@ -94,6 +94,9 @@ def test_unreadable_config_exits_2(tmp_path):
     # one frame or superframe past the 8-bit key sequence space
     ("keydist", {"n_frames": 511}, "n_frames"),
     ("e2e-secure", {"n_superframes": 510}, "n_superframes"),
+    ("keydist", {"linewidth_hz": -1}, "linewidth_hz"),
+    ("cpr-penalty", {"linewidths_hz": [-1e5]}, "linewidths_hz"),
+    ("e2e-secure", {"linewidth_hz": -1}, "linewidth_hz"),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, experiment, params, key):
     cfg = tmp_path / "cfg.json"

@@ -38,6 +38,16 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="range"):
             run_experiment(spec)
 
+    @pytest.mark.parametrize("start, stop, step, want", [
+        (0, 1, 0.6, [0.0, 0.6]),                    # never past stop
+        (0, 0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),        # exact grid keeps stop
+        (4, 16, 0.5, [4.0 + 0.5 * i for i in range(25)]),
+    ])
+    def test_snr_range_includes_stop_but_not_beyond(self, start, stop, step, want):
+        grid = experiments._snr_grid({"start": start, "stop": stop, "step": step},
+                                     "snr_db")
+        assert grid == want
+
     def test_bad_a_rejected(self, tmp_path):
         spec = ExperimentSpec("theory-curves", {"a_values": [0.0]},
                               out_dir=tmp_path)

@@ -128,30 +128,36 @@ class TestEncoder:
         with pytest.raises(ValueError):
             code.encode(np.zeros(code.k - 1, np.uint8))
 
-    def test_generic_solver_matches_staircase(self):
-        fast = fec_ldpc.default_code()
-        slow = fec_ldpc.LdpcCode(n=fast.n, m=fast.m,
-                                 check_of_edge=fast.check_of_edge.copy(),
-                                 var_of_edge=fast.var_of_edge.copy())
-        rng = np.random.default_rng(3)
-        for _ in range(3):
-            info = rng.integers(0, 2, fast.k).astype(np.uint8)
-            assert np.array_equal(fast.encode(info), slow.encode(info))
+    def test_parity_columns_are_block_staircase(self):
+        # parity bit j enters check j and, below the last block of 48, check
+        # j + 48, and nothing else: a unit lower-triangular parity part, so
+        # each info word has one codeword, which the zero-syndrome and
+        # systematic-prefix tests pin
+        code = fec_ldpc.default_code()
+        par = code.var_of_edge >= code.k
+        got = sorted(zip((code.var_of_edge[par] - code.k).tolist(),
+                         code.check_of_edge[par].tolist()))
+        want = sorted([(j, j) for j in range(code.m)]
+                      + [(j, j + 48) for j in range(code.m - 48)])
+        assert got == want
 
 
 class TestSmallCodeSanity:
+    # (7,4) single-error-correcting code, H = [A | I3]
+    A = np.array([[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1]], dtype=np.uint8)
+
     def hamming(self):
-        # (7,4) single-error-correcting code, identity on the parity columns
-        rows = [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
-        cols = [0, 1, 2, 4, 0, 1, 3, 5, 0, 2, 3, 6]
-        return fec_ldpc.LdpcCode(n=7, m=3, check_of_edge=np.array(rows),
-                                 var_of_edge=np.array(cols))
+        rows, cols = np.nonzero(np.hstack([self.A, np.eye(3, dtype=np.uint8)]))
+        return fec_ldpc.LdpcCode(n=7, m=3, check_of_edge=rows, var_of_edge=cols)
+
+    def codewords(self):
+        for val in range(16):
+            info = np.array([(val >> i) & 1 for i in range(4)], dtype=np.uint8)
+            yield info, np.concatenate([info, self.A @ info % 2]).astype(np.uint8)
 
     def test_hamming_roundtrip_all_codewords(self):
         code = self.hamming()
-        for val in range(16):
-            info = np.array([(val >> i) & 1 for i in range(4)], dtype=np.uint8)
-            cw = code.encode(info)
+        for info, cw in self.codewords():
             assert code.syndrome_weight(cw) == 0
             llr = 4.0 * (1.0 - 2.0 * cw.astype(float))
             bits, _, ok = code.decode_batch(llr[None, :], 20)
@@ -167,15 +173,13 @@ class TestSmallCodeSanity:
         # one position flipped at low confidence: belief propagation must
         # pull it back from the other checks, wherever it sits
         code = self.hamming()
-        for val in range(16):
-            info = np.array([(val >> i) & 1 for i in range(4)], dtype=np.uint8)
-            cw = code.encode(info)
+        for info, cw in self.codewords():
             for flip in range(7):
                 llr = 4.0 * (1.0 - 2.0 * cw.astype(float))
                 llr[flip] = -0.25 * llr[flip]
                 bits, _, ok = code.decode_batch(llr[None, :], 20)
                 assert ok[0]
-                assert np.array_equal(bits[0, :4], info), (val, flip)
+                assert np.array_equal(bits[0, :4], info), (info, flip)
 
 
 class TestDecoder:

@@ -95,23 +95,15 @@ class TestInterpolateAndSmooth:
         out = _hold_phase(est, pos, np.array([1, 3, 4, 6]))
         assert np.allclose(out, [1.0, 1.0, 2.0, 2.0])
 
-    def test_smoothing_window_one_is_noop(self):
-        x = np.array([0.4, -0.2, 0.9])
-        assert np.array_equal(rxdsp.smooth_phase_estimates(x, 1), x)
-
     def test_smoothing_preserves_interior_of_ramp(self):
         x = np.arange(20, dtype=float) * 0.05
-        y = rxdsp.smooth_phase_estimates(x, 3)
+        y = rxdsp.smooth_phase_estimates(x)
         assert np.allclose(y[1:-1], x[1:-1], atol=1e-12)
 
     def test_smoothing_ends_average_what_fits(self):
         x = np.random.default_rng(3).normal(size=9)
-        want = [np.mean(x[max(i - 2, 0):i + 3]) for i in range(x.size)]
-        assert np.allclose(rxdsp.smooth_phase_estimates(x, 5), want, atol=1e-12)
-
-    def test_even_window_rejected(self):
-        with pytest.raises(ValueError):
-            rxdsp.smooth_phase_estimates(np.zeros(5), 4)
+        want = [np.mean(x[max(i - 1, 0):i + 2]) for i in range(x.size)]
+        assert np.allclose(rxdsp.smooth_phase_estimates(x), want, atol=1e-12)
 
 
 class TestResidualStage:
