@@ -1,0 +1,93 @@
+"""Soak run: the two session experiments at their longest allowed lengths
+over a fixed seed list, counting events too rare for the test suite's
+run lengths.
+
+    PYTHONPATH=src python3 scripts/soak.py 1 2 [--out soak-out]
+
+Per seed it runs ``e2e-secure`` with ``MAX_E2E_SUPERFRAMES`` superframes
+and the eavesdropper off, then ``keydist`` with ``MAX_KEYDIST_FRAMES``
+frames, each through ``run_experiment`` with ``check=True``.  Each run
+prints one JSON line and adds it to ``<out>/soak.jsonl``; the
+experiments' own CSV and meta files go to ``<out>/<experiment>-seed<N>``.
+A line holds the stuck LDPC codewords (those the decoder returns
+unconverged, counted by wrapping ``LdpcCode.decode_batch``), the
+post-FEC bit errors, CRC failures, key mismatches, rotations against the
+expected count, desynchronized frames, cycle slips, the failed checks,
+wall time, and the exception if the run raised.  One 509-superframe run
+takes about two minutes on one core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import time
+import traceback
+from pathlib import Path
+
+from secpon.experiments import (
+    MAX_E2E_SUPERFRAMES,
+    MAX_KEYDIST_FRAMES,
+    ExperimentSpec,
+    run_experiment,
+)
+from secpon.fec_ldpc import LdpcCode
+
+
+def _run(name: str, params: dict, seed: int, out: Path) -> dict:
+    stuck = [0]
+    decode = LdpcCode.decode_batch
+
+    def counting_decode(code, llrs, *args, **kwargs):
+        hard, iters, converged = decode(code, llrs, *args, **kwargs)
+        stuck[0] += int((~converged).sum())
+        return hard, iters, converged
+
+    line = {"experiment": name, "seed": seed, **params}
+    started = time.perf_counter()
+    LdpcCode.decode_batch = counting_decode
+    try:
+        result = run_experiment(ExperimentSpec(name, params, seed=seed, check=True,
+                                               out_dir=out / f"{name}-seed{seed}"))
+    except Exception:       # a crash is a soak finding, not the end of the soak
+        line["exception"] = traceback.format_exc()
+    else:
+        s = result.summary
+        line.update({
+            "stuck_codewords": stuck[0],
+            "post_errors": sum(r["post_errors"] for r in result.rows),
+            "crc_failures": s["crc_failures"],
+            "key_mismatches": s["key_mismatches"],
+            "rotations": s["rotations"],
+            "expected_rotations": s["expected_rotations"],
+            "desynchronized_frames": s["desynchronized_frames"],
+            "cycle_slips": sum(r["cycle_slips"] for r in result.rows),
+            "check_failures": result.check_failures,
+        })
+    finally:
+        LdpcCode.decode_batch = decode
+    line["wall_s"] = round(time.perf_counter() - started, 1)
+    return line
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seeds", type=int, nargs="+", help="master seeds to run")
+    parser.add_argument("--out", type=Path, default=Path("soak-out"),
+                        help="output directory (default: soak-out)")
+    args = parser.parse_args()
+    args.out.mkdir(parents=True, exist_ok=True)
+    with open(args.out / "soak.jsonl", "a") as log:
+        for seed in args.seeds:
+            for name, params in (
+                ("e2e-secure", {"n_superframes": MAX_E2E_SUPERFRAMES, "eavesdropper": False}),
+                ("keydist", {"n_frames": MAX_KEYDIST_FRAMES}),
+            ):
+                line = json.dumps(_run(name, params, seed, args.out))
+                print(line, flush=True)
+                log.write(line + "\n")
+                log.flush()
+
+
+if __name__ == "__main__":
+    main()

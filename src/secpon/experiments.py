@@ -63,12 +63,12 @@ from .framing import (
 from .protocol import (
     ECHO_NONE,
     OnuSession,
+    SessionReport,
     allocate_tfdma,
     active_keys_synchronized,
     make_sessions,
     receive_subcarrier,
     run_secure_session,
-    run_upstream_keydist,
     transmit_subcarrier,
 )
 
@@ -83,6 +83,7 @@ EXPERIMENT_NAMES = (
 
 LOW_CONFIDENCE_ERRORS = 100
 CPR_PENALTY_BOUND_DB = 0.15     # criterion 3: a=1.7 at most, a=1.0 at least, at 100 kHz
+AGREEMENT_BAND = (0.49, 0.51)   # criterion 6: the eavesdropper's bit agreement
 _MC_CHUNK = 1_000_000
 _POLAR_CHUNK = 100      # blocks per list-decoder call, about 8 MiB of decoder state at peak
 # Without losses each ONU draws key s in frame 2(s - 1), so keydist runs
@@ -290,13 +291,6 @@ def _probability(value: Any, key: str) -> float:
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"{key} must lie in [0, 1), got {p}")
     return p
-
-
-def _band(value: Any, key: str) -> list[float]:
-    band = _numbers(value, key)
-    if len(band) != 2 or not 0 <= band[0] < band[1] <= 1:
-        raise ConfigError(f"{key} must be [lo, hi] within [0, 1]")
-    return band
 
 
 def _map_cells(fn: Callable, cells: Sequence, jobs: int) -> list:
@@ -672,8 +666,13 @@ def _fec_cell_dispatch(cell: tuple) -> dict[str, Any]:
 # --------------------------------------------------------------------------
 # keydist / e2e-secure: full multi-subcarrier sessions
 
-def _session_rows(report) -> list[dict[str, Any]]:
-    return [asdict(m) for m in report.frame_metrics]
+# config keys both session experiments take
+_SESSION_PARAMS: dict[str, tuple[Any, _Parser]] = {
+    "onu_ids": (["onu1", "onu2"], _onu_ids),
+    "linewidth_hz": (1e5, _nonnegative),
+    "freq_offset_hz": (0.0, _number),
+    "loss_probability": (0.0, _probability),
+}
 
 
 def _channel(p: dict[str, Any], snr_key: str, seed: int, tag: str) -> ChannelConfig:
@@ -696,44 +695,28 @@ def _sessions(onu_ids: list[str], seed: int) -> list[OnuSession]:
         raise ConfigError(f"onu_ids: {exc}") from exc
 
 
-def _key_channel_failures(report, expected_rotations: int) -> list[str]:
-    failures = []
-    if report.key_mismatches:
-        failures.append(f"{report.key_mismatches} assembled keys "
-                        "differ from the generated keys")
-    if report.rotations != expected_rotations:
-        failures.append(f"rotations {report.rotations} != expected "
-                        f"{expected_rotations} (one per cadence boundary)")
-    return failures
-
-
-def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
-    op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
-    p = _params(spec, {
-        "onu_ids": (["onu1", "onu2"], _onu_ids),
-        "n_frames": (20, _run_length(MAX_KEYDIST_FRAMES)),
-        "snr_sc_db": (round(op, 4), _optional_number),
-        "linewidth_hz": (1e5, _nonnegative),
-        "freq_offset_hz": (0.0, _number),
-        "loss_probability": (0.0, _probability),
-    })
-    sessions = _sessions(p["onu_ids"], spec.seed)
-    n_frames = p["n_frames"]
-
-    cfg = _channel(p, "snr_sc_db", spec.seed, "keydist-chan")
-    report = run_upstream_keydist(sessions, cfg, n_frames, seed=spec.seed,
-                                  loss_probability=p["loss_probability"])
-
+def _session_result(spec: ExperimentSpec, sessions: list[OnuSession],
+                    report: SessionReport, n_frames: int, summary: dict[str, Any],
+                    failures: list[str]) -> ExperimentResult:
+    """The result of a session run: one row per ``FrameMetrics``, the
+    experiment's own ``summary`` keys and check ``failures`` after the
+    key-channel counters and checks both session experiments share."""
     expected_rotations = len(sessions) * (n_frames // 2)
-    failures = []
+    synchronized = active_keys_synchronized(sessions)
     if spec.check:
-        failures += _key_channel_failures(report, expected_rotations)
-        if report.crc_failures:
-            failures.append(f"{report.crc_failures} fragments failed CRC")
-        if not active_keys_synchronized(sessions):
+        if report.key_mismatches:
+            failures.append(f"{report.key_mismatches} assembled keys "
+                            "differ from the generated keys")
+        if report.rotations != expected_rotations:
+            failures.append(f"rotations {report.rotations} != expected "
+                            f"{expected_rotations} (one per cadence boundary)")
+        if report.desynchronized_frames:
+            failures.append(f"active keys desynchronized after "
+                            f"{report.desynchronized_frames} of {n_frames} frames")
+        if not synchronized:
             failures.append("active keys desynchronized after the run")
     summary = {
-        "n_frames": n_frames, "onus": [s.onu_id for s in sessions],
+        **summary, "onus": [s.onu_id for s in sessions],
         "pre_fec_ber": report.pre_fec_ber(),
         "keys_assembled": report.keys_assembled,
         "key_mismatches": report.key_mismatches,
@@ -741,65 +724,68 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
         "fragments_lost": report.fragments_lost,
         "rotations": report.rotations,
         "expected_rotations": expected_rotations,
-        "synchronized": active_keys_synchronized(sessions),
+        "desynchronized_frames": report.desynchronized_frames,
+        "synchronized": synchronized,
     }
-    return ExperimentResult(spec, _session_rows(report), summary, failures)
+    return ExperimentResult(spec, [asdict(m) for m in report.frame_metrics],
+                            summary, failures)
+
+
+def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
+    op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
+    p = _params(spec, {
+        **_SESSION_PARAMS,
+        "n_frames": (20, _run_length(MAX_KEYDIST_FRAMES)),
+        "snr_sc_db": (round(op, 4), _optional_number),
+    })
+    sessions = _sessions(p["onu_ids"], spec.seed)
+    n_frames = p["n_frames"]
+    report = run_secure_session(sessions, _channel(p, "snr_sc_db", spec.seed, "keydist-chan"),
+                                None, n_frames, seed=spec.seed,
+                                loss_probability=p["loss_probability"])
+    failures = []
+    if spec.check and report.crc_failures:
+        failures.append(f"{report.crc_failures} fragments failed CRC")
+    return _session_result(spec, sessions, report, n_frames,
+                           {"n_frames": n_frames}, failures)
 
 
 def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
     op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
     p = _params(spec, {
-        "onu_ids": (["onu1", "onu2"], _onu_ids),
+        **_SESSION_PARAMS,
         "n_superframes": (4, _run_length(MAX_E2E_SUPERFRAMES)),
         "us_snr_sc_db": (round(op, 4), _optional_number),
         "ds_snr_sc_db": (round(op + 1.2, 4), _optional_number),
-        "linewidth_hz": (1e5, _nonnegative),
-        "freq_offset_hz": (0.0, _number),
-        "loss_probability": (0.0, _probability),
         "eavesdropper": (True, _flag),
-        "agreement_band": ([0.49, 0.51], _band),
     })
     sessions = _sessions(p["onu_ids"], spec.seed)
-    n_super, band = p["n_superframes"], p["agreement_band"]
-
+    n_super = p["n_superframes"]
     report = run_secure_session(
         sessions, _channel(p, "us_snr_sc_db", spec.seed, "e2e-us-chan"),
         _channel(p, "ds_snr_sc_db", spec.seed, "e2e-ds-chan"), n_super,
         seed=spec.seed, loss_probability=p["loss_probability"],
         eavesdropper=p["eavesdropper"],
     )
-
-    expected_rotations = len(sessions) * (n_super // 2)
     failures = []
     agreement = report.eavesdropper_agreement()
     if spec.check:
         if not report.keys_assembled:
             failures.append("no session key assembled")
-        failures += _key_channel_failures(report, expected_rotations)
         if report.post_fec_ber() != 0.0:
             failures.append(f"legitimate post-FEC BER {report.post_fec_ber():.3e} "
                             "nonzero above threshold")
-        if p["eavesdropper"]:
-            if not band[0] <= agreement <= band[1]:
-                failures.append(f"eavesdropper agreement {agreement:.4f} outside "
-                                f"[{band[0]}, {band[1]}]")
-        if not active_keys_synchronized(sessions):
-            failures.append("active keys desynchronized after the run")
+        lo, hi = AGREEMENT_BAND
+        if p["eavesdropper"] and not lo <= agreement <= hi:
+            failures.append(f"eavesdropper agreement {agreement:.4f} outside [{lo}, {hi}]")
     summary = {
-        "n_superframes": n_super, "onus": [s.onu_id for s in sessions],
-        "pre_fec_ber": report.pre_fec_ber(),
+        "n_superframes": n_super,
         "post_fec_ber": report.post_fec_ber(),
-        "keys_assembled": report.keys_assembled,
-        "key_mismatches": report.key_mismatches,
-        "rotations": report.rotations,
-        "expected_rotations": expected_rotations,
-        "crc_failures": report.crc_failures,
         "eavesdropper_bits": report.eavesdropper_bits,
         "eavesdropper_agreement": agreement if report.eavesdropper_bits else None,
         "eavesdropper_low_confidence": report.eavesdropper_bits < 1_000_000,
-        "synchronized": active_keys_synchronized(sessions),
     }
-    return ExperimentResult(spec, _session_rows(report), summary, failures)
+    return _session_result(spec, sessions, report, n_super, summary, failures)
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from secpon.protocol import (
     allocate_tfdma,
     active_keys_synchronized,
     make_sessions,
-    run_downstream_encrypted,
+    run_secure_session,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -149,8 +149,8 @@ def test_criterion_6_eavesdropper_blind_legit_clean():
             linewidth_hz=0.0 if snr_sc is None else 1e5,
             seed=71 + k,
         )
-        rep = run_downstream_encrypted(sessions, cfg, 9, seed=81 + k,
-                                       eavesdropper=True)
+        rep = run_secure_session(sessions, None, cfg, 9, seed=81 + k,
+                                 eavesdropper=True)
         agreement = rep.eavesdropper_agreement()
         assert rep.eavesdropper_bits >= 1_000_000
         assert 0.49 <= agreement <= 0.51, (snr_sc, agreement)

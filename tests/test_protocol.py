@@ -15,9 +15,7 @@ from secpon.protocol import (
     allocate_tfdma,
     active_keys_synchronized,
     make_sessions,
-    run_downstream_encrypted,
     run_secure_session,
-    run_upstream_keydist,
 )
 
 OP_SNR_SC = theory.snr_at_ber_16qam(2.4e-2)
@@ -69,7 +67,7 @@ class TestSessions:
 class TestUpstreamKeydist:
     def test_noiseless_distributes_every_key(self):
         sessions = _two_onus()
-        rep = run_upstream_keydist(sessions, ChannelConfig(seed=1), 6, seed=5)
+        rep = run_secure_session(sessions, ChannelConfig(seed=1), None, 6, seed=5)
         assert rep.crc_failures == 0
         assert rep.key_mismatches == 0
         assert rep.keys_assembled == 6      # one fragment per frame, two ONUs
@@ -81,14 +79,14 @@ class TestUpstreamKeydist:
     def test_pilot_budget_rejected_for_single_subcarrier_onus(self):
         with pytest.raises(ValueError, match="pilot budget"):
             sessions = make_sessions(allocate_tfdma([f"onu{i}" for i in range(4)]))
-            run_upstream_keydist(sessions, ChannelConfig(seed=1), 1)
+            run_secure_session(sessions, ChannelConfig(seed=1), None, 1)
 
     def test_operating_point_keys_error_free(self):
         """At the payload SD-FEC operating point the coded key channel
         still assembles every key without a CRC failure."""
         sessions = _two_onus()
         cfg = ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5, seed=11)
-        rep = run_upstream_keydist(sessions, cfg, 12, seed=5)
+        rep = run_secure_session(sessions, cfg, None, 12, seed=5)
         assert rep.crc_failures == 0
         assert rep.key_mismatches == 0
         assert rep.keys_assembled == 12
@@ -100,7 +98,7 @@ class TestUpstreamKeydist:
         the recovery chain is allowed a small implementation penalty."""
         sessions = _two_onus()
         cfg = ChannelConfig(snr_db=OP_SNR_AGG, seed=13)
-        rep = run_upstream_keydist(sessions, cfg, 4, seed=5)
+        rep = run_secure_session(sessions, cfg, None, 4, seed=5)
         assert theory.ber_16qam(OP_SNR_SC + 0.1) < rep.pre_fec_ber() \
             < theory.ber_16qam(OP_SNR_SC - 0.6)
 
@@ -111,7 +109,7 @@ class TestUpstreamKeydist:
         raw = theory.ber_pilot_second_bit(1.0, 1.7)
         assert raw >= 0.2
         cfg = ChannelConfig(snr_db=aggregate_snr_db(1.0), seed=17)
-        rep = run_upstream_keydist(sessions, cfg, 8, seed=5)
+        rep = run_secure_session(sessions, cfg, None, 8, seed=5)
         assert rep.crc_failures > 0
         assert rep.key_mismatches == 0
         assert active_keys_synchronized(sessions)
@@ -119,10 +117,11 @@ class TestUpstreamKeydist:
     def test_loss_injection_never_desynchronizes(self):
         sessions = _two_onus()
         cfg = ChannelConfig(snr_db=OP_SNR_AGG + 6, seed=19)
-        rep = run_upstream_keydist(sessions, cfg, 12, seed=5, loss_probability=0.4)
+        rep = run_secure_session(sessions, cfg, None, 12, seed=5, loss_probability=0.4)
         assert rep.fragments_lost > 0
         assert rep.key_mismatches == 0
         assert rep.rotations >= 1
+        assert rep.desynchronized_frames == 0
         assert active_keys_synchronized(sessions)
 
     def test_deterministic_for_fixed_seeds(self):
@@ -131,14 +130,14 @@ class TestUpstreamKeydist:
         keys = []
         for _ in range(2):
             sessions = _two_onus(seed=7)
-            reps.append(run_upstream_keydist(sessions, cfg, 3, seed=7))
+            reps.append(run_secure_session(sessions, cfg, None, 3, seed=7))
             keys.append([s.olt_store.active_key.key_bytes for s in sessions])
         assert reps[0] == reps[1]
         assert keys[0] == keys[1]
 
     def test_report_counters_consistent(self):
         sessions = _two_onus()
-        rep = run_upstream_keydist(sessions, ChannelConfig(seed=1), 2, seed=5)
+        rep = run_secure_session(sessions, ChannelConfig(seed=1), None, 2, seed=5)
         rep.validate()
         rep.frame_metrics[0].pre_bits += 1
         with pytest.raises(AssertionError):
@@ -204,11 +203,28 @@ class TestDownstreamEncrypted:
         session = OnuSession(onu_id="bare", subcarriers=(0, 1),
                              onu_store=KeyStore(), olt_store=KeyStore())
         with pytest.raises(ValueError, match="active key"):
-            run_downstream_encrypted([session], ChannelConfig(seed=1), 1)
+            run_secure_session([session], None, ChannelConfig(seed=1), 1)
+
+    def test_needs_a_channel(self):
+        with pytest.raises(ValueError, match="upstream or a downstream"):
+            run_secure_session(_two_onus(), None, None, 1)
+
+    def test_desynchronized_keys_counted_not_raised(self):
+        """Stores that pend different bits under one sequence number both
+        activate it on the echo; every frame after that ends desynchronized
+        and the run reports it instead of stopping."""
+        sessions = _two_onus()
+        rng = np.random.default_rng(4)
+        for s in sessions:
+            s.olt_store.add_pending(SessionKey(bits=rng.integers(0, 2, 256), seq=1))
+            s.onu_store.add_pending(SessionKey(bits=rng.integers(0, 2, 256), seq=1))
+        rep = run_secure_session(sessions, None, ChannelConfig(seed=2), 2, seed=5)
+        assert rep.desynchronized_frames == 2
+        assert not active_keys_synchronized(sessions)
 
     def test_noiseless_roundtrip_error_free(self):
         sessions = _two_onus()
-        rep = run_downstream_encrypted(sessions, ChannelConfig(seed=2), 1, seed=5)
+        rep = run_secure_session(sessions, None, ChannelConfig(seed=2), 1, seed=5)
         assert rep.pre_fec_ber() == 0.0
         assert rep.post_fec_ber() == 0.0
         rep.validate()
@@ -223,14 +239,14 @@ class TestDownstreamEncrypted:
             bits = rng.integers(0, 2, 256).astype(np.uint8)
             s.onu_store.add_pending(SessionKey(bits=bits.copy(), seq=1))
             s.olt_store.add_pending(SessionKey(bits=bits.copy(), seq=1))
-        rep = run_downstream_encrypted(sessions, ChannelConfig(seed=2), 2, seed=5)
+        rep = run_secure_session(sessions, None, ChannelConfig(seed=2), 2, seed=5)
         assert rep.post_fec_ber() == 0.0
         assert rep.rotations == 2
         assert active_keys_synchronized(sessions)
         for s in sessions:
             assert s.olt_store.active_key.seq == s.onu_store.active_key.seq == 1
             assert s.olt_store.pending_seqs() == s.onu_store.pending_seqs() == []
-        after = run_downstream_encrypted(sessions, ChannelConfig(seed=3), 1, seed=5)
+        after = run_secure_session(sessions, None, ChannelConfig(seed=3), 1, seed=5)
         assert after.post_fec_ber() == 0.0
         assert after.rotations == 0
 
@@ -238,7 +254,7 @@ class TestDownstreamEncrypted:
         sessions = _two_onus()
         cfg = ChannelConfig(snr_db=aggregate_snr_db(OP_SNR_SC + 1.2),
                             linewidth_hz=1e5, seed=31)
-        rep = run_downstream_encrypted(sessions, cfg, 2, seed=5)
+        rep = run_secure_session(sessions, None, cfg, 2, seed=5)
         assert rep.pre_fec_ber() > 1e-3
         assert rep.post_fec_ber() == 0.0
 
@@ -247,11 +263,11 @@ class TestDownstreamEncrypted:
         removed before its subcarriers are selected, in both directions."""
         sessions = _two_onus()
         cfg = ChannelConfig(freq_offset_hz=2e8, seed=19)
-        up = run_upstream_keydist(sessions, cfg, 2, seed=5)
+        up = run_secure_session(sessions, cfg, None, 2, seed=5)
         assert up.pre_fec_ber() == 0.0
         assert up.crc_failures == 0
         assert up.keys_assembled == len(sessions)   # one key per ONU in two frames
-        down = run_downstream_encrypted(sessions, cfg, 1, seed=5)
+        down = run_secure_session(sessions, None, cfg, 1, seed=5)
         assert down.pre_fec_ber() == 0.0
         assert down.post_fec_ber() == 0.0
 
@@ -266,22 +282,22 @@ class TestDownstreamEncrypted:
             return decode(code, llrs, *args, **kwargs)
 
         monkeypatch.setattr(LdpcCode, "decode_batch", counting_decode)
-        rep = run_downstream_encrypted(_two_onus(), ChannelConfig(seed=2), 1, seed=5,
-                                       eavesdropper=eavesdropper)
+        rep = run_secure_session(_two_onus(), None, ChannelConfig(seed=2), 1, seed=5,
+                                 eavesdropper=eavesdropper)
         assert batches == [8] * (2 if eavesdropper else 1)
         assert rep.post_fec_ber() == 0.0
 
     def test_eavesdropper_agreement_is_coin_flip_when_noiseless(self):
         sessions = _two_onus()
-        rep = run_downstream_encrypted(sessions, ChannelConfig(seed=2), 2, seed=5,
-                                       eavesdropper=True)
+        rep = run_secure_session(sessions, None, ChannelConfig(seed=2), 2, seed=5,
+                                 eavesdropper=True)
         assert rep.eavesdropper_bits >= 200_000
         assert 0.49 < rep.eavesdropper_agreement() < 0.51
 
     def test_eavesdropper_agreement_is_coin_flip_when_noisy(self):
         sessions = _two_onus()
         cfg = ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5, seed=37)
-        rep = run_downstream_encrypted(sessions, cfg, 1, seed=5, eavesdropper=True)
+        rep = run_secure_session(sessions, None, cfg, 1, seed=5, eavesdropper=True)
         assert 0.48 < rep.eavesdropper_agreement() < 0.52
 
 
@@ -297,21 +313,23 @@ class TestSecureSession:
         assert {s.onu_store.active_key.seq for s in sessions} == {2}
 
     def test_loss_injection_never_desynchronizes(self):
-        """The runner itself asserts agreement after every superframe."""
+        """The runner checks agreement after every superframe."""
         sessions = _two_onus()
         rep = run_secure_session(sessions, ChannelConfig(snr_db=OP_SNR_AGG + 6, seed=41),
                                  ChannelConfig(seed=43), 6, seed=5,
                                  loss_probability=0.5)
         assert rep.fragments_lost > 0
         assert rep.key_mismatches == 0
+        assert rep.desynchronized_frames == 0
         assert active_keys_synchronized(sessions)
 
+    @pytest.mark.parametrize("loss_probability", [0.0, 0.5])
     @pytest.mark.parametrize("onu_ids", [["onu1", "onu2"], ["onu1"]])
-    def test_key_channel_matches_upstream_keydist(self, onu_ids):
+    def test_key_channel_matches_upstream_keydist(self, onu_ids, loss_probability):
         """The superframe's upstream half is the keydist frame: near the
         key channel's CRC waterfall both count the same fragment outcomes
         and leave each OLT expecting the same next key, also when one ONU
-        holds every subcarrier."""
+        holds every subcarrier and when fragments are lost."""
         def key_channel(rep, sessions):
             return (rep.crc_failures, rep.fragments_lost, rep.keys_assembled,
                     rep.key_mismatches, [s.olt_store.next_seq for s in sessions])
@@ -319,10 +337,13 @@ class TestSecureSession:
         us_cfg = ChannelConfig(snr_db=aggregate_snr_db(9.4),
                                linewidth_hz=1e5, seed=7)
         up_sessions = make_sessions(allocate_tfdma(onu_ids), seed=3)
-        keydist = run_upstream_keydist(up_sessions, us_cfg, 4, seed=3)
+        keydist = run_secure_session(up_sessions, us_cfg, None, 4, seed=3,
+                                     loss_probability=loss_probability)
         sf_sessions = make_sessions(allocate_tfdma(onu_ids), seed=3)
-        secure = run_secure_session(sf_sessions, us_cfg, ChannelConfig(seed=9), 4, seed=3)
+        secure = run_secure_session(sf_sessions, us_cfg, ChannelConfig(seed=9), 4, seed=3,
+                                    loss_probability=loss_probability)
         assert keydist.crc_failures > 0
+        assert (keydist.fragments_lost > 0) == (loss_probability > 0)
         assert key_channel(secure, sf_sessions) == key_channel(keydist, up_sessions)
 
     def test_session_state_bookkeeping(self):
