@@ -279,7 +279,8 @@ class TestSessionExperiments:
         assert "rotations 0 != expected 2 (one per cadence boundary)" \
             in result.check_failures
 
-    def test_e2e_agreement_band_is_not_a_key(self, tmp_path):
+    def test_e2e_bad_band_rejected(self, tmp_path):
+        """agreement_band is a constant, so any value for it is rejected."""
         spec = ExperimentSpec("e2e-secure", {"agreement_band": [0.6, 0.4]},
                               out_dir=tmp_path)
         with pytest.raises(ConfigError, match=r"unknown config keys \['agreement_band'\]"):

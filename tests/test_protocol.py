@@ -323,13 +323,10 @@ class TestSecureSession:
         assert rep.desynchronized_frames == 0
         assert active_keys_synchronized(sessions)
 
-    @pytest.mark.parametrize("loss_probability", [0.0, 0.5])
-    @pytest.mark.parametrize("onu_ids", [["onu1", "onu2"], ["onu1"]])
-    def test_key_channel_matches_upstream_keydist(self, onu_ids, loss_probability):
-        """The superframe's upstream half is the keydist frame: near the
-        key channel's CRC waterfall both count the same fragment outcomes
-        and leave each OLT expecting the same next key, also when one ONU
-        holds every subcarrier and when fragments are lost."""
+    @staticmethod
+    def _key_channels(onu_ids, loss_probability):
+        """Key-channel outcomes of an upstream-only run and of a full
+        superframe run over the same upstream channel and sessions."""
         def key_channel(rep, sessions):
             return (rep.crc_failures, rep.fragments_lost, rep.keys_assembled,
                     rep.key_mismatches, [s.olt_store.next_seq for s in sessions])
@@ -342,9 +339,26 @@ class TestSecureSession:
         sf_sessions = make_sessions(allocate_tfdma(onu_ids), seed=3)
         secure = run_secure_session(sf_sessions, us_cfg, ChannelConfig(seed=9), 4, seed=3,
                                     loss_probability=loss_probability)
+        return keydist, key_channel(keydist, up_sessions), key_channel(secure, sf_sessions)
+
+    @pytest.mark.parametrize("onu_ids", [["onu1", "onu2"], ["onu1"]])
+    def test_key_channel_matches_upstream_keydist(self, onu_ids):
+        """The superframe's upstream half is the keydist frame: near the
+        key channel's CRC waterfall both count the same fragment outcomes
+        and leave each OLT expecting the same next key, also when one ONU
+        holds every subcarrier."""
+        keydist, upstream, superframe = self._key_channels(onu_ids, 0.0)
         assert keydist.crc_failures > 0
-        assert (keydist.fragments_lost > 0) == (loss_probability > 0)
-        assert key_channel(secure, sf_sessions) == key_channel(keydist, up_sessions)
+        assert keydist.fragments_lost == 0
+        assert superframe == upstream
+
+    @pytest.mark.parametrize("onu_ids", [["onu1", "onu2"], ["onu1"]])
+    def test_key_channel_matches_upstream_keydist_under_loss(self, onu_ids):
+        """The same agreement holds when fragments are lost."""
+        keydist, upstream, superframe = self._key_channels(onu_ids, 0.5)
+        assert keydist.crc_failures > 0
+        assert keydist.fragments_lost > 0
+        assert superframe == upstream
 
     def test_session_state_bookkeeping(self):
         sessions = _two_onus()
