@@ -336,10 +336,10 @@ def _scl_paths(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
             pm1 = pm + np.where(alpha > 0, alpha, 0.0)
             cand = np.concatenate([pm0, pm1], axis=1)          # (b, 2L)
             keep = np.argpartition(cand, lsz - 1, axis=1)[:, :lsz]
-            newpm = np.take_along_axis(cand, keep, axis=1)
+            newpm = cand[rows, keep]
             order = np.argsort(newpm, axis=1)
-            keep = np.take_along_axis(keep, order, axis=1)
-            pm = np.take_along_axis(newpm, order, axis=1)
+            keep = keep[rows, order]
+            pm = newpm[rows, order]
             src, bit = keep % lsz, (keep // lsz).astype(np.uint8)
             permute(src, i)
             return bit[..., None]

@@ -15,6 +15,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .fec_ldpc import LDPC_K, LDPC_N
 
@@ -153,7 +154,7 @@ class SymbolStream:
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
         """FFT of the samples (read-only), shared by every reader."""
-        spec = np.fft.fft(self.symbols)
+        spec = scipy.fft.fft(self.symbols)
         spec.flags.writeable = False
         return spec
 
@@ -203,13 +204,11 @@ def hard_decision_16qam(symbols: np.ndarray) -> np.ndarray:
 
 def _axis_llrs(v: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-axis LLRs (high bit, low bit); positive favors bit 0."""
-    lv = _PAM4_LEVELS * _QAM16_SCALE
-    ll = -((v[:, None] - lv[None, :]) ** 2) / (2.0 * sigma2)
-    lab = _PAM4_GRAY
-    hi0 = lab >> 1 == 0
-    lo0 = (lab & 1) == 0
-    hi = np.logaddexp.reduce(ll[:, hi0], axis=1) - np.logaddexp.reduce(ll[:, ~hi0], axis=1)
-    lo = np.logaddexp.reduce(ll[:, lo0], axis=1) - np.logaddexp.reduce(ll[:, ~lo0], axis=1)
+    # log-likelihood of each level, ascending; the Gray labels are 00, 01, 11, 10
+    l0, l1, l2, l3 = (-((v - lv) ** 2) / (2.0 * sigma2)
+                      for lv in _PAM4_LEVELS * _QAM16_SCALE)
+    hi = np.logaddexp(l0, l1) - np.logaddexp(l2, l3)
+    lo = np.logaddexp(l0, l3) - np.logaddexp(l1, l2)
     return hi, lo
 
 

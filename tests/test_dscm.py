@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from secpon import channel, rxdsp, theory
@@ -27,7 +28,9 @@ from secpon.framing import (
     SymbolStream,
     map_payload_16qam,
     demap_payload_16qam,
+    downstream_layout,
     qpsk_training,
+    upstream_layout,
 )
 
 # nominal two-sided width of one root-raised-cosine subcarrier
@@ -201,13 +204,13 @@ class TestSharedSpectrum:
     def test_demux_all_transforms_the_aggregate_once(self, monkeypatch):
         agg = mux(_qpsk_streams(9335, seed=30))
         sizes = []
-        fft = np.fft.fft
+        fft = scipy.fft.fft
 
         def counting_fft(a, *args, **kwargs):
             sizes.append(np.size(a))
             return fft(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        monkeypatch.setattr(scipy.fft, "fft", counting_fft)
         _demux_all(agg)
         assert sizes.count(agg.symbols.size) == 1
 
@@ -215,6 +218,35 @@ class TestSharedSpectrum:
         stream = _qpsk_streams(64, count=1)[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             stream.symbols = np.zeros(64, dtype=complex)
+
+
+# Every transform length the experiments take: the upstream and downstream
+# frames (9335 and 9399 symbols), their aggregates (74 680 and 75 192
+# samples), and the frequency-offset periodogram, which pads each
+# training prefix (416 and 480 symbols) to 3328 and 3840 points.
+_LAYOUTS = (upstream_layout(), downstream_layout())
+_TRANSFORM_LENGTHS = [(m, m) for lay in _LAYOUTS
+                      for m in (lay.total_len, lay.total_len * SAMPLES_PER_SYMBOL)]
+_TRANSFORM_LENGTHS += [(lay.training_len, lay.training_len * rxdsp.FREQ_PAD_FACTOR)
+                       for lay in _LAYOUTS]
+
+
+class TestScipyFftMatchesNumpy:
+    """The pinned CSV digests were written with ``numpy.fft``; ``scipy.fft``
+    must give the same bits on the complex arrays the experiments
+    transform, at every length they use."""
+
+    @pytest.mark.parametrize("size, n", _TRANSFORM_LENGTHS,
+                             ids=[str(n) if size == n else f"{size}-padded-to-{n}"
+                                  for size, n in _TRANSFORM_LENGTHS])
+    def test_bit_identical(self, size, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        got = scipy.fft.fft(x, n=n)
+        assert np.array_equal(got.view(np.int64), np.fft.fft(x, n=n).view(np.int64))
+        if size == n:
+            assert np.array_equal(scipy.fft.ifft(x).view(np.int64),
+                                  np.fft.ifft(x).view(np.int64))
 
 
 class TestSpectrum:

@@ -185,6 +185,48 @@ class TestQam16TablesMatchPerAxisSlicer:
                               _ref_map(bits).view(np.int64))
 
 
+# The 16QAM LLR body that per-level 1-D log-likelihoods replaced, kept as
+# the reference: a log-sum-exp reduce over each label set's two levels.
+def _ref_axis_llrs(v, sigma2):
+    lv = framing._PAM4_LEVELS * framing._QAM16_SCALE
+    ll = -((v[:, None] - lv[None, :]) ** 2) / (2.0 * sigma2)
+    lab = framing._PAM4_GRAY
+    hi0 = lab >> 1 == 0
+    lo0 = (lab & 1) == 0
+    hi = np.logaddexp.reduce(ll[:, hi0], axis=1) - np.logaddexp.reduce(ll[:, ~hi0], axis=1)
+    lo = np.logaddexp.reduce(ll[:, lo0], axis=1) - np.logaddexp.reduce(ll[:, ~lo0], axis=1)
+    return hi, lo
+
+
+def _ref_payload_llrs(symbols, noise_var):
+    i_hi, i_lo = _ref_axis_llrs(symbols.real, noise_var / 2.0)
+    q_hi, q_lo = _ref_axis_llrs(symbols.imag, noise_var / 2.0)
+    return np.stack([i_hi, i_lo, q_hi, q_lo], axis=1).reshape(-1)
+
+
+# received axis values: anywhere around the constellation, its decision
+# boundaries and their neighbours, and the levels themselves
+_LLR_AXIS_VALUE = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from(_EDGES + [float(x) for x in framing._PAM4_LEVELS * framing._QAM16_SCALE]))
+# noise variances down to the 1e-12 floor of the receiver's estimate,
+# where |LLR| reaches about 1e12
+_NOISE_VAR = st.one_of(st.floats(1e-12, 10.0),
+                       st.integers(-12, 1).map(lambda e: 10.0 ** e))
+
+
+class TestPayloadLlrsMatchLevelReduce:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_LLR_AXIS_VALUE, _LLR_AXIS_VALUE), min_size=1, max_size=32),
+           _NOISE_VAR, st.sampled_from(["complex", "strided"]))
+    def test_bit_identical(self, pairs, noise_var, form):
+        re, im = (np.array(axis) for axis in zip(*pairs))
+        y = _received(re, im, form)
+        got, ref = payload_llrs_16qam(y, noise_var), _ref_payload_llrs(y, noise_var)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 class TestPilotConstellation:
     def test_points_and_normalization(self):
         p = GcsPilotParams(a=1.7)
