@@ -7,6 +7,12 @@ with circulant shifts chosen to avoid length-4 cycles.  Construction is
 deterministic for a given seed, so every build of the package decodes
 the waterfall tests identically.
 
+The code is built in every process on the first call to
+``default_code()``: the PEG breadth-first search and the shift search
+work on Python-int bitmasks (checks sharing a column, and per check pair
+the shift differences already taken), and the lifted matrix is pinned
+by its sha256 in ``tests/test_fec_ldpc.py``.
+
 Encoding is systematic and needs no matrix inverse: the parity part is
 lower-triangular with a unit diagonal, so each parity bit is the running
 XOR of the information syndrome down its staircase chain of checks.
@@ -192,89 +198,86 @@ def _phi(x: np.ndarray) -> np.ndarray:
 
 
 def _peg_base_graph(rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Progressive-edge-growth placement of info edges on the protograph."""
+    """Progressive-edge-growth placement of info edges on the protograph.
+
+    Checks are bits of Python-int masks: ``var_checks[j]`` holds column
+    j's checks and ``check_nbrs[c]`` every check sharing a column with c,
+    so one breadth-first level from column j is the OR of its frontier's
+    neighbour masks less the checks already reached.
+    """
     m = _BASE_ROWS
     degrees = []
     for deg, count in _INFO_DEGREES:
         degrees += [deg] * count
     assert len(degrees) == _BASE_INFO_COLS
-    adj_check: list[set[int]] = [set() for _ in range(m)]   # check -> vars
-    adj_var: list[set[int]] = [set() for _ in range(_BASE_INFO_COLS)]
+    all_checks = (1 << m) - 1
+    bit_index = np.arange(m)
+    check_nbrs = [0] * m
+    var_checks = [0] * _BASE_INFO_COLS
     check_load = np.zeros(m, dtype=int)
     edges: list[tuple[int, int]] = []
     # process highest-degree columns first; they are hardest to place well
     col_order = sorted(range(_BASE_INFO_COLS), key=lambda j: -degrees[j])
     for j in col_order:
+        placed: list[int] = []
         for _ in range(degrees[j]):
-            dist = _bfs_check_distances(j, adj_var, adj_check)
-            unreached = dist < 0
-            if np.any(unreached):
-                cand = np.nonzero(unreached)[0]
-            else:
-                cand = np.nonzero(dist == dist.max())[0]
+            reached = level = last = var_checks[j]
+            while level:
+                last, nxt = level, 0
+                while level:
+                    low = level & -level
+                    nxt |= check_nbrs[low.bit_length() - 1]
+                    level ^= low
+                level = nxt & ~reached
+                reached |= level
+            # the unreached checks if any, else the farthest level reached
+            cand_mask = all_checks & ~reached or last
+            cand = bit_index[(cand_mask >> bit_index) & 1 == 1]
             # among the girth-best checks prefer the lightest, break ties randomly
             lightest = cand[check_load[cand] == check_load[cand].min()]
             c = int(rng.choice(lightest))
             edges.append((c, j))
-            adj_check[c].add(j)
-            adj_var[j].add(c)
+            placed.append(c)
+            var_checks[j] |= 1 << c
+            for c2 in placed:
+                check_nbrs[c2] |= var_checks[j]
             check_load[c] += 1
     return edges
 
 
-def _bfs_check_distances(var: int, adj_var: list[set[int]],
-                         adj_check: list[set[int]]) -> np.ndarray:
-    """Distance from a variable node to every check; -1 when unreachable."""
-    m = len(adj_check)
-    dist = np.full(m, -1, dtype=int)
-    frontier_checks = set(adj_var[var])
-    for c in frontier_checks:
-        dist[c] = 0
-    seen_vars = {var}
-    d = 0
-    while frontier_checks:
-        next_vars = set()
-        for c in frontier_checks:
-            next_vars |= adj_check[c] - seen_vars
-        seen_vars |= next_vars
-        next_checks = set()
-        for v in next_vars:
-            next_checks |= {c for c in adj_var[v] if dist[c] < 0}
-        d += 1
-        for c in next_checks:
-            dist[c] = d
-        frontier_checks = next_checks
-    return dist
-
-
 def _assign_shifts(edges: list[tuple[int, int]], rng: np.random.Generator) -> dict:
-    """Circulant shifts per base edge, rejecting length-4 cycles."""
-    by_col: dict[int, dict[int, int]] = {}
+    """Circulant shifts per base edge, rejecting length-4 cycles.
+
+    Two columns j, j2 sharing checks c and c2 close a 4-cycle iff their
+    shift differences around the rectangle cancel mod Z, so
+    ``diffs[c][c2]`` keeps, as bits of a Z-bit mask, the differences
+    shift(c) - shift(c2) mod Z of every column placed so far that holds
+    both checks.  Raises ``ValueError`` if no draw avoids a 4-cycle.
+    """
+    full = (1 << _LIFT) - 1
+    diffs = [[0] * _BASE_ROWS for _ in range(_BASE_ROWS)]
     # the zero-shift staircase columns take part in rectangles too
-    for p in range(_BASE_ROWS):
-        col = {p: 0}
-        if p + 1 < _BASE_ROWS:
-            col[p + 1] = 0
-        by_col[_BASE_INFO_COLS + p] = col
+    for p in range(_BASE_ROWS - 1):
+        diffs[p][p + 1] |= 1
+        diffs[p + 1][p] |= 1
+    by_col: dict[int, dict[int, int]] = {}
     shifts: dict[tuple[int, int], int] = {}
     for c, j in edges:
         col = by_col.setdefault(j, {})
+        forbidden = 0
+        for c2, s2 in col.items():
+            d = diffs[c][c2]
+            forbidden |= ((d << s2) | (d >> (_LIFT - s2))) & full
         for _ in range(200):
             s = int(rng.integers(0, _LIFT))
-            ok = True
-            for c2, s2 in col.items():
-                # another column sharing checks c and c2 closes a 4-cycle iff
-                # the shift differences around the rectangle cancel mod Z
-                for j2, col2 in by_col.items():
-                    if j2 == j or c not in col2 or c2 not in col2:
-                        continue
-                    if (s - s2 - col2[c] + col2[c2]) % _LIFT == 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if not forbidden >> s & 1:
                 break
+        else:
+            raise ValueError(f"no circulant shift for base edge (check {c}, "
+                             f"column {j}) avoids a length-4 cycle")
+        for c2, s2 in col.items():
+            diffs[c][c2] |= 1 << (s - s2) % _LIFT
+            diffs[c2][c] |= 1 << (s2 - s) % _LIFT
         col[c] = s
         shifts[(c, j)] = s
     return shifts

@@ -17,8 +17,10 @@ Frame chain.  Every frame, in either direction, takes one path:
 shaped pilots whose first bit is the pre-shared sign and whose second
 bit carries a key or filler bit, 16QAM payload), ``mux`` stacks the
 subcarriers, the channel impairs the aggregate, and
-``receive_subcarrier`` selects a subcarrier with ``demux_select``,
-recovers its carrier phase from the pilots and estimates the noise.
+``receive_subcarrier`` selects a subcarrier with ``demux_select`` and
+recovers its carrier phase from the pilots; the upstream and downstream
+frame functions then estimate the noise variance from the recovered
+payload (``_noise_var``) for the pilot and payload LLRs.
 Upstream, each ONU's burst passes its own laser before the bursts sum
 at the OLT under one noise loading.  The eavesdropper is the same
 receiver on a tapped channel with a made-up key; its post-decryption

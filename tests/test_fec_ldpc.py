@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from secpon import fec_ldpc, framing, theory
 
 LLR_CLIP = fec_ldpc.LLR_CLIP
+# sha256 of the shipped code's check_of_edge then var_of_edge as <i8 bytes
+SHIPPED_MATRIX_SHA256 = "25c94c20e3a145a3e371ae16593ded7eaec13822c8d898750ec8286ff1e12bd2"
 
 
 def _reference_flooding(code, llrs, max_iterations=fec_ldpc.DEFAULT_MAX_ITERATIONS):
@@ -72,6 +77,39 @@ class TestConstruction:
         b = fec_ldpc.default_code()
         assert np.array_equal(a.check_of_edge, b.check_of_edge)
         assert np.array_equal(a.var_of_edge, b.var_of_edge)
+
+    def test_shipped_matrix_is_pinned(self):
+        code = fec_ldpc.default_code()
+        h = hashlib.sha256()
+        h.update(code.check_of_edge.astype("<i8").tobytes())
+        h.update(code.var_of_edge.astype("<i8").tobytes())
+        assert h.hexdigest() == SHIPPED_MATRIX_SHA256
+
+    def test_column_degree_profile(self):
+        code = fec_ldpc.default_code()
+        profile = np.bincount(np.bincount(code.var_of_edge, minlength=code.n))
+        assert {d: int(n) for d, n in enumerate(profile) if n} == \
+            {1: 48, 2: 2640, 3: 11712, 4: 1440, 10: 1440}
+
+    def test_no_length_four_cycles(self):
+        # two columns sharing two checks close a 4-cycle: off the diagonal
+        # of H^T H no entry may exceed 1
+        code = fec_ldpc.default_code()
+        h = sparse.csr_matrix((np.ones(code.var_of_edge.size, dtype=np.int32),
+                               (code.check_of_edge, code.var_of_edge)),
+                              shape=(code.m, code.n))
+        gram = (h.T @ h).tocoo()
+        off_diagonal = gram.row != gram.col
+        assert gram.data[off_diagonal].max() == 1
+
+    def test_shift_search_rejects_unavoidable_four_cycle(self):
+        # every column holds checks 0 and 1, like the first staircase
+        # column; once the 48 shift differences are taken, the next
+        # column cannot place its check-1 edge
+        edges = [(c, j) for j in range(fec_ldpc._LIFT) for c in (0, 1)]
+        rng = np.random.Generator(np.random.Philox(0))
+        with pytest.raises(ValueError, match=r"check 1, column \d+"):
+            fec_ldpc._assign_shifts(edges, rng)
 
     def test_layers_are_the_base_rows(self):
         code = fec_ldpc.default_code()
