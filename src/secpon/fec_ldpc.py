@@ -166,12 +166,13 @@ class LdpcCode:
                 r = msg[:, e0:e1].reshape(-1, *v.shape)
                 q = np.take(post, v, axis=1)
                 q -= r
-                # phi-domain magnitude sum and sign product over each check
+                # phi-domain magnitude sum and sign product over each check;
+                # the 1e-12 floor bounds |r| by phi(1e-12) ~ 28.3 < LLR_CLIP
                 phi = _phi(np.clip(np.abs(q), 1e-12, LLR_CLIP))
                 others = np.maximum(phi.sum(axis=-1, keepdims=True) - phi, 1e-12)
                 sign = np.copysign(1.0, q)
                 sign *= sign.prod(axis=-1, keepdims=True)
-                r[...] = np.minimum(_phi(others), LLR_CLIP)
+                r[...] = _phi(others)
                 r *= sign
                 q += r
                 post[:, v] = q

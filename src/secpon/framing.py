@@ -287,11 +287,15 @@ def pilot_phase_reference(first_bits: np.ndarray) -> np.ndarray:
     return s * (1.0 + 1.0j) / np.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=128)
 def qpsk_training(n: int, seed: int) -> np.ndarray:
-    """Deterministic unit-energy QPSK training sequence."""
+    """Deterministic unit-energy QPSK training sequence (read-only: equal
+    arguments share one array)."""
     rng = np.random.Generator(np.random.Philox(seed))
     k = rng.integers(0, 4, size=n)
-    return np.exp(1j * (np.pi / 4.0 + k * np.pi / 2.0))
+    training = np.exp(1j * (np.pi / 4.0 + k * np.pi / 2.0))
+    training.flags.writeable = False
+    return training
 
 
 def assemble_frame(training: np.ndarray, pilots: np.ndarray,

@@ -10,6 +10,11 @@ corrected payload symbol and its hard decision, averaged over a
 (2Q+1)-symbol window truncated at the frame edges, applied twice so the
 second pass works from better decisions.
 
+Both sliding means are fixed-order numpy sums over a zero-padded copy,
+with no BLAS dot product, so they give the same bits on every host.
+They take any input length: a window longer than the input averages
+what fits.
+
 The stage-one smoothing window and the number of stage-two passes were
 fixed by sweeping 100 kHz to 1 MHz linewidths at 8 GBaud and keeping
 the settings that minimize the weak-pilot penalty without losing the
@@ -33,19 +38,45 @@ FREQ_PAD_FACTOR = 8             # zero padding of the frequency-offset periodogr
 CYCLE_SLIP_STEP = np.pi / 2     # pilot-to-pilot jump flagged as a slip
 
 
+def _window_sum(x: np.ndarray, window: int) -> np.ndarray:
+    """Sum of each centered ``window``-sample window of x, zeros beyond
+    the ends, one output per input sample.
+
+    The order of the adds is fixed, so the bits do not depend on the
+    host: partial sums over 1, 2, 4, ... samples of a zero-padded copy,
+    then the window's power-of-two parts added widest first.  A 3-sample
+    window is ``(x[i-1] + x[i]) + x[i+1]``; a 23-sample one takes 7 adds.
+    """
+    n = len(x)
+    padded = np.zeros(n + window - 1)
+    padded[window // 2:window // 2 + n] = x
+    sums = [padded]             # sums[k][j]: the 2**k samples from padded[j]
+    while 2 ** len(sums) <= window:
+        width = 2 ** (len(sums) - 1)
+        sums.append(sums[-1][:-width] + sums[-1][width:])
+    top = len(sums) - 1
+    total, start = sums[top][:n], 2 ** top
+    for k in reversed(range(top)):
+        if window >> k & 1:
+            total += sums[k][start:start + n]
+            start += 2 ** k
+    return total
+
+
 @functools.lru_cache
 def _boxcar_counts(n: int, window: int) -> np.ndarray:
     """How many of a centered window's samples fall inside n samples, per
     position (read-only: one copy is shared by every caller)."""
-    counts = np.convolve(np.ones(n), np.ones(window), mode="same")
+    counts = _window_sum(np.ones(n), window)
     counts.flags.writeable = False
     return counts
 
 
 def _boxcar_mean(x: np.ndarray, window: int) -> np.ndarray:
     """Centered sliding mean, averaged over however much of the window
-    fits at the ends."""
-    return np.convolve(x, np.ones(window), mode="same") / _boxcar_counts(len(x), window)
+    falls inside x (at the ends, and everywhere when x is shorter than
+    the window)."""
+    return _window_sum(x, window) / _boxcar_counts(len(x), window)
 
 
 def pilot_phase_estimates(rx_pilots: np.ndarray, reference: np.ndarray) -> np.ndarray:

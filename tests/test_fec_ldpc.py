@@ -297,6 +297,11 @@ class TestDecoder:
             assert np.array_equal(alone[0][0], hard[i])
             assert (alone[1][0], alone[2][0]) == (iters[i], ok[i])
 
+    def test_check_message_stays_below_clip(self):
+        # decode_batch floors the phi-domain sum at 1e-12 and takes no
+        # clamp after phi: phi falls with x, so this bounds every message
+        assert fec_ldpc._phi(np.float64(1e-12)) < LLR_CLIP
+
     def test_decode_is_deterministic(self):
         code = fec_ldpc.default_code()
         rng = np.random.default_rng(9)

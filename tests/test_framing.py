@@ -364,3 +364,9 @@ class TestFrameLayout:
         assert np.allclose(np.abs(t1), 1.0)
         assert np.unique(np.round(np.angle(t1), 9)).size == 4
         assert not np.array_equal(t1, qpsk_training(416, seed=13))
+
+    def test_training_sequence_cached_read_only(self):
+        t = qpsk_training(416, 12)
+        assert t is qpsk_training(416, 12)
+        with pytest.raises(ValueError):
+            t[0] = 0

@@ -1,6 +1,14 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import secpon
 from secpon import channel, framing, rxdsp, theory
 
 
@@ -106,6 +114,44 @@ class TestInterpolateAndSmooth:
         assert np.allclose(rxdsp.smooth_phase_estimates(x), want, atol=1e-12)
 
 
+def _convolve_mean(x, window):
+    """The sliding mean as ``np.convolve`` gives it, for len(x) >= window."""
+    ones = np.ones(window)
+    return np.convolve(x, ones, "same") / np.convolve(np.ones(len(x)), ones, "same")
+
+
+class TestBoxcarMean:
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=rxdsp.PILOT_SMOOTHING,
+                    max_size=300))
+    def test_pilot_window_matches_convolve_exactly(self, values):
+        x = np.array(values)
+        assert np.array_equal(rxdsp._boxcar_mean(x, rxdsp.PILOT_SMOOTHING),
+                              _convolve_mean(x, rxdsp.PILOT_SMOOTHING))
+
+    @given(st.lists(st.floats(-np.pi, np.pi), min_size=2 * rxdsp.RESIDUAL_HALF_WINDOW + 1,
+                    max_size=300))
+    def test_residual_window_matches_convolve(self, values):
+        x = np.array(values)
+        window = 2 * rxdsp.RESIDUAL_HALF_WINDOW + 1
+        assert np.allclose(rxdsp._boxcar_mean(x, window), _convolve_mean(x, window),
+                           rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("window", [3, 23])
+    def test_short_input_averages_what_fits(self, window):
+        x = np.random.default_rng(4).normal(size=window + 2)
+        half = window // 2
+        for n in range(1, x.size + 1):
+            want = [np.mean(x[max(i - half, 0):min(i + half + 1, n)]) for i in range(n)]
+            assert np.allclose(rxdsp._boxcar_mean(x[:n], window), want,
+                               rtol=0, atol=1e-13)
+
+    def test_counts_are_shared_and_read_only(self):
+        counts = rxdsp._boxcar_counts(50, 23)
+        assert counts is rxdsp._boxcar_counts(50, 23)
+        with pytest.raises(ValueError):
+            counts[0] = 1.0
+
+
 class TestResidualStage:
     def test_constellation_points_need_no_correction(self):
         rng = np.random.default_rng(0)
@@ -180,6 +226,45 @@ class TestRecoverCarrierPhase:
         got = framing.demap_payload_16qam(out.payload)
         raw = framing.demap_payload_16qam(body[layout.payload_body_positions()])
         assert np.mean(got != bits) < 0.25 * np.mean(raw != bits)
+
+    @pytest.mark.parametrize("spacing", [2, 3, 32])
+    def test_constant_phase_recovered_on_every_layout(self, spacing):
+        """Fewer pilots than the smoothing window, or fewer payload
+        symbols than the residual window, still recover."""
+        params = framing.GcsPilotParams()
+        for payload_len in range(1, 41):
+            layout = framing.FrameLayout(0, payload_len=payload_len, pilot_spacing=spacing)
+            rng = np.random.default_rng(payload_len)
+            body, bits, ref = _frame_body(rng, layout, params, 0.0, None, seed=3)
+            out = rxdsp.recover_carrier_phase(body * np.exp(0.4j), layout, ref)
+            assert np.allclose(out.payload, framing.map_payload_16qam(bits),
+                               rtol=0, atol=1e-12)
+            assert np.allclose(out.pilot_phase, 0.4, rtol=0, atol=1e-12)
+
+
+def _noisy_cpr_digest():
+    """sha256 of the CPR payload of one fixed noisy upstream frame."""
+    layout = framing.upstream_layout()
+    rng = np.random.default_rng(1901)
+    body, _, ref = _frame_body(rng, layout, framing.GcsPilotParams(), 1e6, 14.0, seed=7)
+    payload = rxdsp.recover_carrier_phase(body, layout, ref).payload
+    return hashlib.sha256(payload.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_cpr_bits_do_not_depend_on_blas_kernel(coretype):
+    """OpenBLAS picks its dot kernel at run time; a child forced onto
+    another kernel must give the same CPR bits (where numpy does not use
+    OpenBLAS, the variable is ignored)."""
+    tests = Path(__file__).resolve().parent
+    src = Path(secpon.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_rxdsp; print(test_rxdsp._noisy_cpr_digest())"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == _noisy_cpr_digest()
 
 
 def _residual_passes(payload, passes):
