@@ -34,11 +34,11 @@ _MAX_CODEWORD_INDEX = 2 ** 64
 
 
 def aes256_encrypt_block(key: bytes, block: bytes) -> bytes:
-    """Raw single-block AES-256 encryption (the known-answer-test surface)."""
+    """Raw AES-256 ECB over whole 16-byte blocks (the known-answer-test surface)."""
     if len(key) != 32:
         raise ValueError("AES-256 key must be 32 bytes")
-    if len(block) != 16:
-        raise ValueError("AES block must be 16 bytes")
+    if len(block) % 16:
+        raise ValueError("AES blocks must be whole 16-byte blocks")
     return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
 
 
@@ -48,13 +48,23 @@ def keystream_bits(key: bytes, codeword_index: int, n_bits: int) -> np.ndarray:
         raise ValueError("codeword index out of range")
     if n_bits < 0:
         raise ValueError("negative bit count")
-    if len(key) != 32:
-        raise ValueError("AES-256 key must be 32 bytes")
     n_blocks = -(-n_bits // _BLOCK_BITS)
     prefix = codeword_index.to_bytes(8, "big")
     counters = b"".join(prefix + j.to_bytes(8, "big") for j in range(n_blocks))
-    stream = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(counters)
+    stream = aes256_encrypt_block(key, counters)
     return np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:n_bits]
+
+
+def byte_to_bits(value: int) -> np.ndarray:
+    """The 8 bits of ``value`` (0-255), most significant first."""
+    return np.unpackbits(np.array([value], dtype=np.uint8))
+
+
+def byte_from_bits(bits: np.ndarray) -> int:
+    """The value of 8 bits, most significant first."""
+    if np.size(bits) != 8:
+        raise ValueError(f"expected 8 bits, got {np.size(bits)}")
+    return int(np.packbits(np.asarray(bits, dtype=np.uint8))[0])
 
 
 @dataclass
@@ -110,10 +120,8 @@ class KeyFragmentMessage:
             raise ValueError(f"fragment must be {FRAGMENT_BITS} bits")
 
     def to_bits(self) -> np.ndarray:
-        seq_bits = np.array([(self.seq >> (SEQ_BITS - 1 - i)) & 1
-                             for i in range(SEQ_BITS)], dtype=np.uint8)
         return np.concatenate([
-            seq_bits,
+            byte_to_bits(self.seq),
             np.array([self.fragment_index], dtype=np.uint8),
             self.key_fragment,
             np.zeros(_PAD_BITS, dtype=np.uint8),
@@ -126,8 +134,7 @@ class KeyFragmentMessage:
             raise ValueError(f"expected {FRAGMENT_MESSAGE_BITS} bits, got {bits.size}")
         if bits[SEQ_BITS + 1 + FRAGMENT_BITS:].any():
             raise ValueError("nonzero padding in key fragment message")
-        seq = int(np.packbits(bits[:SEQ_BITS])[0])
-        return cls(seq=seq, fragment_index=int(bits[SEQ_BITS]),
+        return cls(seq=byte_from_bits(bits[:SEQ_BITS]), fragment_index=int(bits[SEQ_BITS]),
                    key_fragment=bits[SEQ_BITS + 1:SEQ_BITS + 1 + FRAGMENT_BITS])
 
 

@@ -104,13 +104,6 @@ class LdpcCode:
 
     # -- encoding ------------------------------------------------------
 
-    def _info_syndrome(self, info: np.ndarray) -> np.ndarray:
-        """Per-check XOR of the information bits (parity columns excluded)."""
-        mask = self.var_of_edge < self.k
-        contrib = np.zeros(len(self.var_of_edge), dtype=np.int64)
-        contrib[mask] = info[self.var_of_edge[mask]]
-        return np.bitwise_and(np.add.reduceat(contrib, self._check_starts), 1)
-
     def encode(self, info: np.ndarray) -> np.ndarray:
         """Systematic encoding: codeword is info bits followed by parity.
 
@@ -121,7 +114,7 @@ class LdpcCode:
         info = np.asarray(info).astype(np.uint8)
         if info.size != self.k:
             raise ValueError(f"expected {self.k} information bits, got {info.size}")
-        s = self._info_syndrome(info.astype(np.int64))
+        s = self._syndrome(np.concatenate([info, np.zeros(self.m, dtype=np.uint8)]))
         # staircase: parity block i closes check block i given block i-1,
         # one independent chain per position within the lifted block
         blocks = s.reshape(-1, _LIFT)
@@ -132,9 +125,11 @@ class LdpcCode:
 
     def syndrome_weight(self, bits: np.ndarray) -> int:
         """Number of unsatisfied checks (0 means a valid codeword)."""
-        bits = np.asarray(bits).astype(np.int64)
-        s = np.add.reduceat(bits[self.var_of_edge], self._check_starts) & 1
-        return int(np.sum(s))
+        return int(np.sum(self._syndrome(np.asarray(bits).astype(np.uint8))))
+
+    def _syndrome(self, bits: np.ndarray) -> np.ndarray:
+        """Parity of each check over (..., n) integer bits, shaped (..., m)."""
+        return np.add.reduceat(bits[..., self.var_of_edge], self._check_starts, axis=-1) & 1
 
     # -- decoding ------------------------------------------------------
 
@@ -177,8 +172,7 @@ class LdpcCode:
                 q += r
                 post[:, v] = q
             hard_now = (post < 0).astype(np.uint8)
-            syn = np.add.reduceat(hard_now[:, self.var_of_edge], self._check_starts, axis=1) & 1
-            conv = ~np.any(syn, axis=1)
+            conv = ~np.any(self._syndrome(hard_now), axis=1)
             if np.any(conv):
                 rows = active[conv]
                 hard[rows] = hard_now[conv]

@@ -174,11 +174,6 @@ class PolarCode:
     def payload_capacity(self) -> int:
         return self.info_length - CRC_BITS
 
-    @property
-    def frozen(self) -> tuple[int, ...]:
-        """The frozen positions, ascending."""
-        return tuple(np.flatnonzero(self.frozen_mask).tolist())
-
     @cached_property
     def frozen_mask(self) -> np.ndarray:
         n = self.block_length

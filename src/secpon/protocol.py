@@ -16,9 +16,9 @@ Frame chain.  Every frame, in either direction, takes one path:
 ``transmit_subcarrier`` builds each subcarrier's frame (QPSK training,
 shaped pilots whose first bit is the pre-shared sign and whose second
 bit carries a key or filler bit, 16QAM payload), ``mux`` stacks the
-subcarriers, the channel impairs the aggregate, and
-``receive_subcarrier`` selects a subcarrier with ``demux_select`` and
-recovers its carrier phase from the pilots; the upstream and downstream
+subcarriers, the channel impairs the aggregate, ``demux_select`` selects
+a subcarrier, and ``receive_subcarrier`` recovers the carrier phase of
+that single-carrier frame from its pilots; the upstream and downstream
 frame functions then estimate the noise variance from the recovered
 payload (``_noise_var``) for the pilot and payload LLRs.
 Upstream, each ONU's burst passes its own laser before the bursts sum
@@ -64,6 +64,8 @@ from .crypto import (
     aes256_decrypt,
     aes256_encrypt,
     assemble_key,
+    byte_from_bits,
+    byte_to_bits,
     random_session_key,
     split_key,
 )
@@ -249,14 +251,6 @@ class SessionReport:
                 f"{self.pre_bits_transmitted}/{self.post_bits_transmitted}")
 
 
-def _echo_bits(value: int) -> np.ndarray:
-    return np.array([(value >> (7 - i)) & 1 for i in range(8)], dtype=np.uint8)
-
-
-def _echo_value(bits: np.ndarray) -> int:
-    return int(np.packbits(np.asarray(bits).astype(np.uint8)[:8])[0])
-
-
 def _pilot_bits(seed: int, stream: int, frame: int, sc: int, n: int) -> np.ndarray:
     """Pilot sign bits (``_SIGNS``) or magnitude filler bits (``_PILOT2``)."""
     return _rng(seed, stream, frame, sc).integers(0, 2, n).astype(np.uint8)
@@ -273,15 +267,10 @@ def transmit_subcarrier(signs: np.ndarray, second_bits: np.ndarray,
                           map_payload_16qam(payload_bits), layout)
 
 
-def receive_subcarrier(rx: SymbolStream, signs: np.ndarray, layout: FrameLayout,
-                       sc: int | None = None) -> rxdsp.CprResult:
-    """Recover one subcarrier's frame against its pilot sign bits.
-
-    Subcarrier ``sc`` is first selected out of the DSCM aggregate ``rx``;
-    with ``sc=None``, ``rx`` already holds a single-carrier frame at the
-    symbol rate.
-    """
-    frame = rx.symbols if sc is None else demux_select(rx, sc).symbols
+def receive_subcarrier(frame: np.ndarray, signs: np.ndarray,
+                       layout: FrameLayout) -> rxdsp.CprResult:
+    """Recover one single-carrier frame, at the symbol rate, against its
+    pilot sign bits."""
     return rxdsp.recover_carrier_phase(frame[layout.training_len:], layout,
                                        pilot_phase_reference(signs))
 
@@ -304,8 +293,8 @@ def _receive_onu(rx: SymbolStream, session: OnuSession, layout: FrameLayout,
     """Receive every subcarrier of one ONU, after correcting its offset."""
     if cfg.freq_offset_hz:
         rx = _correct_onu_offset(rx, session, layout, seed, frame)
-    return {sc: receive_subcarrier(rx, _pilot_bits(seed, _SIGNS, frame, sc, layout.n_pilots),
-                                   layout, sc)
+    return {sc: receive_subcarrier(demux_select(rx, sc).symbols,
+                                   _pilot_bits(seed, _SIGNS, frame, sc, layout.n_pilots), layout)
             for sc in session.subcarriers}
 
 
@@ -330,8 +319,10 @@ def _start_fragment_cycle(session: OnuSession, seed: int) -> None:
         session.tx_phase = 0
 
 
-def _upstream_frame(sessions, cfg, f, seed, loss_probability, report) -> list[FrameMetrics]:
-    """One upstream frame; returns the payload metrics per subcarrier.
+def _upstream_frame(sessions, cfg, f, seed, loss_probability,
+                    report) -> tuple[list[FrameMetrics], int]:
+    """One upstream frame; returns the payload metrics per subcarrier
+    and the number of payload bits sent.
 
     Each ONU sends one polar-coded key fragment on the pilot magnitude
     bits of its two key subcarriers and uncoded 16QAM payload on all of
@@ -391,7 +382,7 @@ def _upstream_frame(sessions, cfg, f, seed, loss_probability, report) -> list[Fr
     decoded = zip(*polar_decode_scl(np.stack(kept), POLAR)) if kept else iter(())
     for session, gone in zip(sessions, lost):
         _receive_fragment(session, None if gone else next(decoded), report)
-    return metrics
+    return metrics, sum(bits.size for tx in sent for bits in tx.values())
 
 
 def _receive_fragment(session: OnuSession, decoded: tuple[np.ndarray, bool] | None,
@@ -457,7 +448,7 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                 data = _rng(seed, _DATA, _stable_id(session.onu_id), c).integers(
                     0, 2, DATA_BITS_PER_CODEWORD).astype(np.uint8)
                 key = session.olt_store.consume(c)
-                cipher = aes256_encrypt(np.concatenate([_echo_bits(echo), data]), key, c)
+                cipher = aes256_encrypt(np.concatenate([byte_to_bits(echo), data]), key, c)
                 coded.append(ldpc.encode(cipher))
                 codewords.append((c, data))
                 report.pre_bits_transmitted += coded[-1].size
@@ -497,7 +488,7 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                     key = session.onu_store.consume(c) if eve_key is None else eve_key
                     decrypted = aes256_decrypt(row, key, c)
                     errors += int(np.count_nonzero(decrypted[8:] != data))
-                    echo = _echo_value(decrypted[:8])
+                    echo = byte_from_bits(decrypted[:8])
                     if eve_key is None and echo != ECHO_NONE \
                             and echo in session.onu_store.pending_seqs():
                         session.onu_store.activate(echo, c + 1)
@@ -541,10 +532,11 @@ def run_secure_session(sessions: list[OnuSession], us_cfg: ChannelConfig | None,
     report = SessionReport()
     for f in range(n_frames):
         if us_cfg is not None:
-            metrics = _upstream_frame(sessions, us_cfg, f, seed, loss_probability, report)
+            metrics, sent_bits = _upstream_frame(sessions, us_cfg, f, seed,
+                                                 loss_probability, report)
             if ds_cfg is None:
                 report.frame_metrics += metrics
-                report.pre_bits_transmitted += sum(m.pre_bits for m in metrics)
+                report.pre_bits_transmitted += sent_bits
                 for session in sessions:
                     _ideal_ack_activation(session, session.codeword_counter, report)
         if ds_cfg is not None:

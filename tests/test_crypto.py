@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -40,6 +41,15 @@ class TestBlockCipherCore:
         with pytest.raises(ValueError):
             crypto.aes256_encrypt_block(b"\x00" * 32, b"\x00" * 15)
 
+    @pytest.mark.parametrize("n_blocks", [2, 3, 4])
+    def test_blocks_encrypt_one_by_one(self, n_blocks):
+        key = bytes(range(32))
+        blocks = bytes(np.random.default_rng(n_blocks).integers(0, 256, 16 * n_blocks,
+                                                                dtype=np.uint8))
+        expect = b"".join(crypto.aes256_encrypt_block(key, blocks[i:i + 16])
+                          for i in range(0, len(blocks), 16))
+        assert crypto.aes256_encrypt_block(key, blocks) == expect
+
 
 class TestKeystream:
     def test_deterministic_and_counter_separated(self):
@@ -65,6 +75,18 @@ class TestKeystream:
             crypto.aes256_encrypt_block(key, counter), dtype=np.uint8))
         assert np.array_equal(crypto.keystream_bits(key, idx, 128), expect)
 
+    @pytest.mark.parametrize("n_bits", [0, 1, 128, 129, 4096])
+    def test_equals_ecb_of_counter_blocks(self, n_bits):
+        key = bytes(range(1, 33))
+        idx = 41
+        counters = b"".join(idx.to_bytes(8, "big") + j.to_bytes(8, "big")
+                            for j in range(-(-n_bits // 128)))
+        ecb = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(counters)
+        expect = np.unpackbits(np.frombuffer(ecb, dtype=np.uint8))[:n_bits]
+        got = crypto.keystream_bits(key, idx, n_bits)
+        assert got.shape == (n_bits,)
+        assert np.array_equal(got, expect)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             crypto.keystream_bits(bytes(32), -1, 10)
@@ -74,6 +96,19 @@ class TestKeystream:
             crypto.keystream_bits(bytes(16), 0, 10)
         with pytest.raises(ValueError):
             crypto.keystream_bits(bytes(32), 0, -1)
+
+
+class TestByteCodec:
+    @given(st.integers(0, 255))
+    def test_round_trip_most_significant_bit_first(self, value):
+        bits = crypto.byte_to_bits(value)
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [(value >> (7 - i)) & 1 for i in range(8)]
+        assert crypto.byte_from_bits(bits) == value
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            crypto.byte_from_bits(np.ones(7, dtype=np.uint8))
 
 
 class TestEncryptDecrypt:

@@ -48,6 +48,13 @@ def _reference_flooding(code, llrs, max_iterations=fec_ldpc.DEFAULT_MAX_ITERATIO
     return hard, iters, done
 
 
+def _sparse_h(code):
+    """The parity-check matrix as a scipy.sparse CSR matrix."""
+    return sparse.csr_matrix((np.ones(code.var_of_edge.size, dtype=np.int32),
+                              (code.check_of_edge, code.var_of_edge)),
+                             shape=(code.m, code.n))
+
+
 def _noisy_llrs(rng, code, infos, snr_db):
     nvar = 10 ** (-snr_db / 10)
     llr = np.empty((infos.shape[0], code.n))
@@ -94,10 +101,7 @@ class TestConstruction:
     def test_no_length_four_cycles(self):
         # two columns sharing two checks close a 4-cycle: off the diagonal
         # of H^T H no entry may exceed 1
-        code = fec_ldpc.default_code()
-        h = sparse.csr_matrix((np.ones(code.var_of_edge.size, dtype=np.int32),
-                               (code.check_of_edge, code.var_of_edge)),
-                              shape=(code.m, code.n))
+        h = _sparse_h(fec_ldpc.default_code())
         gram = (h.T @ h).tocoo()
         off_diagonal = gram.row != gram.col
         assert gram.data[off_diagonal].max() == 1
@@ -133,6 +137,12 @@ class TestConstruction:
 
 
 class TestEncoder:
+    def test_syndrome_is_h_times_word(self):
+        code = fec_ldpc.default_code()
+        words = np.random.default_rng(3).integers(0, 2, (3, code.n)).astype(np.uint8)
+        expect = (_sparse_h(code) @ words.T.astype(np.int32)).T % 2
+        assert np.array_equal(code._syndrome(words), expect)
+
     def test_zero_in_zero_out(self):
         code = fec_ldpc.default_code()
         cw = code.encode(np.zeros(code.k, np.uint8))

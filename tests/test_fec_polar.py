@@ -53,7 +53,7 @@ def _reference_scl_paths(llrs, code):
     b, n = llrs.shape
     lsz = code.list_size
     frozen_mask = np.zeros(n, dtype=bool)
-    frozen_mask[list(code.frozen)] = True
+    frozen_mask[fp.reliability_order(n)[:n - code.info_length]] = True
     pm = np.full((b, lsz), np.inf)
     pm[:, 0] = 0.0
     llr_lv = {0: llrs[:, None, :]}
@@ -217,7 +217,7 @@ class TestPolarCodeDescription:
         code = fp.PolarCode()
         assert code.block_length == 512
         assert code.info_length == 256
-        assert len(code.frozen) == 256
+        assert np.count_nonzero(code.frozen_mask) == 256
         assert code.payload_capacity == 245
         assert code.info_positions.size == 256
 
@@ -225,14 +225,13 @@ class TestPolarCodeDescription:
         code = fp.PolarCode()
         assert code.info_positions is code.info_positions
         assert code.frozen_mask is code.frozen_mask
-        assert np.array_equal(np.flatnonzero(code.frozen_mask), code.frozen)
         with pytest.raises(ValueError):
             code.info_positions[0] = 0
 
     def test_frozen_positions_are_least_reliable(self):
         code = fp.PolarCode()
         worst = set(int(x) for x in fp.reliability_order(512)[:256])
-        assert set(code.frozen) == worst
+        assert set(np.flatnonzero(code.frozen_mask).tolist()) == worst
 
     def test_entry_points_default_to_the_module_code(self):
         # one code built at import, not a fresh one per call

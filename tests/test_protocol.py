@@ -143,6 +143,21 @@ class TestUpstreamKeydist:
         with pytest.raises(AssertionError):
             rep.validate()
 
+    def test_unreceived_subcarrier_fails_validation(self, monkeypatch):
+        """The transmitted count is the payload bits drawn, not the
+        compared rows, so a subcarrier the OLT never compares fails."""
+        receive = protocol._receive_onu
+
+        def drop_subcarrier_3(*args, **kwargs):
+            got = receive(*args, **kwargs)
+            del got[3]
+            return got
+
+        monkeypatch.setattr(protocol, "_receive_onu", drop_subcarrier_3)
+        sessions = make_sessions(allocate_tfdma(["onu1"]), seed=5)
+        with pytest.raises(AssertionError, match="transmitted"):
+            run_secure_session(sessions, ChannelConfig(seed=1), None, 1, seed=5)
+
 
 class TestFragmentIntake:
     """The OLT's intake of one decoded fragment, on a hand-built session
