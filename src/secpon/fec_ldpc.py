@@ -22,11 +22,12 @@ Mansour and Shanbhag, IEEE TVLSI 2003): the checks are split once into
 layers of consecutive checks that share no variable, 56 base rows of 48
 checks for the shipped code, and each layer updates the posteriors
 before the next one reads them, so a codeword needs about half the
-iterations of a flooding schedule.  Magnitudes are clipped on their way
-into the check kernel and check messages at the clip level.  After every
-iteration the syndrome is tested, and each codeword that satisfies it
-leaves the batch, so a batch costs the iterations of its codewords, not
-those of its slowest one.
+iterations of a flooding schedule.  Nothing is clipped: the check
+kernel floors its input magnitudes at 1e-12, which bounds every check
+message by phi(1e-12) ~ 28.3, and a clip into the kernel kept saturated
+codewords from converging.  After every iteration the syndrome is
+tested, and each codeword that satisfies it leaves the batch, so a batch
+costs the iterations of its codewords, not those of its slowest one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import numpy as np
 
 LDPC_N = 17280
 LDPC_K = 14592
-LLR_CLIP = 30.0
 DEFAULT_MAX_ITERATIONS = 50
 
 _LIFT = 48
@@ -154,7 +154,7 @@ class LdpcCode:
         done = np.zeros(b, dtype=bool)
         # converged rows leave the active arrays; every update is row-wise
         active = np.arange(b)
-        post = np.clip(llrs, -LLR_CLIP, LLR_CLIP)
+        post = llrs.copy()
         msg = np.zeros((b, self.var_of_edge.size))     # check-to-variable
         for it in range(max_iterations):
             for e0, e1, v in self._layers:
@@ -162,8 +162,8 @@ class LdpcCode:
                 q = np.take(post, v, axis=1)
                 q -= r
                 # phi-domain magnitude sum and sign product over each check;
-                # the 1e-12 floor bounds |r| by phi(1e-12) ~ 28.3 < LLR_CLIP
-                phi = _phi(np.clip(np.abs(q), 1e-12, LLR_CLIP))
+                # the 1e-12 floors bound |r| by phi(1e-12) ~ 28.3
+                phi = _phi(np.maximum(np.abs(q), 1e-12))
                 others = np.maximum(phi.sum(axis=-1, keepdims=True) - phi, 1e-12)
                 sign = np.copysign(1.0, q)
                 sign *= sign.prod(axis=-1, keepdims=True)

@@ -286,7 +286,6 @@ class TestSessionExperiments:
         with pytest.raises(ConfigError, match=r"unknown config keys \['agreement_band'\]"):
             run_experiment(spec)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: stuck downstream LDPC codeword")
     def test_e2e_benchmark_call_passes_check(self, tmp_path):
         """The secure-session benchmark call at --seed 7003."""
         spec = ExperimentSpec("e2e-secure", {"n_superframes": 9}, seed=2603970838,
