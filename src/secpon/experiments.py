@@ -11,9 +11,10 @@ result cell and ``<name>.meta.json`` echoing the spec as given, the
 column schema, a version string, and wall time.  The columns are read
 off the rows, after ``experiment`` and ``seed``, which
 ``run_experiment`` prepends; the session experiments write one row per
-``FrameMetrics``, field for field.  Cell seeds are derived from the
-master seed and the cell's own parameters, so re-running any single
-cell in a smaller grid reproduces its row byte for byte.
+``FrameMetrics``, field for field.  Every draw comes from the seed tree
+(``secpon.seeds``) under the master seed, and a cell's streams are keyed
+by the cell's own parameters, so re-running any single cell in a
+smaller grid reproduces its row byte for byte.
 
 cpr-penalty runs by (linewidth, SNR) point: each pilot shape draws its
 own data, and per frame all shapes share one channel draw as the rows of
@@ -35,7 +36,6 @@ import math
 import numbers
 import subprocess
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -43,7 +43,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import __version__, theory
+from . import __version__, seeds, theory
 from .channel import ChannelConfig, apply_channel
 from .crypto import SEQ_BITS
 from .dscm import aggregate_snr_db
@@ -116,6 +116,10 @@ class ExperimentSpec:
                               f"choose from {', '.join(EXPERIMENT_NAMES)}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        try:
+            seeds.check_master(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -140,9 +144,10 @@ class ExperimentResult:
         return not self.check_failures
 
 
-def _cell_seed(master: int, desc: str) -> list[int]:
-    """Seed material tied to the cell parameters, not the grid layout."""
-    return [int(master) & 0xFFFFFFFF, zlib.crc32(desc.encode())]
+def _cell_path(master: int, desc: str) -> tuple[int, ...]:
+    """The stream path of a cell's draws, tied to the cell parameters
+    written in ``desc``, not to the grid layout."""
+    return (master, seeds.CELL, seeds.label(desc))
 
 
 @functools.cache
@@ -353,8 +358,7 @@ def _awgn(rng: np.random.Generator, tx: np.ndarray, sigma2: float) -> np.ndarray
 def _pilot_mc_cell(args: tuple) -> dict[str, Any]:
     master, a, snr_db, n_symbols = args
     params = GcsPilotParams(a=a)
-    rng = np.random.default_rng(
-        _cell_seed(master, f"sweep-a|a={a!r}|snr={snr_db!r}|n={n_symbols}"))
+    rng = seeds.stream(*_cell_path(master, f"sweep-a|a={a!r}|snr={snr_db!r}|n={n_symbols}"))
     sigma2 = 10.0 ** (-snr_db / 10.0)
     err1 = err2 = 0
     done = 0
@@ -447,21 +451,20 @@ def _cpr_point(args: tuple) -> tuple[list[int], int]:
     master, shapes, linewidth_hz, snr_db, n_symbols = args
     layout = upstream_layout()
     n_frames = -(-n_symbols // layout.payload_len)
-    data_rngs = [np.random.default_rng(
-        _cell_seed(master, f"cpr-data|a={a!r}|lw={linewidth_hz!r}|snr={snr_db!r}"))
-        for a in shapes]
+    cfg = ChannelConfig(snr_db=snr_db, linewidth_hz=linewidth_hz)
+    data_rngs = [seeds.stream(*_cell_path(
+        master, f"cpr-data|a={a!r}|lw={linewidth_hz!r}|snr={snr_db!r}")) for a in shapes]
     errors = [0] * len(shapes)
     for f in range(n_frames):
         # per shape: pilot sign bits, pilot second bits, payload bits
         sent = [[rng.integers(0, 2, n).astype(np.uint8)
                  for n in (layout.n_pilots, layout.n_pilots, 4 * layout.payload_len)]
                 for rng in data_rngs]
-        frames = [transmit_subcarrier(*bits, f + 1, layout, GcsPilotParams(a=a))
+        frames = [transmit_subcarrier(*bits, (master, seeds.TRAIN, f, 0), layout,
+                                      GcsPilotParams(a=a))
                   for a, bits in zip(shapes, sent)]
-        chan_seed = _cell_seed(master, f"cpr-chan|lw={linewidth_hz!r}|snr={snr_db!r}|f={f}")
-        cfg = ChannelConfig(snr_db=snr_db, linewidth_hz=linewidth_hz,
-                            seed=(chan_seed[0] << 32) ^ chan_seed[1])
-        rx = apply_channel(SymbolStream(np.stack(frames), 8e9), cfg)
+        rx = apply_channel(SymbolStream(np.stack(frames), 8e9), cfg, _cell_path(
+            master, f"cpr-chan|lw={linewidth_hz!r}|snr={snr_db!r}|f={f}"))
         for k, (row, (first, _, payload_bits)) in enumerate(zip(rx.symbols, sent)):
             got = receive_subcarrier(row, first, layout)
             errors[k] += int(np.count_nonzero(
@@ -561,8 +564,7 @@ def _run_cpr_penalty(spec: ExperimentSpec) -> ExperimentResult:
 def _ldpc_cell(args: tuple) -> dict[str, Any]:
     master, snr_db, n_codewords = args
     code = default_code()
-    rng = np.random.default_rng(
-        _cell_seed(master, f"ldpc|snr={snr_db!r}|n={n_codewords}"))
+    rng = seeds.stream(*_cell_path(master, f"ldpc|snr={snr_db!r}|n={n_codewords}"))
     sigma2 = 10.0 ** (-snr_db / 10.0)
     bit_errors = block_errors = 0
     batch = 10
@@ -587,8 +589,7 @@ def _ldpc_cell(args: tuple) -> dict[str, Any]:
 def _polar_cell(args: tuple) -> dict[str, Any]:
     master, a, snr_db, n_codewords = args
     params = GcsPilotParams(a=a)
-    rng = np.random.default_rng(
-        _cell_seed(master, f"polar|a={a!r}|snr={snr_db!r}|n={n_codewords}"))
+    rng = seeds.stream(*_cell_path(master, f"polar|a={a!r}|snr={snr_db!r}|n={n_codewords}"))
     sigma2 = 10.0 ** (-snr_db / 10.0)
     k = POLAR.payload_capacity
     bit_errors = block_errors = 0
@@ -683,7 +684,7 @@ _SESSION_PARAMS: dict[str, tuple[Any, _Parser]] = {
 }
 
 
-def _channel(p: dict[str, Any], snr_key: str, seed: int, tag: str) -> ChannelConfig:
+def _channel(p: dict[str, Any], snr_key: str) -> ChannelConfig:
     """The channel of parsed session params ``p``; ``p[snr_key]`` is the
     per-subcarrier SNR, or None for no noise."""
     snr_sc = p[snr_key]
@@ -691,7 +692,6 @@ def _channel(p: dict[str, Any], snr_key: str, seed: int, tag: str) -> ChannelCon
         snr_db=None if snr_sc is None else aggregate_snr_db(snr_sc),
         linewidth_hz=p["linewidth_hz"],
         freq_offset_hz=p["freq_offset_hz"],
-        seed=_cell_seed(seed, tag)[1],
     )
 
 
@@ -744,8 +744,8 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
     })
     sessions = _sessions(p["onu_ids"], spec.seed)
     n_frames = p["n_frames"]
-    report = run_secure_session(sessions, _channel(p, "snr_sc_db", spec.seed, "keydist-chan"),
-                                None, n_frames, seed=spec.seed,
+    report = run_secure_session(sessions, _channel(p, "snr_sc_db"), None, n_frames,
+                                seed=spec.seed,
                                 loss_probability=p["loss_probability"])
     failures = []
     if spec.check and report.crc_failures:
@@ -766,8 +766,7 @@ def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
     sessions = _sessions(p["onu_ids"], spec.seed)
     n_super = p["n_superframes"]
     report = run_secure_session(
-        sessions, _channel(p, "us_snr_sc_db", spec.seed, "e2e-us-chan"),
-        _channel(p, "ds_snr_sc_db", spec.seed, "e2e-ds-chan"), n_super,
+        sessions, _channel(p, "us_snr_sc_db"), _channel(p, "ds_snr_sc_db"), n_super,
         seed=spec.seed, loss_probability=p["loss_probability"],
         eavesdropper=p["eavesdropper"],
     )

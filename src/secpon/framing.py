@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
+from . import seeds
 from .fec_ldpc import LDPC_K, LDPC_N
 
 PAYLOAD_SYMBOLS_PER_FRAME = 8640
@@ -288,11 +289,10 @@ def pilot_phase_reference(first_bits: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def qpsk_training(n: int, seed: int) -> np.ndarray:
-    """Deterministic unit-energy QPSK training sequence (read-only: equal
-    arguments share one array)."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    k = rng.integers(0, 4, size=n)
+def qpsk_training(n: int, path: tuple[int, ...]) -> np.ndarray:
+    """Unit-energy QPSK training sequence drawn from
+    ``seeds.stream(*path)`` (read-only: equal arguments share one array)."""
+    k = seeds.stream(*path).integers(0, 4, size=n)
     training = np.exp(1j * (np.pi / 4.0 + k * np.pi / 2.0))
     training.flags.writeable = False
     return training

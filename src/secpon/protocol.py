@@ -50,13 +50,12 @@ eavesdropper.  Those counters are the whole record of the key channel.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rxdsp
-from .channel import ChannelConfig, _rng, add_awgn, apply_channel, eavesdropper_config
+from . import rxdsp, seeds
+from .channel import ChannelConfig, add_awgn, apply_channel
 from .crypto import (
     KeyFragmentMessage,
     KeyStore,
@@ -97,18 +96,6 @@ ECHO_NONE = 255                     # control byte meaning "nothing pending"
 # 16QAM carries 4 bits a payload symbol: 8640 symbols = 2 LDPC codewords
 CODEWORDS_PER_SC_PER_FRAME = 4 * DOWNSTREAM.payload_len // LDPC_N
 DATA_BITS_PER_CODEWORD = LDPC_K - 8  # one control byte leads each plaintext
-
-_KEYGEN, _SIGNS, _TRAIN, _DATA, _USDATA, _PILOT2 = 11, 13, 17, 19, 23, 29
-_USPHASE, _USNOISE, _DSCHAN, _LOSS, _EVEKEY = 31, 37, 41, 43, 47
-
-
-def _stable_id(name: str) -> int:
-    """Process-independent small integer for seeding per-ONU streams."""
-    return zlib.crc32(name.encode())
-
-
-def _child_seed(seed: int, *ids: int) -> int:
-    return int(_rng(seed, *ids).integers(0, 2 ** 63))
 
 
 def allocate_tfdma(onu_ids: list[str]) -> dict[str, tuple[int, ...]]:
@@ -174,12 +161,12 @@ def make_sessions(allocation: dict[str, tuple[int, ...]],
             raise ValueError("subcarrier sets overlap across ONUs")
         seen |= set(scs)
     sessions = []
-    for i, (onu_id, scs) in enumerate(allocation.items()):
-        bits = _rng(seed, _KEYGEN, i, 0).integers(0, 2, 256).astype(np.uint8)
+    for onu_id, scs in allocation.items():
+        key = _session_key(seed, onu_id, 0)
         session = OnuSession(onu_id=onu_id, subcarriers=scs,
                             onu_store=KeyStore(), olt_store=KeyStore())
         for store in (session.onu_store, session.olt_store):
-            store.add_pending(SessionKey(bits=bits.copy(), seq=0))
+            store.add_pending(SessionKey(bits=key.bits.copy(), seq=0))
             store.activate(0, codeword_index=0)
         sessions.append(session)
     return sessions
@@ -251,18 +238,23 @@ class SessionReport:
                 f"{self.pre_bits_transmitted}/{self.post_bits_transmitted}")
 
 
-def _pilot_bits(seed: int, stream: int, frame: int, sc: int, n: int) -> np.ndarray:
-    """Pilot sign bits (``_SIGNS``) or magnitude filler bits (``_PILOT2``)."""
-    return _rng(seed, stream, frame, sc).integers(0, 2, n).astype(np.uint8)
+def _session_key(seed: int, onu_id: str, seq: int) -> SessionKey:
+    """Key ``seq`` of an ONU; sequence 0 is its registration key."""
+    return random_session_key(seq, seeds.stream(seed, seeds.KEY, seeds.label(onu_id), seq))
+
+
+def _bits(path: tuple[int, ...], n: int) -> np.ndarray:
+    """``n`` uniform bits from ``seeds.stream(*path)``."""
+    return seeds.stream(*path).integers(0, 2, n).astype(np.uint8)
 
 
 def transmit_subcarrier(signs: np.ndarray, second_bits: np.ndarray,
-                        payload_bits: np.ndarray, train_seed: int,
+                        payload_bits: np.ndarray, train_path: tuple[int, ...],
                         layout: FrameLayout, pilot_params: GcsPilotParams) -> np.ndarray:
-    """One subcarrier's frame: QPSK training, shaped pilots whose first
-    bit is the pre-shared sign and whose second bit carries a key or
-    filler bit, then Gray 16QAM payload."""
-    return assemble_frame(qpsk_training(layout.training_len, train_seed),
+    """One subcarrier's frame: QPSK training from ``train_path``, shaped
+    pilots whose first bit is the pre-shared sign and whose second bit
+    carries a key or filler bit, then Gray 16QAM payload."""
+    return assemble_frame(qpsk_training(layout.training_len, train_path),
                           map_pilot(signs, second_bits, pilot_params),
                           map_payload_16qam(payload_bits), layout)
 
@@ -294,7 +286,8 @@ def _receive_onu(rx: SymbolStream, session: OnuSession, layout: FrameLayout,
     if cfg.freq_offset_hz:
         rx = _correct_onu_offset(rx, session, layout, seed, frame)
     return {sc: receive_subcarrier(demux_select(rx, sc).symbols,
-                                   _pilot_bits(seed, _SIGNS, frame, sc, layout.n_pilots), layout)
+                                   _bits((seed, seeds.SIGNS, frame, sc), layout.n_pilots),
+                                   layout)
             for sc in session.subcarriers}
 
 
@@ -304,7 +297,7 @@ def _correct_onu_offset(aggregate: SymbolStream, session: OnuSession,
     derotate the aggregate before selecting its subcarriers."""
     sc = session.subcarriers[0]
     coarse = demux_select(aggregate, sc)
-    train = qpsk_training(layout.training_len, _child_seed(seed, _TRAIN, frame, sc))
+    train = qpsk_training(layout.training_len, (seed, seeds.TRAIN, frame, sc))
     est = rxdsp.estimate_frequency_offset(
         coarse.symbols[:layout.training_len], train, SUBCARRIER_BAUD)
     fixed = rxdsp.correct_frequency_offset(aggregate.symbols, est, SAMPLE_RATE)
@@ -314,8 +307,7 @@ def _correct_onu_offset(aggregate: SymbolStream, session: OnuSession,
 def _start_fragment_cycle(session: OnuSession, seed: int) -> None:
     if session.onu_store.pending_key is None:
         seq = session.onu_store.next_seq
-        key = random_session_key(seq, _rng(seed, _KEYGEN, _stable_id(session.onu_id), seq, 1))
-        session.onu_store.add_pending(key)
+        session.onu_store.add_pending(_session_key(seed, session.onu_id, seq))
         session.tx_phase = 0
 
 
@@ -333,6 +325,8 @@ def _upstream_frame(sessions, cfg, f, seed, loss_probability,
     caller.
     """
     n = UPSTREAM.n_pilots
+    laser = ChannelConfig(snr_db=None, linewidth_hz=cfg.linewidth_hz,
+                          freq_offset_hz=cfg.freq_offset_hz)
     sent: list[dict[int, np.ndarray]] = []
     onu_waves = []
     for idx, session in enumerate(sessions):
@@ -348,21 +342,18 @@ def _upstream_frame(sessions, cfg, f, seed, loss_probability,
             if sc in session.key_subcarriers:
                 second = key_bits[j * n:(j + 1) * n]
             else:
-                second = _pilot_bits(seed, _PILOT2, f, sc, n)
-            tx[sc] = _rng(seed, _USDATA, idx, f, sc).integers(
-                0, 2, 4 * UPSTREAM.payload_len).astype(np.uint8)
-            frames[sc] = transmit_subcarrier(_pilot_bits(seed, _SIGNS, f, sc, n), second,
-                                             tx[sc], _child_seed(seed, _TRAIN, f, sc),
+                second = _bits((seed, seeds.PILOT2, f, sc), n)
+            tx[sc] = _bits((seed, seeds.US_DATA, f, sc), 4 * UPSTREAM.payload_len)
+            frames[sc] = transmit_subcarrier(_bits((seed, seeds.SIGNS, f, sc), n), second,
+                                             tx[sc], (seed, seeds.TRAIN, f, sc),
                                              UPSTREAM, PILOT)
         sent.append(tx)
-        onu_cfg = ChannelConfig(snr_db=None, linewidth_hz=cfg.linewidth_hz,
-                                freq_offset_hz=cfg.freq_offset_hz,
-                                seed=_child_seed(cfg.seed, _USPHASE, f, idx))
-        onu_waves.append(apply_channel(_mux_frames(frames), onu_cfg))
+        onu_waves.append(apply_channel(_mux_frames(frames), laser,
+                                       (seed, seeds.US_LASER, f, idx)))
 
     total = SymbolStream(np.sum([w.symbols for w in onu_waves], axis=0), SAMPLE_RATE)
     if cfg.snr_db is not None:
-        total = add_awgn(total, cfg.snr_db, seed=_child_seed(cfg.seed, _USNOISE, f))
+        total = add_awgn(total, cfg.snr_db, (seed, seeds.US_NOISE, f))
 
     metrics = []
     llrs = []
@@ -375,8 +366,8 @@ def _upstream_frame(sessions, cfg, f, seed, loss_probability,
         llrs.append(np.concatenate([
             demap_pilot_llrs(received[sc].pilots, PILOT, _noise_var(received[sc]))
             for sc in session.key_subcarriers])[:POLAR.block_length])
-    lost = [bool(loss_probability) and _rng(seed, _LOSS, f, _stable_id(s.onu_id)
-                                            ).random() < loss_probability
+    lost = [bool(loss_probability) and seeds.stream(
+                seed, seeds.LOSS, f, seeds.label(s.onu_id)).random() < loss_probability
             for s in sessions]
     kept = [row for row, gone in zip(llrs, lost) if not gone]
     decoded = zip(*polar_decode_scl(np.stack(kept), POLAR)) if kept else iter(())
@@ -445,8 +436,8 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                 c = session.codeword_counter
                 pending = session.olt_store.pending_seqs()
                 echo = pending[0] if pending else ECHO_NONE
-                data = _rng(seed, _DATA, _stable_id(session.onu_id), c).integers(
-                    0, 2, DATA_BITS_PER_CODEWORD).astype(np.uint8)
+                data = _bits((seed, seeds.DATA, seeds.label(session.onu_id), c),
+                             DATA_BITS_PER_CODEWORD)
                 key = session.olt_store.consume(c)
                 cipher = aes256_encrypt(np.concatenate([byte_to_bits(echo), data]), key, c)
                 coded.append(ldpc.encode(cipher))
@@ -458,21 +449,19 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                     session.olt_store.activate(echo, c + 1)
             tx[sc] = (np.concatenate(coded), codewords)
             frames[sc] = transmit_subcarrier(
-                _pilot_bits(seed, _SIGNS, f, sc, n), _pilot_bits(seed, _PILOT2, f, sc, n),
-                tx[sc][0], _child_seed(seed, _TRAIN, f, sc), DOWNSTREAM, PILOT)
+                _bits((seed, seeds.SIGNS, f, sc), n), _bits((seed, seeds.PILOT2, f, sc), n),
+                tx[sc][0], (seed, seeds.TRAIN, f, sc), DOWNSTREAM, PILOT)
         sent.append(tx)
 
     clean = _mux_frames(frames)
-    frame_cfg = ChannelConfig(snr_db=cfg.snr_db, linewidth_hz=cfg.linewidth_hz,
-                              freq_offset_hz=cfg.freq_offset_hz,
-                              seed=_child_seed(cfg.seed, _DSCHAN, f))
-    taps = [(frame_cfg, None)]
+    # the tapped copy has the legitimate channel's statistics, not its draws
+    taps = [(seeds.DS_CHANNEL, None)]
     if eavesdropper:
-        taps.append((eavesdropper_config(frame_cfg),
-                     random_session_key(0, _rng(seed, _EVEKEY, 0))))
-    for tap_cfg, eve_key in taps:
-        rx = apply_channel(clean, tap_cfg)
-        received = [_receive_onu(rx, session, DOWNSTREAM, seed, f, tap_cfg)
+        taps.append((seeds.TAP_CHANNEL,
+                     random_session_key(0, seeds.stream(seed, seeds.EVE_KEY))))
+    for tap, eve_key in taps:
+        rx = apply_channel(clean, cfg, (seed, tap, f))
+        received = [_receive_onu(rx, session, DOWNSTREAM, seed, f, cfg)
                      for session in sessions]
         # one decoder call for the tap, rows in session, subcarrier, codeword
         # order; zip draws a codeword first, so each takes exactly its row
@@ -514,6 +503,8 @@ def run_secure_session(sessions: list[OnuSession], us_cfg: ChannelConfig | None,
 
     Each frame is one upstream frame on ``us_cfg``, then one downstream
     frame on ``ds_cfg``; a direction whose channel is None is skipped.
+    Every draw, the channels' included, comes from the seed tree under
+    ``seed`` (``secpon.seeds``).
     Upstream alone reports its payload metrics and models an
     out-of-band acknowledgment: both stores switch at the frame boundary
     after assembly.  With a downstream, every session needs an active key

@@ -147,7 +147,6 @@ def test_criterion_6_eavesdropper_blind_legit_clean():
         cfg = ChannelConfig(
             snr_db=None if snr_sc is None else _agg(snr_sc),
             linewidth_hz=0.0 if snr_sc is None else 1e5,
-            seed=71 + k,
         )
         rep = run_secure_session(sessions, None, cfg, 9, seed=81 + k,
                                  eavesdropper=True)

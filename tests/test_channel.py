@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from secpon.channel import (
-    ChannelConfig,
-    apply_channel,
-    eavesdropper_config,
-    phase_noise_walk,
-)
+from secpon import seeds
+from secpon.channel import ChannelConfig, apply_channel, phase_noise_walk
 from secpon.framing import SymbolStream
 
 
@@ -23,7 +19,7 @@ class TestAwgn:
         n = 1_000_000
         tx = _unit_qpsk(n)
         for snr_db in (5.0, 12.0):
-            rx = apply_channel(tx, ChannelConfig(snr_db=snr_db, seed=42))
+            rx = apply_channel(tx, ChannelConfig(snr_db=snr_db), (42,))
             noise = rx.symbols - tx.symbols
             power = np.mean(np.abs(tx.symbols) ** 2)
             measured = 10 * np.log10(power / np.mean(np.abs(noise) ** 2))
@@ -31,18 +27,19 @@ class TestAwgn:
 
     def test_noiseless_config_is_identity(self):
         tx = _unit_qpsk(1000)
-        rx = apply_channel(tx, ChannelConfig(seed=3))
+        rx = apply_channel(tx, ChannelConfig(), (3,))
         assert np.array_equal(rx.symbols, tx.symbols)
         assert rx.symbols is not tx.symbols
 
     def test_deterministic_per_seed(self):
         tx = _unit_qpsk(5000)
-        cfg = ChannelConfig(snr_db=10.0, linewidth_hz=1e5, seed=7)
-        a = apply_channel(tx, cfg)
-        b = apply_channel(tx, cfg)
+        cfg = ChannelConfig(snr_db=10.0, linewidth_hz=1e5)
+        a = apply_channel(tx, cfg, (7, 1))
+        b = apply_channel(tx, cfg, (7, 1))
         assert np.array_equal(a.symbols, b.symbols)
-        c = apply_channel(tx, ChannelConfig(snr_db=10.0, linewidth_hz=1e5, seed=8))
-        assert not np.array_equal(a.symbols, c.symbols)
+        for path in ((8, 1), (7, 2), (7, 1, 0)):
+            c = apply_channel(tx, cfg, path)
+            assert not np.any(a.symbols == c.symbols)
 
 
 class TestStackedRows:
@@ -55,23 +52,23 @@ class TestStackedRows:
         rows = np.stack([_unit_qpsk(3000, seed=s).symbols * gain
                          for s, gain in ((1, 1.0), (2, 0.3), (3, 2.5))])
         cfg = ChannelConfig(snr_db=snr_db, linewidth_hz=linewidth_hz,
-                            freq_offset_hz=offset_hz, seed=17)
-        stacked = apply_channel(SymbolStream(rows, 8e9), cfg).symbols
+                            freq_offset_hz=offset_hz)
+        stacked = apply_channel(SymbolStream(rows, 8e9), cfg, (17,)).symbols
         assert stacked.shape == rows.shape
         for row, got in zip(rows, stacked):
-            assert np.array_equal(got, apply_channel(SymbolStream(row, 8e9), cfg).symbols)
+            assert np.array_equal(got, apply_channel(SymbolStream(row, 8e9), cfg, (17,)).symbols)
 
 
 class TestPhaseNoise:
     def test_increment_variance(self):
         """Wiener increments carry variance 2*pi*linewidth/rate."""
         lw, rate, n = 1e6, 8e9, 2_000_000
-        theta = phase_noise_walk(n, lw, rate, seed=11)
+        theta = phase_noise_walk(n, lw, rate, (11,))
         var = np.var(np.diff(theta))
         assert var == pytest.approx(2 * np.pi * lw / rate, rel=0.01)
 
     def test_zero_linewidth_zero_walk(self):
-        assert np.all(phase_noise_walk(100, 0.0, 8e9, seed=1) == 0)
+        assert np.all(phase_noise_walk(100, 0.0, 8e9, (1,)) == 0)
 
     def test_negative_linewidth_rejected(self):
         with pytest.raises(ValueError):
@@ -79,7 +76,7 @@ class TestPhaseNoise:
 
     def test_phase_only_preserves_magnitude(self):
         tx = _unit_qpsk(4000)
-        rx = apply_channel(tx, ChannelConfig(linewidth_hz=5e5, seed=2))
+        rx = apply_channel(tx, ChannelConfig(linewidth_hz=5e5), (2,))
         assert np.allclose(np.abs(rx.symbols), 1.0)
 
 
@@ -87,31 +84,31 @@ class TestFrequencyOffset:
     def test_pure_offset_is_linear_phase_ramp(self):
         n, rate, df = 4096, 8e9, 25e6
         tx = SymbolStream(np.ones(n, complex), rate)
-        rx = apply_channel(tx, ChannelConfig(freq_offset_hz=df, seed=5))
+        rx = apply_channel(tx, ChannelConfig(freq_offset_hz=df), (5,))
         ph = np.unwrap(np.angle(rx.symbols))
         slope = np.polyfit(np.arange(n), ph, 1)[0]
         assert slope == pytest.approx(2 * np.pi * df / rate, rel=1e-9)
 
 
+# the session runner's paths for frame 0 of master seed 21
+LEGIT = (21, seeds.DS_CHANNEL, 0)
+TAP = (21, seeds.TAP_CHANNEL, 0)
+
+
 class TestEavesdropperTap:
     def test_independent_but_identically_configured(self):
         tx = _unit_qpsk(200_000)
-        cfg = ChannelConfig(snr_db=9.0, seed=21)
-        tap = eavesdropper_config(cfg)
-        assert tap.snr_db == cfg.snr_db
-        assert tap.seed != cfg.seed
-        a = apply_channel(tx, cfg)
-        b = apply_channel(tx, tap)
+        cfg = ChannelConfig(snr_db=9.0)
+        a = apply_channel(tx, cfg, LEGIT)
+        b = apply_channel(tx, cfg, TAP)
         na, nb = a.symbols - tx.symbols, b.symbols - tx.symbols
         rho = np.abs(np.vdot(na, nb)) / (np.linalg.norm(na) * np.linalg.norm(nb))
         assert rho < 0.01
         assert np.mean(np.abs(nb) ** 2) == pytest.approx(np.mean(np.abs(na) ** 2), rel=0.02)
 
     def test_tap_phase_walk_independent(self):
-        cfg = ChannelConfig(linewidth_hz=2e5, seed=21)
-        tap = eavesdropper_config(cfg)
-        wa = phase_noise_walk(50_000, cfg.linewidth_hz, 8e9, cfg.seed)
-        wb = phase_noise_walk(50_000, tap.linewidth_hz, 8e9, tap.seed)
+        wa = phase_noise_walk(50_000, 2e5, 8e9, (*LEGIT, seeds.PHASE))
+        wb = phase_noise_walk(50_000, 2e5, 8e9, (*TAP, seeds.PHASE))
         # increments (not the walks themselves) are white, so their sample
         # correlation is a sound independence probe
         da, db = np.diff(wa), np.diff(wb)

@@ -308,7 +308,7 @@ class TestNoiseCalibration:
         streams = _qpsk_streams(100_000, seed=13)
         agg = mux(streams)
         target = 9.0
-        noisy = channel.add_awgn(agg, aggregate_snr_db(target), seed=14)
+        noisy = channel.add_awgn(agg, aggregate_snr_db(target), (14,))
         back = demux_select(noisy, 2)
         nv = np.mean(np.abs(back.symbols - streams[2].symbols) ** 2)
         assert 10 * np.log10(1.0 / nv) == pytest.approx(target, abs=0.1)
@@ -322,7 +322,7 @@ class TestNoiseCalibration:
         streams = [SymbolStream(map_payload_16qam(b), SUBCARRIER_BAUD) for b in bits]
         target = 12.0
         agg = mux(streams)
-        noisy = channel.add_awgn(agg, aggregate_snr_db(target), seed=16)
+        noisy = channel.add_awgn(agg, aggregate_snr_db(target), (16,))
         errors = bits_total = 0
         for k, back in enumerate(_demux_all(noisy)):
             hard = demap_payload_16qam(back.symbols)
@@ -339,7 +339,7 @@ class TestFrequencyOffsetIntegration:
         """Offset recovery runs on one demuxed subcarrier's training, the
         correction applies to the aggregate before the real demux."""
         n_sym = 4096
-        train = qpsk_training(n_sym, seed=21)
+        train = qpsk_training(n_sym, (21,))
         streams = [SymbolStream(train.copy(), SUBCARRIER_BAUD) for _ in range(4)]
         agg = mux(streams)
         offset = 180e6

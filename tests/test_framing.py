@@ -358,15 +358,15 @@ class TestFrameLayout:
             assemble_frame(tr, pi[:-1], pl, layout)
 
     def test_training_sequence_deterministic_qpsk(self):
-        t1 = qpsk_training(416, seed=12)
-        t2 = qpsk_training(416, seed=12)
+        t1 = qpsk_training(416, (12,))
+        t2 = qpsk_training(416, (12,))
         assert np.array_equal(t1, t2)
         assert np.allclose(np.abs(t1), 1.0)
         assert np.unique(np.round(np.angle(t1), 9)).size == 4
-        assert not np.array_equal(t1, qpsk_training(416, seed=13))
+        assert not np.array_equal(t1, qpsk_training(416, (13,)))
 
     def test_training_sequence_cached_read_only(self):
-        t = qpsk_training(416, 12)
-        assert t is qpsk_training(416, 12)
+        t = qpsk_training(416, (12,))
+        assert t is qpsk_training(416, (12,))
         with pytest.raises(ValueError):
             t[0] = 0

@@ -67,7 +67,7 @@ class TestSessions:
 class TestUpstreamKeydist:
     def test_noiseless_distributes_every_key(self):
         sessions = _two_onus()
-        rep = run_secure_session(sessions, ChannelConfig(seed=1), None, 6, seed=5)
+        rep = run_secure_session(sessions, ChannelConfig(), None, 6, seed=5)
         assert rep.crc_failures == 0
         assert rep.key_mismatches == 0
         assert rep.keys_assembled == 6      # one fragment per frame, two ONUs
@@ -79,13 +79,13 @@ class TestUpstreamKeydist:
     def test_pilot_budget_rejected_for_single_subcarrier_onus(self):
         with pytest.raises(ValueError, match="pilot budget"):
             sessions = make_sessions(allocate_tfdma([f"onu{i}" for i in range(4)]))
-            run_secure_session(sessions, ChannelConfig(seed=1), None, 1)
+            run_secure_session(sessions, ChannelConfig(), None, 1)
 
     def test_operating_point_keys_error_free(self):
         """At the payload SD-FEC operating point the coded key channel
         still assembles every key without a CRC failure."""
         sessions = _two_onus()
-        cfg = ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5, seed=11)
+        cfg = ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5)
         rep = run_secure_session(sessions, cfg, None, 12, seed=5)
         assert rep.crc_failures == 0
         assert rep.key_mismatches == 0
@@ -97,7 +97,7 @@ class TestUpstreamKeydist:
         """Pure-AWGN payload pre-FEC BER lands near the reference curve;
         the recovery chain is allowed a small implementation penalty."""
         sessions = _two_onus()
-        cfg = ChannelConfig(snr_db=OP_SNR_AGG, seed=13)
+        cfg = ChannelConfig(snr_db=OP_SNR_AGG)
         rep = run_secure_session(sessions, cfg, None, 4, seed=5)
         assert theory.ber_16qam(OP_SNR_SC + 0.1) < rep.pre_fec_ber() \
             < theory.ber_16qam(OP_SNR_SC - 0.6)
@@ -108,7 +108,7 @@ class TestUpstreamKeydist:
         sessions = _two_onus()
         raw = theory.ber_pilot_second_bit(1.0, 1.7)
         assert raw >= 0.2
-        cfg = ChannelConfig(snr_db=aggregate_snr_db(1.0), seed=17)
+        cfg = ChannelConfig(snr_db=aggregate_snr_db(1.0))
         rep = run_secure_session(sessions, cfg, None, 8, seed=5)
         assert rep.crc_failures > 0
         assert rep.key_mismatches == 0
@@ -116,7 +116,7 @@ class TestUpstreamKeydist:
 
     def test_loss_injection_never_desynchronizes(self):
         sessions = _two_onus()
-        cfg = ChannelConfig(snr_db=OP_SNR_AGG + 6, seed=19)
+        cfg = ChannelConfig(snr_db=OP_SNR_AGG + 6)
         rep = run_secure_session(sessions, cfg, None, 12, seed=5, loss_probability=0.4)
         assert rep.fragments_lost > 0
         assert rep.key_mismatches == 0
@@ -125,7 +125,7 @@ class TestUpstreamKeydist:
         assert active_keys_synchronized(sessions)
 
     def test_deterministic_for_fixed_seeds(self):
-        cfg = ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5, seed=23)
+        cfg = ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5)
         reps = []
         keys = []
         for _ in range(2):
@@ -137,7 +137,7 @@ class TestUpstreamKeydist:
 
     def test_report_counters_consistent(self):
         sessions = _two_onus()
-        rep = run_secure_session(sessions, ChannelConfig(seed=1), None, 2, seed=5)
+        rep = run_secure_session(sessions, ChannelConfig(), None, 2, seed=5)
         rep.validate()
         rep.frame_metrics[0].pre_bits += 1
         with pytest.raises(AssertionError):
@@ -156,7 +156,7 @@ class TestUpstreamKeydist:
         monkeypatch.setattr(protocol, "_receive_onu", drop_subcarrier_3)
         sessions = make_sessions(allocate_tfdma(["onu1"]), seed=5)
         with pytest.raises(AssertionError, match="transmitted"):
-            run_secure_session(sessions, ChannelConfig(seed=1), None, 1, seed=5)
+            run_secure_session(sessions, ChannelConfig(), None, 1, seed=5)
 
 
 class TestFragmentIntake:
@@ -218,7 +218,7 @@ class TestDownstreamEncrypted:
         session = OnuSession(onu_id="bare", subcarriers=(0, 1),
                              onu_store=KeyStore(), olt_store=KeyStore())
         with pytest.raises(ValueError, match="active key"):
-            run_secure_session([session], None, ChannelConfig(seed=1), 1)
+            run_secure_session([session], None, ChannelConfig(), 1)
 
     def test_needs_a_channel(self):
         with pytest.raises(ValueError, match="upstream or a downstream"):
@@ -233,13 +233,13 @@ class TestDownstreamEncrypted:
         for s in sessions:
             s.olt_store.add_pending(SessionKey(bits=rng.integers(0, 2, 256), seq=1))
             s.onu_store.add_pending(SessionKey(bits=rng.integers(0, 2, 256), seq=1))
-        rep = run_secure_session(sessions, None, ChannelConfig(seed=2), 2, seed=5)
+        rep = run_secure_session(sessions, None, ChannelConfig(), 2, seed=5)
         assert rep.desynchronized_frames == 2
         assert not active_keys_synchronized(sessions)
 
     def test_noiseless_roundtrip_error_free(self):
         sessions = _two_onus()
-        rep = run_secure_session(sessions, None, ChannelConfig(seed=2), 1, seed=5)
+        rep = run_secure_session(sessions, None, ChannelConfig(), 1, seed=5)
         assert rep.pre_fec_ber() == 0.0
         assert rep.post_fec_ber() == 0.0
         rep.validate()
@@ -254,21 +254,21 @@ class TestDownstreamEncrypted:
             bits = rng.integers(0, 2, 256).astype(np.uint8)
             s.onu_store.add_pending(SessionKey(bits=bits.copy(), seq=1))
             s.olt_store.add_pending(SessionKey(bits=bits.copy(), seq=1))
-        rep = run_secure_session(sessions, None, ChannelConfig(seed=2), 2, seed=5)
+        rep = run_secure_session(sessions, None, ChannelConfig(), 2, seed=5)
         assert rep.post_fec_ber() == 0.0
         assert rep.rotations == 2
         assert active_keys_synchronized(sessions)
         for s in sessions:
             assert s.olt_store.active_key.seq == s.onu_store.active_key.seq == 1
             assert s.olt_store.pending_seqs() == s.onu_store.pending_seqs() == []
-        after = run_secure_session(sessions, None, ChannelConfig(seed=3), 1, seed=5)
+        after = run_secure_session(sessions, None, ChannelConfig(), 1, seed=5)
         assert after.post_fec_ber() == 0.0
         assert after.rotations == 0
 
     def test_error_free_above_threshold_with_phase_noise(self):
         sessions = _two_onus()
         cfg = ChannelConfig(snr_db=aggregate_snr_db(OP_SNR_SC + 1.2),
-                            linewidth_hz=1e5, seed=31)
+                            linewidth_hz=1e5)
         rep = run_secure_session(sessions, None, cfg, 2, seed=5)
         assert rep.pre_fec_ber() > 1e-3
         assert rep.post_fec_ber() == 0.0
@@ -277,7 +277,7 @@ class TestDownstreamEncrypted:
         """A carrier offset is estimated on each ONU's training prefix and
         removed before its subcarriers are selected, in both directions."""
         sessions = _two_onus()
-        cfg = ChannelConfig(freq_offset_hz=2e8, seed=19)
+        cfg = ChannelConfig(freq_offset_hz=2e8)
         up = run_secure_session(sessions, cfg, None, 2, seed=5)
         assert up.pre_fec_ber() == 0.0
         assert up.crc_failures == 0
@@ -297,21 +297,21 @@ class TestDownstreamEncrypted:
             return decode(code, llrs, *args, **kwargs)
 
         monkeypatch.setattr(LdpcCode, "decode_batch", counting_decode)
-        rep = run_secure_session(_two_onus(), None, ChannelConfig(seed=2), 1, seed=5,
+        rep = run_secure_session(_two_onus(), None, ChannelConfig(), 1, seed=5,
                                  eavesdropper=eavesdropper)
         assert batches == [8] * (2 if eavesdropper else 1)
         assert rep.post_fec_ber() == 0.0
 
     def test_eavesdropper_agreement_is_coin_flip_when_noiseless(self):
         sessions = _two_onus()
-        rep = run_secure_session(sessions, None, ChannelConfig(seed=2), 2, seed=5,
+        rep = run_secure_session(sessions, None, ChannelConfig(), 2, seed=5,
                                  eavesdropper=True)
         assert rep.eavesdropper_bits >= 200_000
         assert 0.49 < rep.eavesdropper_agreement() < 0.51
 
     def test_eavesdropper_agreement_is_coin_flip_when_noisy(self):
         sessions = _two_onus()
-        cfg = ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5, seed=37)
+        cfg = ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5)
         rep = run_secure_session(sessions, None, cfg, 1, seed=5, eavesdropper=True)
         assert 0.48 < rep.eavesdropper_agreement() < 0.52
 
@@ -319,7 +319,7 @@ class TestDownstreamEncrypted:
 class TestSecureSession:
     def test_rotation_through_inband_echo(self):
         sessions = _two_onus()
-        rep = run_secure_session(sessions, ChannelConfig(seed=3), ChannelConfig(seed=4),
+        rep = run_secure_session(sessions, ChannelConfig(), ChannelConfig(),
                                  4, seed=5)
         assert rep.keys_assembled == 4
         assert rep.rotations == 4           # ONU-side activations, two per ONU
@@ -330,8 +330,8 @@ class TestSecureSession:
     def test_loss_injection_never_desynchronizes(self):
         """The runner checks agreement after every superframe."""
         sessions = _two_onus()
-        rep = run_secure_session(sessions, ChannelConfig(snr_db=OP_SNR_AGG + 6, seed=41),
-                                 ChannelConfig(seed=43), 6, seed=5,
+        rep = run_secure_session(sessions, ChannelConfig(snr_db=OP_SNR_AGG + 6),
+                                 ChannelConfig(), 6, seed=5,
                                  loss_probability=0.5)
         assert rep.fragments_lost > 0
         assert rep.key_mismatches == 0
@@ -339,20 +339,26 @@ class TestSecureSession:
         assert active_keys_synchronized(sessions)
 
     @staticmethod
-    def _key_channels(onu_ids, loss_probability):
+    def _key_channels(onu_ids, loss_probability, n_fragments):
         """Key-channel outcomes of an upstream-only run and of a full
-        superframe run over the same upstream channel and sessions."""
+        superframe run over the same upstream channel and sessions, long
+        enough for at least ``n_fragments`` key fragments.
+
+        At 8.8 dB per subcarrier a fragment fails its CRC with probability
+        p of about 0.7 (250 of 360 fragments with two ONUs, 122 of 180
+        with one); the tests take p >= 0.6."""
         def key_channel(rep, sessions):
             return (rep.crc_failures, rep.fragments_lost, rep.keys_assembled,
                     rep.key_mismatches, [s.olt_store.next_seq for s in sessions])
 
-        us_cfg = ChannelConfig(snr_db=aggregate_snr_db(9.4),
-                               linewidth_hz=1e5, seed=7)
+        n_frames = -(-n_fragments // len(onu_ids))
+        us_cfg = ChannelConfig(snr_db=aggregate_snr_db(8.8),
+                               linewidth_hz=1e5)
         up_sessions = make_sessions(allocate_tfdma(onu_ids), seed=3)
-        keydist = run_secure_session(up_sessions, us_cfg, None, 4, seed=3,
+        keydist = run_secure_session(up_sessions, us_cfg, None, n_frames, seed=3,
                                      loss_probability=loss_probability)
         sf_sessions = make_sessions(allocate_tfdma(onu_ids), seed=3)
-        secure = run_secure_session(sf_sessions, us_cfg, ChannelConfig(seed=9), 4, seed=3,
+        secure = run_secure_session(sf_sessions, us_cfg, ChannelConfig(), n_frames, seed=3,
                                     loss_probability=loss_probability)
         return keydist, key_channel(keydist, up_sessions), key_channel(secure, sf_sessions)
 
@@ -361,26 +367,72 @@ class TestSecureSession:
         """The superframe's upstream half is the keydist frame: near the
         key channel's CRC waterfall both count the same fragment outcomes
         and leave each OLT expecting the same next key, also when one ONU
-        holds every subcarrier."""
-        keydist, upstream, superframe = self._key_channels(onu_ids, 0.0)
+        holds every subcarrier.  8 fragments all pass their CRC with
+        probability at most 0.4**8 = 6.6e-4."""
+        keydist, upstream, superframe = self._key_channels(onu_ids, 0.0, 8)
         assert keydist.crc_failures > 0
         assert keydist.fragments_lost == 0
         assert superframe == upstream
 
     @pytest.mark.parametrize("onu_ids", [["onu1", "onu2"], ["onu1"]])
     def test_key_channel_matches_upstream_keydist_under_loss(self, onu_ids):
-        """The same agreement holds when fragments are lost."""
-        keydist, upstream, superframe = self._key_channels(onu_ids, 0.5)
+        """The same agreement holds when fragments are lost.  Of 18
+        fragments none is lost with probability 0.6**18 = 1.0e-4, and none
+        fails its CRC with probability at most (1 - 0.6 * 0.6)**18 =
+        3.3e-4."""
+        keydist, upstream, superframe = self._key_channels(onu_ids, 0.4, 18)
         assert keydist.crc_failures > 0
         assert keydist.fragments_lost > 0
         assert superframe == upstream
 
     def test_session_state_bookkeeping(self):
         sessions = _two_onus()
-        run_secure_session(sessions, ChannelConfig(seed=3), ChannelConfig(seed=4),
+        run_secure_session(sessions, ChannelConfig(), ChannelConfig(),
                            2, seed=5)
         for s in sessions:
             assert s.codeword_counter == 8
+
+
+class TestSeedTree:
+    @staticmethod
+    def _channel_draws(seed, monkeypatch):
+        """Per channel call of one superframe with the eavesdropper on: the
+        phase each phase-only pass applies, and the noise each noise pass
+        adds.  The downstream runs without noise, so its phase and the
+        tap's read back exactly."""
+        phases, noises = [], []
+        apply_channel, add_awgn = protocol.apply_channel, protocol.add_awgn
+
+        def traced_channel(stream, cfg, *args, **kwargs):
+            out = apply_channel(stream, cfg, *args, **kwargs)
+            phases.append(np.angle(out.symbols * np.conj(stream.symbols)))
+            return out
+
+        def traced_awgn(stream, *args, **kwargs):
+            out = add_awgn(stream, *args, **kwargs)
+            noises.append(out.symbols - stream.symbols)
+            return out
+
+        monkeypatch.setattr(protocol, "apply_channel", traced_channel)
+        monkeypatch.setattr(protocol, "add_awgn", traced_awgn)
+        run_secure_session(_two_onus(seed), ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5),
+                           ChannelConfig(linewidth_hz=1e5), 1, seed=seed, eavesdropper=True)
+        monkeypatch.undo()
+        return phases, noises
+
+    def test_master_seed_reaches_every_channel_draw(self, monkeypatch):
+        """Two master seeds draw different laser walks (two upstream
+        bursts, the downstream and the tap) and uncorrelated noise at the
+        OLT (|rho| ~ 1/sqrt(n) ~ 0.004 for independent draws)."""
+        phases_a, noises_a = self._channel_draws(5, monkeypatch)
+        phases_b, noises_b = self._channel_draws(6, monkeypatch)
+        assert len(phases_a) == len(phases_b) == 4
+        assert len(noises_a) == len(noises_b) == 1
+        for a, b in zip(phases_a, phases_b):
+            assert not np.allclose(np.exp(1j * a), np.exp(1j * b), rtol=0, atol=1e-3)
+        for a, b in zip(noises_a, noises_b):
+            rho = np.abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+            assert rho < 0.05
 
 
 class TestBandwidthPowerTradeoff:

@@ -24,8 +24,8 @@ def _frame_body(rng, layout, params, linewidth, snr_db, seed):
     body[layout.pilot_body_positions()] = pilots
     body[layout.payload_body_positions()] = payload
     stream = framing.SymbolStream(body, 8e9)
-    cfg = channel.ChannelConfig(snr_db=snr_db, linewidth_hz=linewidth, seed=seed)
-    rx = channel.apply_channel(stream, cfg)
+    cfg = channel.ChannelConfig(snr_db=snr_db, linewidth_hz=linewidth)
+    rx = channel.apply_channel(stream, cfg, (seed,))
     ref = framing.pilot_phase_reference(first)
     return rx.symbols, pay_bits, ref
 
@@ -74,9 +74,9 @@ class TestPilotPhaseEstimates:
         first = rng.integers(0, 2, n).astype(np.uint8)
         pilots = framing.map_pilot(first, np.zeros(n, np.uint8),
                                    framing.GcsPilotParams(a=3.0))
-        walk = channel.phase_noise_walk(n, lw, rate, seed=5)
+        walk = channel.phase_noise_walk(n, lw, rate, (5,))
         stream = framing.SymbolStream(pilots * np.exp(1j * walk), rate)
-        rx = channel.add_awgn(stream, snr_db, seed=6)
+        rx = channel.add_awgn(stream, snr_db, (6,))
         psi = rxdsp.pilot_phase_estimates(rx.symbols, framing.pilot_phase_reference(first))
         mse = np.mean((psi - walk) ** 2)
         # small-angle variance for unit-power pilots: half the noise power
@@ -340,22 +340,22 @@ def _apply_offset(symbols, offset_hz, rate):
 class TestFrequencyOffset:
     def test_noiseless_offset_recovered_closely(self):
         rate = 8e9
-        train = framing.qpsk_training(416, seed=11)
+        train = framing.qpsk_training(416, (11,))
         rx = _apply_offset(train, -123.4e6, rate)
         est = rxdsp.estimate_frequency_offset(rx, train, rate)
         assert abs(est - (-123.4e6)) < 1e5
 
     def test_noisy_offset_within_half_percent_of_rate(self):
         rate = 8e9
-        train = framing.qpsk_training(416, seed=12)
+        train = framing.qpsk_training(416, (12,))
         shifted = _apply_offset(train, 200e6, rate)
-        rx = channel.add_awgn(framing.SymbolStream(shifted, rate), 10.0, seed=13)
+        rx = channel.add_awgn(framing.SymbolStream(shifted, rate), 10.0, (13,))
         est = rxdsp.estimate_frequency_offset(rx.symbols, train, rate)
         assert abs(est - 200e6) < 0.005 * rate
 
     def test_correct_then_estimate_is_zero(self):
         rate = 8e9
-        train = framing.qpsk_training(256, seed=14)
+        train = framing.qpsk_training(256, (14,))
         rx = rxdsp.correct_frequency_offset(train, 77e6, rate)
         fixed = rxdsp.correct_frequency_offset(rx, -77e6, rate)
         assert np.allclose(fixed, train)
@@ -367,7 +367,7 @@ class TestFrequencyOffset:
     def test_estimate_error_grows_no_pathology_at_band_edge(self):
         # offsets near half the padded-bin wrap point still resolve
         rate = 8e9
-        train = framing.qpsk_training(416, seed=15)
+        train = framing.qpsk_training(416, (15,))
         for f in (3.9e9, -3.9e9):
             rx = _apply_offset(train, f, rate)
             est = rxdsp.estimate_frequency_offset(rx, train, rate)
