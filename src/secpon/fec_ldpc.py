@@ -24,10 +24,11 @@ checks for the shipped code, and each layer updates the posteriors
 before the next one reads them, so a codeword needs about half the
 iterations of a flooding schedule.  Nothing is clipped: the check
 kernel floors its input magnitudes at 1e-12, which bounds every check
-message by phi(1e-12) ~ 28.3, and a clip into the kernel kept saturated
-codewords from converging.  After every iteration the syndrome is
-tested, and each codeword that satisfies it leaves the batch, so a batch
-costs the iterations of its codewords, not those of its slowest one.
+message by phi(1e-12) ~ 28.3, and clipping the kernel's input leaves
+codewords with large channel LLRs stuck short of convergence (the tests
+pin one such row).  After every iteration the syndrome is tested, and
+each codeword that satisfies it leaves the batch, so a batch costs the
+iterations of its codewords, not those of its slowest one.
 """
 
 from __future__ import annotations
