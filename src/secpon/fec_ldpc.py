@@ -26,9 +26,15 @@ iterations of a flooding schedule.  Nothing is clipped: the check
 kernel floors its input magnitudes at 1e-12, which bounds every check
 message by phi(1e-12) ~ 28.3, and clipping the kernel's input leaves
 codewords with large channel LLRs stuck short of convergence (the tests
-pin one such row).  After every iteration the syndrome is tested, and
-each codeword that satisfies it leaves the batch, so a batch costs the
-iterations of its codewords, not those of its slowest one.
+pin one such row).  After every iteration the syndrome of the posterior
+signs is tested, and each codeword that satisfies it leaves the batch
+with its hard bits, so a batch costs the iterations of its codewords,
+not those of its slowest one.
+
+One parity routine serves the encoder, ``syndrome_weight`` and that
+stopping test.  It packs up to eight words into each byte, one bit lane
+per word, so one gather of a byte per edge and one XOR reduction per
+check give the parity of eight words at once.
 """
 
 from __future__ import annotations
@@ -112,9 +118,12 @@ class LdpcCode:
         parity bit j enters check j and, below the last block of 48, check
         j + 48, and no other check.
         """
-        info = np.asarray(info).astype(np.uint8)
+        info = np.asarray(info)
         if info.size != self.k:
             raise ValueError(f"expected {self.k} information bits, got {info.size}")
+        if not np.all((info == 0) | (info == 1)):
+            raise ValueError("information bits must be 0 or 1")
+        info = info.astype(np.uint8)
         s = self._syndrome(np.concatenate([info, np.zeros(self.m, dtype=np.uint8)]))
         # staircase: parity block i closes check block i given block i-1,
         # one independent chain per position within the lifted block
@@ -126,11 +135,27 @@ class LdpcCode:
 
     def syndrome_weight(self, bits: np.ndarray) -> int:
         """Number of unsatisfied checks (0 means a valid codeword)."""
-        return int(np.sum(self._syndrome(np.asarray(bits).astype(np.uint8))))
+        return int(np.sum(self._syndrome(bits)))
 
     def _syndrome(self, bits: np.ndarray) -> np.ndarray:
-        """Parity of each check over (..., n) integer bits, shaped (..., m)."""
-        return np.add.reduceat(bits[..., self.var_of_edge], self._check_starts, axis=-1) & 1
+        """Parity of each check over (..., n) integer or boolean bits, as
+        uint8 shaped (..., m); only each bit's lowest bit counts.
+
+        Words are packed eight to a byte, word j of a group in bit j, so
+        one gather and one XOR reduction per check serve eight words.
+        """
+        bits = np.asarray(bits)
+        words = bits.reshape(-1, self.n)
+        w = words.shape[0]
+        lanes = np.zeros((-(-w // 8), 8, self.n), dtype=np.uint8)
+        lanes.reshape(-1, self.n)[:w] = words      # unsafe cast keeps the lowest bit
+        lanes &= 1
+        lanes <<= np.arange(8, dtype=np.uint8)[:, None]
+        packed = np.bitwise_or.reduce(lanes, axis=1)
+        parity = np.bitwise_xor.reduceat(np.take(packed, self.var_of_edge, axis=1),
+                                         self._check_starts, axis=1)
+        s = np.unpackbits(parity[:, None, :], axis=1, bitorder="little")
+        return s.reshape(-1, self.m)[:w].reshape(*bits.shape[:-1], self.m)
 
     # -- decoding ------------------------------------------------------
 
@@ -172,19 +197,17 @@ class LdpcCode:
                 r *= sign
                 q += r
                 post[:, v] = q
-            hard_now = (post < 0).astype(np.uint8)
-            conv = ~np.any(self._syndrome(hard_now), axis=1)
+            conv = ~np.any(self._syndrome(post < 0), axis=1)
             if np.any(conv):
                 rows = active[conv]
-                hard[rows] = hard_now[conv]
+                hard[rows] = post[conv] < 0
                 iters[rows] = it + 1
                 done[rows] = True
                 keep = ~conv
                 active, post, msg = active[keep], post[keep], msg[keep]
-                hard_now = hard_now[keep]
             if active.size == 0:
                 break
-        hard[active] = hard_now
+        hard[active] = post < 0
         return hard, iters, done
 
 

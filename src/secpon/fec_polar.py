@@ -4,7 +4,9 @@ Encoding is the Arikan butterfly in natural bit order; the frozen set
 comes from the standardized universal reliability sequence restricted
 to the block length.  Decoding is successive-cancellation list in the
 LLR domain with min-sum node updates; the CRC picks the winner among
-the surviving paths.
+the surviving paths.  A prune moves no decoder state: it composes a
+small path map per state array, and the array is gathered once, through
+its map, when it is next read.
 """
 
 from __future__ import annotations
@@ -287,16 +289,18 @@ def _scl_paths(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
     Shape (batch, list, block_length).  State lives in per-level arrays:
     ``llr_lv[t]`` holds the LLRs of the depth-t node on the way to the
     current leaf and ``left_bits[t]`` the re-encoded bits of a finished
-    left child at depth t.  A prune at leaf i gathers, along the path
-    axis, only the state that is read again: every ``left_bits`` entry,
-    and ``llr_lv[t]`` while leaf i lies in the left child of its depth-t
-    ancestor, which re-reads it for the right child.  Any other level
-    is overwritten before its next read.  A level whose path axis has
-    length 1 is shared by every path (the channel LLRs, and the left
-    spine down to the first leaf), so it is never gathered and costs
-    1/list_size of the memory.  No u-domain state is kept: the root
-    returns each path's codeword estimate, and the butterfly, its own
-    inverse over GF(2), turns that back into u.
+    left child at depth t.  A prune at leaf i moves no state: for each
+    array that is read again it composes a (batch, list) path map, and
+    the next read gathers the array once through its map (lazy copying,
+    Tal and Vardy, IEEE Trans. Inf. Theory 2015).  The arrays read again
+    are every ``left_bits`` entry, and ``llr_lv[t]`` while leaf i lies in
+    the left child of its depth-t ancestor, which re-reads it for the
+    right child.  Any other level is overwritten before its next read.
+    A level whose path axis has length 1 is shared by every path (the
+    channel LLRs, and the left spine down to the first leaf), so it
+    needs no map and costs 1/list_size of the memory.  No u-domain state
+    is kept: the root returns each path's codeword estimate, and the
+    butterfly, its own inverse over GF(2), turns that back into u.
     """
     b, n = llrs.shape
     lsz = code.list_size
@@ -307,15 +311,21 @@ def _scl_paths(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
     pm[:, 0] = 0.0
     llr_lv: dict[int, np.ndarray] = {0: llrs[:, None, :]}
     left_bits: dict[int, np.ndarray] = {}
+    # path maps: entry [r, p] is the stored path that path p of block r reads
+    llr_map: dict[int, np.ndarray] = {}
+    bits_map: dict[int, np.ndarray] = {}
     leaf = [0]
     rows = np.arange(b)[:, None]
 
-    def permute(src: np.ndarray, i: int) -> None:
+    def prune(src: np.ndarray, i: int) -> None:
         for t in range(stages):
             if not (i >> (stages - 1 - t)) & 1 and llr_lv[t].shape[1] > 1:
-                llr_lv[t] = llr_lv[t][rows, src]
+                llr_map[t] = llr_map[t][rows, src] if t in llr_map else src
         for t in left_bits:
-            left_bits[t] = left_bits[t][rows, src]
+            bits_map[t] = bits_map[t][rows, src] if t in bits_map else src
+
+    def current(state: np.ndarray, path_map: np.ndarray | None) -> np.ndarray:
+        return state if path_map is None else state[rows, path_map]
 
     def visit(t: int) -> np.ndarray:
         nonlocal pm
@@ -336,18 +346,18 @@ def _scl_paths(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
             keep = keep[rows, order]
             pm = newpm[rows, order]
             src, bit = keep % lsz, (keep // lsz).astype(np.uint8)
-            permute(src, i)
+            prune(src, i)
             return bit[..., None]
         half = size // 2
         a, c = llr_lv[t][..., :half], llr_lv[t][..., half:]
         llr_lv[t + 1] = np.sign(a) * np.sign(c) * np.minimum(np.abs(a), np.abs(c))
         bl = visit(t + 1)
         left_bits[t] = bl
-        a, c = llr_lv[t][..., :half], llr_lv[t][..., half:]    # re-read after prunes
-        bl = left_bits[t]
+        lv = current(llr_lv[t], llr_map.pop(t, None))         # after the left child's prunes
+        a, c = lv[..., :half], lv[..., half:]
         llr_lv[t + 1] = c + (1.0 - 2.0 * bl) * a
         br = visit(t + 1)
-        bl = left_bits.pop(t)
+        bl = current(left_bits.pop(t), bits_map.pop(t, None))  # after the right child's prunes
         return np.concatenate([bl ^ br, br], axis=-1)
 
     x_hat = visit(0)

@@ -4,8 +4,11 @@ Each test prints a single summary line with its measured numbers; the
 pytest -v status line is the pass/fail verdict.  These run at the scales
 the claims demand (1e7 pilot symbols per theory cell, 2e6 payload symbols
 per penalty point, 1e6 eavesdropped bits per SNR), so the module takes a
-few minutes on one core.
+few minutes on one core.  The gridded criteria (1, 2 and 3) spread their
+cells over up to four worker processes; ``jobs`` leaves the bytes alone.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from secpon.protocol import (
 pytestmark = pytest.mark.acceptance
 
 OP_SNR = round(theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT), 4)
+GRID_JOBS = min(os.cpu_count() or 1, 4)
 
 
 def _agg(snr_sc_db):
@@ -46,7 +50,7 @@ def test_criterion_1_pilot_ber_matches_theory(tmp_path):
          "n_symbols": 10_000_000,
          "dex_tolerance": 0.05,
          "min_theory_ber": 1e-4},
-        seed=101, out_dir=tmp_path, check=True,
+        seed=101, out_dir=tmp_path, jobs=GRID_JOBS, check=True,
     )
     result = run_experiment(spec)
     assert result.passed, result.check_failures
@@ -69,7 +73,7 @@ def test_criterion_2_amplitude_tradeoff_monotone(tmp_path):
         "sweep-a",
         {"a_values": a_grid, "snr_db": [10.0], "n_symbols": 1_000_000,
          "min_theory_ber": 1.0},      # monotonicity only at this scale
-        seed=102, out_dir=tmp_path, check=True,
+        seed=102, out_dir=tmp_path, jobs=GRID_JOBS, check=True,
     )
     result = run_experiment(spec)
     assert result.passed, result.check_failures
@@ -88,7 +92,7 @@ def test_criterion_3_cpr_penalty_bounds(tmp_path):
          "linewidths_hz": [1e5, 5e5, 1e6],
          "n_symbols": 2_000_000,
          "scan_snrs_db": [12.2, 12.6, 13.0, 13.4, 13.8]},
-        seed=103, out_dir=tmp_path, check=True,
+        seed=103, out_dir=tmp_path, jobs=GRID_JOBS, check=True,
     )
     result = run_experiment(spec)
     assert result.passed, result.check_failures

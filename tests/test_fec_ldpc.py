@@ -74,6 +74,22 @@ def _noisy_llrs(rng, code, infos, snr_db):
     return llr
 
 
+def _llrs_at(rng, code, snrs_db):
+    """One noisy codeword per SNR, stacked as a batch."""
+    infos = rng.integers(0, 2, (len(snrs_db), code.k)).astype(np.uint8)
+    return np.concatenate([_noisy_llrs(rng, code, infos[i:i + 1], snr)
+                           for i, snr in enumerate(snrs_db)])
+
+
+def _assert_rows_decode_alone(code, llr, batch_out):
+    """Each row of a batch decodes to what it gives as a batch of one."""
+    hard, iters, ok = batch_out
+    for i in range(llr.shape[0]):
+        alone = code.decode_batch(llr[i:i + 1])
+        assert np.array_equal(alone[0][0], hard[i]), i
+        assert (alone[1][0], alone[2][0]) == (iters[i], ok[i]), i
+
+
 class TestConstruction:
     def test_dimensions_and_rate(self):
         code = fec_ldpc.default_code()
@@ -146,10 +162,17 @@ class TestConstruction:
 
 class TestEncoder:
     def test_syndrome_is_h_times_word(self):
+        # eight words share a byte of the parity kernel, so the shapes cross
+        # the 8-word lane boundary; 2 and 255 count by their parity
         code = fec_ldpc.default_code()
-        words = np.random.default_rng(3).integers(0, 2, (3, code.n)).astype(np.uint8)
-        expect = (_sparse_h(code) @ words.T.astype(np.int32)).T % 2
-        assert np.array_equal(code._syndrome(words), expect)
+        rng = np.random.default_rng(3)
+        values = np.array([0, 1, 2, 255], dtype=np.uint8)
+        for lead in [(), (1,), (8,), (9,), (17,), (2, 3)]:
+            words = rng.choice(values, (*lead, code.n))
+            expect = (_sparse_h(code) @ words.reshape(-1, code.n).T.astype(np.int32)).T % 2
+            got = code._syndrome(words)
+            assert got.shape == (*lead, code.m)
+            assert np.array_equal(got.reshape(-1, code.m), expect), lead
 
     def test_zero_in_zero_out(self):
         code = fec_ldpc.default_code()
@@ -183,6 +206,16 @@ class TestEncoder:
         code = fec_ldpc.default_code()
         with pytest.raises(ValueError):
             code.encode(np.zeros(code.k - 1, np.uint8))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, 256])
+    def test_non_bits_rejected(self, bad):
+        # parity keeps only the lowest bit, so a codeword holding a 2 would
+        # pass the encoder's own zero-syndrome check
+        code = fec_ldpc.default_code()
+        info = np.zeros(code.k)
+        info[7] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            code.encode(info)
 
     def test_parity_columns_are_block_staircase(self):
         # parity bit j enters check j and, below the last block of 48, check
@@ -305,15 +338,26 @@ class TestDecoder:
         code = fec_ldpc.default_code()
         op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
         rng = np.random.default_rng(11)
-        infos = rng.integers(0, 2, (3, code.k)).astype(np.uint8)
-        llr = np.concatenate([_noisy_llrs(rng, code, infos[i:i + 1], snr)
-                              for i, snr in enumerate((op, 11.0, 11.6))])
+        llr = _llrs_at(rng, code, (op, 11.0, 11.6))
         hard, iters, ok = code.decode_batch(llr)
         assert ok[0] and not ok[1]
-        for i in range(3):
-            alone = code.decode_batch(llr[i:i + 1])
-            assert np.array_equal(alone[0][0], hard[i])
-            assert (alone[1][0], alone[2][0]) == (iters[i], ok[i])
+        _assert_rows_decode_alone(code, llr, (hard, iters, ok))
+
+    def test_rows_decode_as_they_do_alone_across_byte_lanes(self):
+        # the stopping test packs eight rows to a byte: unconverged rows 7
+        # and 8 sit on either side of the first lane boundary while rows
+        # around them leave the batch at different iterations
+        code = fec_ldpc.default_code()
+        op = theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT)
+        rng = np.random.default_rng(13)
+        snrs = (op + 0.5, op, 12.0, op + 0.2, 11.9, op + 1.0, op, 11.0, 11.0, op + 0.3, 11.8)
+        llr = _llrs_at(rng, code, snrs)
+        hard, iters, ok = code.decode_batch(llr)
+        assert np.flatnonzero(~ok).tolist() == [7, 8]
+        assert len(set(iters[ok].tolist())) >= 3
+        _assert_rows_decode_alone(code, llr, (hard, iters, ok))
+        hard, iters, ok = code.decode_batch(np.zeros((0, code.n)))
+        assert hard.shape == (0, code.n) and iters.shape == ok.shape == (0,)
 
     def test_check_messages_stay_bounded(self, monkeypatch):
         # decode_batch floors the kernel's inputs at 1e-12 and clamps

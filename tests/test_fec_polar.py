@@ -123,7 +123,7 @@ def _decoder_inputs(draw):
     lsz = draw(st.sampled_from([1, 2, 8]))
     code = fp.PolarCode(block, block // 2, list_size=lsz)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (draw(st.integers(1, 5)), block)
+    shape = (draw(st.integers(1, 12)), block)
     kind = draw(st.sampled_from(["normal", "grid", "sparse"]))
     if kind == "normal":
         llr = rng.normal(draw(st.sampled_from([0.0, 1.0, 3.0])), 2.0, shape)
@@ -342,6 +342,15 @@ class TestSclDecoder:
     @given(_decoder_inputs())
     def test_paths_match_reference_decoder(self, case):
         llr, code = case
+        assert np.array_equal(fp._scl_paths(llr, code), _reference_scl_paths(llr, code))
+
+    def test_paths_match_reference_decoder_on_a_low_snr_batch(self):
+        # 100 blocks where most paths are wrong: the prunes reorder paths
+        # at nearly every info leaf, so the path maps compose deeply
+        rng = np.random.default_rng(14)
+        pays = rng.integers(0, 2, (100, 245)).astype(np.uint8)
+        llr = _pilot_channel_llrs(rng, pays, 7.0)
+        code = fp.PolarCode()
         assert np.array_equal(fp._scl_paths(llr, code), _reference_scl_paths(llr, code))
 
     def test_determinism(self):
