@@ -9,11 +9,11 @@ and the eavesdropper off, then ``keydist`` with ``MAX_KEYDIST_FRAMES``
 frames, each through ``run_experiment`` with ``check=True``.  Each run
 prints one JSON line and adds it to ``<out>/soak.jsonl``; the
 experiments' own CSV and meta files go to ``<out>/<experiment>-seed<N>``.
-A line holds the stuck LDPC codewords (those the decoder returns
-unconverged, counted by wrapping ``LdpcCode.decode_batch``), the
-post-FEC bit errors, CRC failures, key mismatches, rotations against the
-expected count, desynchronized frames, cycle slips, the failed checks,
-wall time, and the exception if the run raised.  One 509-superframe run
+A line holds the stuck LDPC codewords (``stuck_codewords`` in the run's
+meta.json summary), the post-FEC bit errors, CRC failures, key
+mismatches, rotations against the expected count, desynchronized frames,
+cycle slips, the failed checks, wall time, and the exception if the run
+raised.  One 509-superframe run
 takes about two minutes on one core.
 """
 
@@ -31,21 +31,11 @@ from secpon.experiments import (
     ExperimentSpec,
     run_experiment,
 )
-from secpon.fec_ldpc import LdpcCode
 
 
 def _run(name: str, params: dict, seed: int, out: Path) -> dict:
-    stuck = [0]
-    decode = LdpcCode.decode_batch
-
-    def counting_decode(code, llrs, *args, **kwargs):
-        hard, iters, converged = decode(code, llrs, *args, **kwargs)
-        stuck[0] += int((~converged).sum())
-        return hard, iters, converged
-
     line = {"experiment": name, "seed": seed, **params}
     started = time.perf_counter()
-    LdpcCode.decode_batch = counting_decode
     try:
         result = run_experiment(ExperimentSpec(name, params, seed=seed, check=True,
                                                out_dir=out / f"{name}-seed{seed}"))
@@ -54,7 +44,7 @@ def _run(name: str, params: dict, seed: int, out: Path) -> dict:
     else:
         s = result.summary
         line.update({
-            "stuck_codewords": stuck[0],
+            "stuck_codewords": s["stuck_codewords"],
             "post_errors": sum(r["post_errors"] for r in result.rows),
             "crc_failures": s["crc_failures"],
             "key_mismatches": s["key_mismatches"],
@@ -64,8 +54,6 @@ def _run(name: str, params: dict, seed: int, out: Path) -> dict:
             "cycle_slips": sum(r["cycle_slips"] for r in result.rows),
             "check_failures": result.check_failures,
         })
-    finally:
-        LdpcCode.decode_batch = decode
     line["wall_s"] = round(time.perf_counter() - started, 1)
     return line
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .fec_polar import CRC_BITS, POLAR_K
+from .fec_polar import CRC_BITS, POLAR_K, _bits
 
 KEY_BITS = 256
 FRAGMENT_BITS = 128
@@ -75,9 +75,7 @@ class SessionKey:
     seq: int
 
     def __post_init__(self) -> None:
-        self.bits = np.asarray(self.bits).astype(np.uint8)
-        if self.bits.size != KEY_BITS or np.any(self.bits > 1):
-            raise ValueError(f"key must be {KEY_BITS} bits")
+        self.bits = _bits(self.bits, KEY_BITS, "key bits")
         if not 0 <= self.seq < 2 ** SEQ_BITS:
             raise ValueError("sequence number must fit in 8 bits")
 
@@ -115,9 +113,7 @@ class KeyFragmentMessage:
             raise ValueError("sequence number must fit in 8 bits")
         if self.fragment_index not in (0, 1):
             raise ValueError("fragment index must be 0 or 1")
-        self.key_fragment = np.asarray(self.key_fragment).astype(np.uint8)
-        if self.key_fragment.size != FRAGMENT_BITS or np.any(self.key_fragment > 1):
-            raise ValueError(f"fragment must be {FRAGMENT_BITS} bits")
+        self.key_fragment = _bits(self.key_fragment, FRAGMENT_BITS, "fragment bits")
 
     def to_bits(self) -> np.ndarray:
         return np.concatenate([
@@ -129,9 +125,7 @@ class KeyFragmentMessage:
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "KeyFragmentMessage":
-        bits = np.asarray(bits).astype(np.uint8)
-        if bits.size != FRAGMENT_MESSAGE_BITS:
-            raise ValueError(f"expected {FRAGMENT_MESSAGE_BITS} bits, got {bits.size}")
+        bits = _bits(bits, FRAGMENT_MESSAGE_BITS, "fragment message bits")
         if bits[SEQ_BITS + 1 + FRAGMENT_BITS:].any():
             raise ValueError("nonzero padding in key fragment message")
         return cls(seq=byte_from_bits(bits[:SEQ_BITS]), fragment_index=int(bits[SEQ_BITS]),
@@ -140,9 +134,7 @@ class KeyFragmentMessage:
 
 def split_key(key_bits: np.ndarray, seq: int) -> tuple[KeyFragmentMessage, KeyFragmentMessage]:
     """Break a 256-bit key into its two framed fragments."""
-    key_bits = np.asarray(key_bits).astype(np.uint8)
-    if key_bits.size != KEY_BITS:
-        raise ValueError(f"key must be {KEY_BITS} bits")
+    key_bits = _bits(key_bits, KEY_BITS, "key bits")
     return (KeyFragmentMessage(seq, 0, key_bits[:FRAGMENT_BITS]),
             KeyFragmentMessage(seq, 1, key_bits[FRAGMENT_BITS:]))
 

@@ -46,7 +46,7 @@ import numpy as np
 from . import __version__, seeds, theory
 from .channel import ChannelConfig, apply_channel
 from .crypto import SEQ_BITS
-from .dscm import aggregate_snr_db
+from .dscm import SUBCARRIER_BAUD, aggregate_snr_db
 from .fec_ldpc import LDPC_K, default_code
 from .fec_polar import POLAR, KeyCodeword, polar_decode_scl
 from .framing import (
@@ -463,7 +463,7 @@ def _cpr_point(args: tuple) -> tuple[list[int], int]:
         frames = [transmit_subcarrier(*bits, (master, seeds.TRAIN, f, 0), layout,
                                       GcsPilotParams(a=a))
                   for a, bits in zip(shapes, sent)]
-        rx = apply_channel(SymbolStream(np.stack(frames), 8e9), cfg, _cell_path(
+        rx = apply_channel(SymbolStream(np.stack(frames), SUBCARRIER_BAUD), cfg, _cell_path(
             master, f"cpr-chan|lw={linewidth_hz!r}|snr={snr_db!r}|f={f}"))
         for k, (row, (first, _, payload_bits)) in enumerate(zip(rx.symbols, sent)):
             got = receive_subcarrier(row, first, layout)
@@ -730,6 +730,7 @@ def _session_result(spec: ExperimentSpec, sessions: list[OnuSession],
         "rotations": report.rotations,
         "expected_rotations": expected_rotations,
         "desynchronized_frames": report.desynchronized_frames,
+        "stuck_codewords": report.stuck_codewords,
         "synchronized": active_keys_synchronized(sessions),
     }
     return ExperimentResult(spec, [asdict(m) for m in report.frame_metrics],

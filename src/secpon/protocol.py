@@ -18,9 +18,9 @@ shaped pilots whose first bit is the pre-shared sign and whose second
 bit carries a key or filler bit, 16QAM payload), ``mux`` stacks the
 subcarriers, the channel impairs the aggregate, ``demux_select`` selects
 a subcarrier, and ``receive_subcarrier`` recovers the carrier phase of
-that single-carrier frame from its pilots; the upstream and downstream
-frame functions then estimate the noise variance from the recovered
-payload (``_noise_var``) for the pilot and payload LLRs.
+that single-carrier frame from its pilots.  The record it returns
+(``rxdsp.CprResult``) carries the noise variance the pilot and payload
+LLRs are scaled by, estimated once from the recovered payload.
 Upstream, each ONU's burst passes its own laser before the bursts sum
 at the OLT under one noise loading.  The eavesdropper is the same
 receiver on a tapped channel with a made-up key; its post-decryption
@@ -44,8 +44,9 @@ Reports.  A run returns a ``SessionReport``: one ``FrameMetrics`` row
 per subcarrier and frame of the reported direction, which the session
 experiments write as their CSV, and counters for the key channel (keys
 assembled, CRC failures, lost fragments, key mismatches, rotations,
-frames that ended with the two stores on different active keys) and the
-eavesdropper.  Those counters are the whole record of the key channel.
+frames that ended with the two stores on different active keys), the
+eavesdropper and the legitimate downstream codewords the LDPC decoder
+left unconverged.  The key-channel counters are its whole record.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from .framing import (
     assemble_frame,
     demap_payload_16qam,
     demap_pilot_llrs,
-    hard_decision_16qam,
     map_payload_16qam,
     map_pilot,
     payload_llrs_16qam,
@@ -212,6 +212,7 @@ class SessionReport:
     key_mismatches: int = 0
     rotations: int = 0
     desynchronized_frames: int = 0
+    stuck_codewords: int = 0
     eavesdropper_bits: int = 0
     eavesdropper_errors: int = 0
 
@@ -265,12 +266,6 @@ def receive_subcarrier(frame: np.ndarray, signs: np.ndarray,
     pilot sign bits."""
     return rxdsp.recover_carrier_phase(frame[layout.training_len:], layout,
                                        pilot_phase_reference(signs))
-
-
-def _noise_var(cpr: rxdsp.CprResult) -> float:
-    """Decision-directed noise variance over the phase-corrected payload."""
-    resid = cpr.payload - hard_decision_16qam(cpr.payload)
-    return max(float(np.mean(np.abs(resid) ** 2)), 1e-12)
 
 
 def _mux_frames(frames: dict[int, np.ndarray]) -> SymbolStream:
@@ -364,7 +359,7 @@ def _upstream_frame(sessions, cfg, f, seed, loss_probability,
             metrics.append(FrameMetrics(f, "us", session.onu_id, sc, tx[sc].size,
                                         pre_errors, 0, 0, got.cycle_slips))
         llrs.append(np.concatenate([
-            demap_pilot_llrs(received[sc].pilots, PILOT, _noise_var(received[sc]))
+            demap_pilot_llrs(received[sc].pilots, PILOT, received[sc].noise_var)
             for sc in session.key_subcarriers])[:POLAR.block_length])
     lost = [bool(loss_probability) and seeds.stream(
                 seed, seeds.LOSS, f, seeds.label(s.onu_id)).random() < loss_probability
@@ -465,9 +460,11 @@ def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
                      for session in sessions]
         # one decoder call for the tap, rows in session, subcarrier, codeword
         # order; zip draws a codeword first, so each takes exactly its row
-        llrs = [payload_llrs_16qam(got.payload, _noise_var(got))
+        llrs = [payload_llrs_16qam(got.payload, got.noise_var)
                 for by_sc in received for got in by_sc.values()]
-        hard, _, _ = ldpc.decode_batch(np.concatenate(llrs).reshape(-1, ldpc.n))
+        hard, _, converged = ldpc.decode_batch(np.concatenate(llrs).reshape(-1, ldpc.n))
+        if eve_key is None:
+            report.stuck_codewords += int(np.count_nonzero(~converged))
         rows = iter(hard[:, :LDPC_K])
         for session, tx, by_sc in zip(sessions, sent, received):
             for sc, got in by_sc.items():

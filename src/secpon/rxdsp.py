@@ -10,6 +10,12 @@ corrected payload symbol and its hard decision, averaged over a
 (2Q+1)-symbol window truncated at the frame edges, applied twice so the
 second pass works from better decisions.
 
+``recover_carrier_phase`` returns one record per frame, ``CprResult``:
+the corrected payload and pilots, the cycle slips and the
+decision-directed noise variance that scales both LLR demappers.  The
+noise estimate costs one more slicer pass, so it is computed on first
+read and kept; ``cpr-penalty`` counts hard decisions and never reads it.
+
 Both sliding means are fixed-order numpy sums over a zero-padded copy,
 with no BLAS dot product, so they give the same bits on every host.
 They take any input length: a window longer than the input averages
@@ -145,12 +151,19 @@ def residual_cpr(payload: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CprResult:
-    """Corrected symbols plus the phase traces that produced them."""
+    """What the receiver recovers from one frame: the corrected payload
+    and pilots, the cycle slips, and, on first read, the noise estimate
+    both soft demappers scale their LLRs by."""
 
     payload: np.ndarray
     pilots: np.ndarray
-    pilot_phase: np.ndarray
     cycle_slips: int = 0
+
+    @functools.cached_property
+    def noise_var(self) -> float:
+        """Decision-directed noise variance over the corrected payload."""
+        resid = self.payload - hard_decision_16qam(self.payload)
+        return max(float(np.mean(np.abs(resid) ** 2)), 1e-12)
 
 
 def recover_carrier_phase(body: np.ndarray, layout: FrameLayout,
@@ -171,7 +184,6 @@ def recover_carrier_phase(body: np.ndarray, layout: FrameLayout,
     return CprResult(
         payload=residual_cpr(payload),
         pilots=pilots * np.exp(-1j * psi),
-        pilot_phase=psi,
         cycle_slips=count_cycle_slips(psi_raw),
     )
 

@@ -5,7 +5,8 @@ pytest -v status line is the pass/fail verdict.  These run at the scales
 the claims demand (1e7 pilot symbols per theory cell, 2e6 payload symbols
 per penalty point, 1e6 eavesdropped bits per SNR), so the module takes a
 few minutes on one core.  The gridded criteria (1, 2 and 3) spread their
-cells over up to four worker processes; ``jobs`` leaves the bytes alone.
+cells over up to four worker processes, and criterion 6 its three runs;
+the workers leave the bytes alone.
 """
 
 import os
@@ -17,7 +18,7 @@ from secpon import theory
 from secpon.channel import ChannelConfig
 from secpon.crypto import SessionKey, aes256_decrypt, aes256_encrypt, aes256_encrypt_block
 from secpon.dscm import aggregate_snr_db
-from secpon.experiments import ExperimentSpec, run_experiment
+from secpon.experiments import ExperimentSpec, _map_cells, run_experiment
 from secpon.framing import downstream_layout, net_rate_gbps, upstream_layout
 from secpon.protocol import (
     allocate_tfdma,
@@ -139,26 +140,31 @@ def test_criterion_5_keydist_exact_over_100_frames(tmp_path):
              f"stores synchronized = {s['synchronized']}")
 
 
+def _criterion_6_case(case):
+    """Criterion 6 at one per-subcarrier SNR (None: noiseless): nine
+    downstream frames with the tap on; returns the eavesdropped bits,
+    their agreement and the legitimate post-FEC BER."""
+    k, snr_sc = case
+    sessions = make_sessions(allocate_tfdma(["onu1", "onu2"]), seed=61 + k)
+    cfg = ChannelConfig(
+        snr_db=None if snr_sc is None else _agg(snr_sc),
+        linewidth_hz=0.0 if snr_sc is None else 1e5,
+    )
+    rep = run_secure_session(sessions, None, cfg, 9, seed=81 + k, eavesdropper=True)
+    return rep.eavesdropper_bits, rep.eavesdropper_agreement(), rep.post_fec_ber()
+
+
 def test_criterion_6_eavesdropper_blind_legit_clean():
     """Keyless tap decodes to a coin flip at every tested SNR including
     noiseless; the keyed receiver is error-free above threshold."""
+    cases = ((OP_SNR - 1.0, False), (OP_SNR + 1.2, True), (None, True))
+    runs = _map_cells(_criterion_6_case, list(enumerate(snr for snr, _ in cases)), GRID_JOBS)
     details = []
-    for k, (snr_sc, need_clean) in enumerate(((OP_SNR - 1.0, False),
-                                              (OP_SNR + 1.2, True),
-                                              (None, True))):
-        sessions = make_sessions(allocate_tfdma(["onu1", "onu2"]),
-                                 seed=61 + k)
-        cfg = ChannelConfig(
-            snr_db=None if snr_sc is None else _agg(snr_sc),
-            linewidth_hz=0.0 if snr_sc is None else 1e5,
-        )
-        rep = run_secure_session(sessions, None, cfg, 9, seed=81 + k,
-                                 eavesdropper=True)
-        agreement = rep.eavesdropper_agreement()
-        assert rep.eavesdropper_bits >= 1_000_000
+    for (snr_sc, need_clean), (bits, agreement, post_fec_ber) in zip(cases, runs):
+        assert bits >= 1_000_000
         assert 0.49 <= agreement <= 0.51, (snr_sc, agreement)
         if need_clean:
-            assert rep.post_fec_ber() == 0.0, (snr_sc, rep.post_fec_ber())
+            assert post_fec_ber == 0.0, (snr_sc, post_fec_ber)
         label = "noiseless" if snr_sc is None else f"{snr_sc:.2f} dB"
         details.append(f"{label}: eve {agreement:.4f}"
                        + (", legit 0 errors" if need_clean else ""))

@@ -192,6 +192,22 @@ class TestKeyFragments:
             assert key.seq == seq
             assert np.array_equal(key.bits, key_bits)
 
+    @pytest.mark.parametrize("value", [0.5, 1.7, 2, -1])
+    def test_non_bits_rejected_before_any_cast(self, value):
+        """A uint8 cast would turn 0.5 into 0, 1.7 into 1 and 2 into a set
+        sequence bit; every entry point refuses them instead."""
+        with pytest.raises(ValueError, match="0 or 1"):
+            crypto.SessionKey(bits=np.full(crypto.KEY_BITS, value), seq=1)
+        with pytest.raises(ValueError, match="0 or 1"):
+            crypto.KeyFragmentMessage(1, 0, np.full(crypto.FRAGMENT_BITS, value))
+        with pytest.raises(ValueError, match="0 or 1"):
+            crypto.split_key(np.full(crypto.KEY_BITS, value), 1)
+        bits = crypto.KeyFragmentMessage(1, 0, np.zeros(crypto.FRAGMENT_BITS)).to_bits()
+        bits = bits.astype(float)
+        bits[0] = value          # the sequence byte's most significant bit
+        with pytest.raises(ValueError, match="0 or 1"):
+            crypto.KeyFragmentMessage.from_bits(bits)
+
     def test_zero_fragments_make_zero_pending_key(self):
         z = np.zeros(128, np.uint8)
         key = crypto.assemble_key(crypto.KeyFragmentMessage(0, 0, z),

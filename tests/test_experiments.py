@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import secpon
-from secpon import experiments, theory
+from secpon import experiments, rxdsp, theory
 from secpon.experiments import (
     ConfigError,
     ExperimentSpec,
@@ -212,6 +212,19 @@ class TestCprPenalty:
                                                out_dir=tmp_path / "p", jobs=2))
         assert serial.csv_path.read_bytes() == pooled.csv_path.read_bytes()
 
+    def test_point_reads_no_noise_estimate(self, monkeypatch):
+        """A reception in a cpr-penalty point runs the slicer only in the
+        residual stage's passes: nothing on this path reads noise_var."""
+        receptions, slicer = [], []
+        recover, hard = rxdsp.recover_carrier_phase, rxdsp.hard_decision_16qam
+        monkeypatch.setattr(rxdsp, "recover_carrier_phase",
+                            lambda *args: receptions.append(1) or recover(*args))
+        monkeypatch.setattr(rxdsp, "hard_decision_16qam",
+                            lambda symbols: slicer.append(1) or hard(symbols))
+        experiments._cpr_point((7, (1.7, 3.0), 1e5, 13.0, 10_000))
+        assert len(receptions) == 2 * 2          # two shapes, two frames
+        assert len(slicer) == rxdsp.RESIDUAL_PASSES * len(receptions)
+
     def test_unbracketed_scan_rejected(self, tmp_path):
         spec = ExperimentSpec("cpr-penalty",
                               {"a_values": [1.7], "linewidths_hz": [1e5],
@@ -296,6 +309,7 @@ class TestSessionExperiments:
         assert 0.49 <= result.summary["eavesdropper_agreement"] <= 0.51
         assert result.summary["eavesdropper_low_confidence"] is True
         assert result.summary["keys_assembled"] == 2
+        assert result.summary["stuck_codewords"] == 0
         rows = _read_csv(result.csv_path)
         # upstream passes carry only key fragments; payload rows are downstream
         assert {r["direction"] for r in rows} == {"ds"}
@@ -326,6 +340,17 @@ class TestSessionExperiments:
         result = run_experiment(spec)
         assert result.passed, result.check_failures
         assert result.summary["post_fec_ber"] == 0.0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2b: one downstream codeword stays stuck")
+    def test_stuck_codeword_reproduction(self, tmp_path):
+        """The short reproduction of ROADMAP item 2b: superframe 6, onu1,
+        subcarrier 1, second codeword, at the benchmark call size."""
+        spec = ExperimentSpec("e2e-secure", {"n_superframes": 9}, seed=542127515,
+                              out_dir=tmp_path, check=True)
+        result = run_experiment(spec)
+        assert result.summary["stuck_codewords"] == 0
+        assert result.passed, result.check_failures
 
 
 # Full CSV sha256 of small fixed-seed runs (seed 901, check on).  Any change

@@ -302,6 +302,25 @@ class TestDownstreamEncrypted:
         assert batches == [8] * (2 if eavesdropper else 1)
         assert rep.post_fec_ber() == 0.0
 
+    @pytest.mark.parametrize("eavesdropper", [False, True])
+    def test_only_legitimate_unconverged_codewords_counted(self, monkeypatch,
+                                                           eavesdropper):
+        """A decoder that leaves one row of every call unconverged: the
+        legitimate tap's row counts once per frame, the eavesdropper's
+        never."""
+        decode = LdpcCode.decode_batch
+
+        def one_stuck_row(code, llrs, *args, **kwargs):
+            hard, iters, converged = decode(code, llrs, *args, **kwargs)
+            converged[0] = False
+            return hard, iters, converged
+
+        monkeypatch.setattr(LdpcCode, "decode_batch", one_stuck_row)
+        rep = run_secure_session(_two_onus(), None, ChannelConfig(), 2, seed=5,
+                                 eavesdropper=eavesdropper)
+        assert rep.stuck_codewords == 2
+        assert rep.post_fec_ber() == 0.0
+
     def test_eavesdropper_agreement_is_coin_flip_when_noiseless(self):
         sessions = _two_onus()
         rep = run_secure_session(sessions, None, ChannelConfig(), 2, seed=5,

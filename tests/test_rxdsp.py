@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import secpon
-from secpon import channel, framing, rxdsp, theory
+from secpon import channel, dscm, framing, protocol, rxdsp, theory
 
 
 def _frame_body(rng, layout, params, linewidth, snr_db, seed):
@@ -178,12 +178,11 @@ class TestRecoverCarrierPhase:
         params = framing.GcsPilotParams()
         rng = np.random.default_rng(2)
         body, bits, ref = _frame_body(rng, layout, params, 0.0, None, seed=3)
-        body = body * np.exp(0.4j)
-        out = rxdsp.recover_carrier_phase(body, layout, ref)
+        out = rxdsp.recover_carrier_phase(body * np.exp(0.4j), layout, ref)
         got = framing.demap_payload_16qam(out.payload)
         assert np.array_equal(got, bits)
         assert out.cycle_slips == 0
-        assert np.allclose(out.pilot_phase, 0.4, atol=1e-9)
+        assert np.allclose(out.pilots, body[layout.pilot_body_positions()], atol=1e-9)
 
     def test_zero_estimates_identity(self):
         layout = framing.upstream_layout()
@@ -239,7 +238,52 @@ class TestRecoverCarrierPhase:
             out = rxdsp.recover_carrier_phase(body * np.exp(0.4j), layout, ref)
             assert np.allclose(out.payload, framing.map_payload_16qam(bits),
                                rtol=0, atol=1e-12)
-            assert np.allclose(out.pilot_phase, 0.4, rtol=0, atol=1e-12)
+            assert np.allclose(out.pilots, body[layout.pilot_body_positions()],
+                               rtol=0, atol=1e-12)
+
+
+def _reference_noise_var(payload):
+    """The decision-directed noise estimate, operation for operation."""
+    resid = payload - framing.hard_decision_16qam(payload)
+    return max(float(np.mean(np.abs(resid) ** 2)), 1e-12)
+
+
+class TestReceptionRecord:
+    @pytest.mark.parametrize("snr_db", [11.0, 13.54])
+    def test_noise_var_is_the_decision_directed_estimate(self, snr_db):
+        """Noisy downstream frames of the real chain at 100 kHz: the
+        record's estimate equals the reference bit for bit."""
+        layout = framing.downstream_layout()
+        cfg = channel.ChannelConfig(snr_db=snr_db, linewidth_hz=1e5)
+        rng = np.random.default_rng(int(snr_db * 100))
+        for f in range(3):
+            signs, second = rng.integers(0, 2, (2, layout.n_pilots)).astype(np.uint8)
+            payload = rng.integers(0, 2, 4 * layout.payload_len).astype(np.uint8)
+            frame = protocol.transmit_subcarrier(signs, second, payload, (5, f), layout,
+                                                 protocol.PILOT)
+            rx = channel.apply_channel(framing.SymbolStream(frame, dscm.SUBCARRIER_BAUD),
+                                       cfg, (6, f))
+            got = protocol.receive_subcarrier(rx.symbols, signs, layout)
+            assert got.noise_var == _reference_noise_var(got.payload)
+            assert 0.5 < got.noise_var / 10 ** (-snr_db / 10) < 1.5
+
+    def test_second_read_computes_nothing(self, monkeypatch):
+        calls = []
+        hard = rxdsp.hard_decision_16qam
+        monkeypatch.setattr(rxdsp, "hard_decision_16qam",
+                            lambda symbols: calls.append(1) or hard(symbols))
+        rng = np.random.default_rng(8)
+        payload = framing.map_payload_16qam(rng.integers(0, 2, 400).astype(np.uint8))
+        record = rxdsp.CprResult(payload=payload + 0.1 * rng.normal(size=100),
+                                 pilots=np.ones(4, complex))
+        first = record.noise_var
+        assert calls == [1]
+        assert record.noise_var == first == _reference_noise_var(record.payload)
+        assert calls == [1]
+
+    def test_noiseless_estimate_is_floored(self):
+        payload = framing.map_payload_16qam(np.zeros(40, np.uint8))
+        assert rxdsp.CprResult(payload, np.ones(2, complex)).noise_var == 1e-12
 
 
 def _noisy_cpr_digest():
