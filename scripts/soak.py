@@ -10,11 +10,14 @@ frames, each through ``run_experiment`` with ``check=True``.  Each run
 prints one JSON line and adds it to ``<out>/soak.jsonl``; the
 experiments' own CSV and meta files go to ``<out>/<experiment>-seed<N>``.
 A line holds the stuck LDPC codewords (``stuck_codewords`` in the run's
-meta.json summary), the post-FEC bit errors, CRC failures, key
+meta.json summary) and the legitimate downstream codewords decoded, the
+post-FEC bit errors, CRC failures, key
 mismatches, rotations against the expected count, desynchronized frames,
 cycle slips, the failed checks, wall time, and the exception if the run
-raised.  One 509-superframe run
-takes about two minutes on one core.
+raised.  The last line printed, and logged, sums the stuck codewords
+over the decoded ones across the seeds, with the Wilson 95% upper bound
+on that rate.  One 509-superframe run takes about two minutes on one
+core.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from secpon.experiments import (
     MAX_E2E_SUPERFRAMES,
     MAX_KEYDIST_FRAMES,
     ExperimentSpec,
+    _wilson_interval,
     run_experiment,
 )
+from secpon.protocol import DATA_BITS_PER_CODEWORD
 
 
 def _run(name: str, params: dict, seed: int, out: Path) -> dict:
@@ -45,6 +50,8 @@ def _run(name: str, params: dict, seed: int, out: Path) -> dict:
         s = result.summary
         line.update({
             "stuck_codewords": s["stuck_codewords"],
+            "codewords": sum(r["post_bits"] for r in result.rows
+                             if r["direction"] == "ds") // DATA_BITS_PER_CODEWORD,
             "post_errors": sum(r["post_errors"] for r in result.rows),
             "crc_failures": s["crc_failures"],
             "key_mismatches": s["key_mismatches"],
@@ -65,16 +72,26 @@ def main() -> None:
                         help="output directory (default: soak-out)")
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
+    stuck = codewords = 0
     with open(args.out / "soak.jsonl", "a") as log:
+        def emit(record: dict) -> None:
+            line = json.dumps(record)
+            print(line, flush=True)
+            log.write(line + "\n")
+            log.flush()
+
         for seed in args.seeds:
             for name, params in (
                 ("e2e-secure", {"n_superframes": MAX_E2E_SUPERFRAMES, "eavesdropper": False}),
                 ("keydist", {"n_frames": MAX_KEYDIST_FRAMES}),
             ):
-                line = json.dumps(_run(name, params, seed, args.out))
-                print(line, flush=True)
-                log.write(line + "\n")
-                log.flush()
+                record = _run(name, params, seed, args.out)
+                stuck += record.get("stuck_codewords", 0)
+                codewords += record.get("codewords", 0)
+                emit(record)
+        emit({"summary": "stuck_codewords", "seeds": args.seeds,
+              "stuck_codewords": stuck, "codewords": codewords,
+              "wilson_upper_95": _wilson_interval(stuck, codewords)[1]})
 
 
 if __name__ == "__main__":

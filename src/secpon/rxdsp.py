@@ -4,11 +4,21 @@ frequency offset estimation.
 Phase recovery runs in two stages.  Stage one reads the unwrapped phase
 off each pilot against its pre-shared sign reference, smooths it over a
 few adjacent pilots to knock down estimate noise from the weaker pilot
-amplitudes, and interpolates it across the payload.  Stage two is
-decision-directed: a sliding mean of the residual angle between each
+amplitudes, and interpolates it linearly across the payload.  Stage two
+is decision-directed: a sliding mean of the residual angle between each
 corrected payload symbol and its hard decision, averaged over a
 (2Q+1)-symbol window truncated at the frame edges, applied twice so the
 second pass works from better decisions.
+
+Neither stage takes a complex exp per payload symbol.  Stage one takes
+one at each pilot and one per pilot interval for the step toward the
+next pilot; the payload between two pilots is rotated by that pilot's
+phasor times successive powers of the step, built by a running product.
+That matches the per-symbol exp of the interpolated phase to rounding
+(about 1e-14 even after a 100 rad walk) and gives the same CSV bytes.
+Stage two writes ``cos`` and ``sin`` of its small residual angles into one
+complex array, which is ``exp(-1j * rho)`` bit for bit and faster at
+small angles.
 
 ``recover_carrier_phase`` returns one record per frame, ``CprResult``:
 the corrected payload and pilots, the cycle slips and the
@@ -117,19 +127,44 @@ def smooth_phase_estimates(estimates: np.ndarray) -> np.ndarray:
     return _boxcar_mean(estimates, PILOT_SMOOTHING)
 
 
+def _rotate_by_pilots(payload: np.ndarray, estimates: np.ndarray,
+                      start: np.ndarray, layout: FrameLayout) -> np.ndarray:
+    """Rotate payload by the pilot phases interpolated linearly between
+    pilots, given the pilots' own phasors ``start = exp(-1j*estimates)``.
+
+    The k-th payload symbol after pilot j (k = 1 .. spacing-1) gets
+    ``start[j] * step[j]**k``, with ``step[j]`` a spacing-th of the way
+    to pilot j+1; the powers are a running product, one vector multiply
+    per k.  The tail after the last pilot is held at its phasor.
+    """
+    spacing = layout.pilot_spacing
+    step = np.exp(-1j * (np.diff(estimates) / spacing))
+    powers = np.empty((spacing - 1, step.size), dtype=complex)
+    powers[0] = start[:-1] * step
+    for k in range(1, spacing - 1):
+        np.multiply(powers[k - 1], step, out=powers[k])
+    payload = payload.ravel()
+    out = np.empty(payload.size, dtype=complex)
+    between = powers.size
+    np.multiply(payload[:between].reshape(step.size, spacing - 1), powers.T,
+                out=out[:between].reshape(step.size, spacing - 1))
+    np.multiply(payload[between:], start[-1], out=out[between:])
+    return out
+
+
 def apply_pilot_phase(payload: np.ndarray, estimates: np.ndarray,
                       layout: FrameLayout) -> np.ndarray:
     """Rotate payload symbols by the pilot phase estimates, interpolated
-    linearly between pilots and held at the nearest pilot beyond the
-    first and last."""
+    linearly between pilots.  No payload precedes the first pilot; the
+    payload after the last one is held at its estimate."""
     payload = np.asarray(payload)
+    estimates = np.asarray(estimates)
     if payload.size != layout.payload_len:
         raise ValueError(f"expected {layout.payload_len} payload symbols, got {payload.size}")
-    if np.size(estimates) != layout.n_pilots:
-        raise ValueError(f"expected {layout.n_pilots} pilot estimates, got {np.size(estimates)}")
-    phase = np.interp(layout.payload_body_positions(), layout.pilot_body_positions(),
-                      estimates)
-    return payload * np.exp(-1j * phase)
+    if estimates.shape != (layout.n_pilots,):
+        raise ValueError(f"expected a 1-D array of {layout.n_pilots} pilot estimates, "
+                         f"got shape {estimates.shape}")
+    return _rotate_by_pilots(payload, estimates, np.exp(-1j * estimates), layout)
 
 
 def residual_phase(symbols: np.ndarray) -> np.ndarray:
@@ -140,12 +175,20 @@ def residual_phase(symbols: np.ndarray) -> np.ndarray:
     return _boxcar_mean(err, 2 * RESIDUAL_HALF_WINDOW + 1)
 
 
+def _derotation(rho: np.ndarray) -> np.ndarray:
+    """``np.exp(-1j * rho)`` bit for bit, from one real cos and one sin."""
+    rot = np.empty(rho.shape, dtype=complex)
+    np.cos(rho, out=rot.real)
+    np.sin(-rho, out=rot.imag)
+    return rot
+
+
 def residual_cpr(payload: np.ndarray) -> np.ndarray:
     """Decision-directed refinement of an already pilot-corrected payload,
     in ``RESIDUAL_PASSES`` passes."""
     payload = np.asarray(payload)
     for _ in range(RESIDUAL_PASSES):
-        payload = payload * np.exp(-1j * residual_phase(payload))
+        payload = payload * _derotation(residual_phase(payload))
     return payload
 
 
@@ -180,10 +223,11 @@ def recover_carrier_phase(body: np.ndarray, layout: FrameLayout,
     pilots = body[layout.pilot_body_positions()]
     psi_raw = pilot_phase_estimates(pilots, pilot_reference)
     psi = smooth_phase_estimates(psi_raw)
-    payload = apply_pilot_phase(body[layout.payload_body_positions()], psi, layout)
+    start = np.exp(-1j * psi)
+    payload = _rotate_by_pilots(body[layout.payload_body_positions()], psi, start, layout)
     return CprResult(
         payload=residual_cpr(payload),
-        pilots=pilots * np.exp(-1j * psi),
+        pilots=pilots * start,
         cycle_slips=count_cycle_slips(psi_raw),
     )
 

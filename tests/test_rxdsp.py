@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import secpon
 from secpon import channel, dscm, framing, protocol, rxdsp, theory
@@ -87,8 +87,8 @@ class TestPilotPhaseEstimates:
 class TestInterpolateAndSmooth:
     def test_linear_ramp_is_exact(self):
         """A phase ramp across the pilots comes off every payload symbol
-        exactly, bar the payload outside the first and last pilot, which
-        gets the nearest pilot's estimate."""
+        exactly, bar the payload after the last pilot, which is held at
+        that pilot's estimate (no payload precedes the first pilot)."""
         layout = framing.upstream_layout()
         pilots = layout.pilot_body_positions()
         targets = layout.payload_body_positions()
@@ -118,6 +118,70 @@ def _convolve_mean(x, window):
     """The sliding mean as ``np.convolve`` gives it, for len(x) >= window."""
     ones = np.ones(window)
     return np.convolve(x, ones, "same") / np.convolve(np.ones(len(x)), ones, "same")
+
+
+def _reference_pilot_phase(payload, estimates, layout):
+    """Stage one's payload rotation by definition: one exp per symbol of
+    the phase ``np.interp`` draws between the pilots."""
+    phase = np.interp(layout.payload_body_positions(), layout.pilot_body_positions(),
+                      estimates)
+    return payload * np.exp(-1j * phase)
+
+
+_SPACING = framing.PILOT_SPACING
+_PILOT_LAYOUTS = {
+    "upstream": framing.upstream_layout(),
+    "downstream": framing.downstream_layout(),
+    "tail-1": framing.FrameLayout(0, payload_len=5 * (_SPACING - 1) + 1),
+    "tail-full": framing.FrameLayout(0, payload_len=5 * (_SPACING - 1)),
+    "one-pilot": framing.FrameLayout(0, payload_len=_SPACING - 3),
+    "spacing-2": framing.FrameLayout(0, payload_len=500, pilot_spacing=2),
+    "spacing-200": framing.FrameLayout(0, payload_len=3000, pilot_spacing=200),
+}
+
+
+class TestPilotRotation:
+    """``apply_pilot_phase`` rotates by a pilot-to-pilot phasor recurrence;
+    it must stay within rounding of the interpolated per-symbol exp."""
+
+    @pytest.mark.parametrize("name", list(_PILOT_LAYOUTS))
+    @pytest.mark.parametrize("reach", [100.0, -100.0, 0.5])
+    def test_matches_interpolated_exp(self, name, reach):
+        layout = _PILOT_LAYOUTS[name]
+        assert (layout.n_pilots == 1) == (name == "one-pilot")
+        atol = 1e-13 * max(1.0, layout.pilot_spacing / _SPACING)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            walk = np.cumsum(rng.normal(size=layout.n_pilots))
+            walk *= reach / max(np.max(np.abs(walk)), 1e-12)
+            payload = np.exp(1j * rng.uniform(-np.pi, np.pi, layout.payload_len))
+            got = rxdsp.apply_pilot_phase(payload, walk, layout)
+            want = _reference_pilot_phase(payload, walk, layout)
+            assert np.max(np.abs(got - want)) < atol
+
+    @pytest.mark.parametrize("linewidth", [100e3, 1e6])
+    def test_hard_decisions_match_reference_chain(self, linewidth):
+        """Noisy upstream frames at 12.2 dB: the whole CPR, and the
+        earlier exp-based stages, slice every symbol the same."""
+        layout = framing.upstream_layout()
+        params = framing.GcsPilotParams()
+        for seed in range(8):
+            rng = np.random.default_rng(2200 + seed)
+            body, _, ref = _frame_body(rng, layout, params, linewidth, 12.2, seed)
+            psi = rxdsp.smooth_phase_estimates(
+                rxdsp.pilot_phase_estimates(body[layout.pilot_body_positions()], ref))
+            want = _residual_passes(
+                _reference_pilot_phase(body[layout.payload_body_positions()], psi, layout),
+                rxdsp.RESIDUAL_PASSES)
+            got = rxdsp.recover_carrier_phase(body, layout, ref).payload
+            assert np.array_equal(framing.hard_decision_16qam(got),
+                                  framing.hard_decision_16qam(want))
+
+    def test_estimates_must_be_one_dimensional(self):
+        layout = framing.upstream_layout()
+        with pytest.raises(ValueError, match="1-D"):
+            rxdsp.apply_pilot_phase(np.zeros(layout.payload_len, complex),
+                                    np.zeros((1, layout.n_pilots)), layout)
 
 
 class TestBoxcarMean:
@@ -163,6 +227,13 @@ class TestResidualStage:
         sym = framing.map_payload_16qam(rng.integers(0, 2, 4000).astype(np.uint8))
         est = rxdsp.residual_phase(sym * np.exp(0.05j))
         assert np.allclose(est, 0.05, atol=1e-3)
+
+    @given(st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1, max_size=64))
+    @example([0.0, -0.0])
+    def test_derotation_is_exp_bit_for_bit(self, values):
+        x = np.array(values)
+        assert np.array_equal(rxdsp._derotation(x).view(np.int64),
+                              np.exp(-1j * x).view(np.int64))
 
     def test_runs_residual_passes(self):
         rng = np.random.default_rng(2)
