@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("results"),
                         metavar="DIR", help="output directory (default: results)")
     parser.add_argument("--seed", type=int, default=None, metavar="N",
-                        help="master seed (default: config 'seed' or 12345)")
+                        help=f"master seed (default: config 'seed' or {ExperimentSpec.seed})")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for grid cells (default: 1)")
     parser.add_argument("--check", action="store_true",
@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        config_seed = _whole(config.pop("seed", 12345), "seed")
+        config_seed = _whole(config.pop("seed", ExperimentSpec.seed), "seed")
         spec = ExperimentSpec(
             name=args.experiment,
             params=config,

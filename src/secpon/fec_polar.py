@@ -3,10 +3,11 @@
 Encoding is the Arikan butterfly in natural bit order; the frozen set
 comes from the standardized universal reliability sequence restricted
 to the block length.  Decoding is successive-cancellation list in the
-LLR domain with min-sum node updates; the CRC picks the winner among
-the surviving paths.  A prune moves no decoder state: it composes a
-small path map per state array, and the array is gathered once, through
-its map, when it is next read.
+LLR domain with min-sum node updates; the CRC, a GF(2) matrix built
+from its polynomial, is the encoder's and picks the winner among the
+surviving paths.  A prune moves no decoder state: it composes a small
+path map per state array, and the array is gathered once, through its
+map, when it is next read.
 """
 
 from __future__ import annotations
@@ -116,41 +117,6 @@ RELIABILITY_1024 = np.array([
 ], dtype=np.int64)
 
 
-def reliability_order(n: int) -> np.ndarray:
-    """Positions of an n-bit block, least reliable first."""
-    if n > RELIABILITY_1024.size or n & (n - 1) or n < 2:
-        raise ValueError(f"block length {n} unsupported")
-    return RELIABILITY_1024[RELIABILITY_1024 < n]
-
-
-def crc11(bits: np.ndarray) -> np.ndarray:
-    """Remainder of message * x^11 divided by ``CRC11_POLY``."""
-    bits = np.asarray(bits).astype(np.uint8)
-    if bits.size == 0:
-        raise ValueError("empty message")
-    deg = CRC_BITS
-    low = 0
-    for p in CRC11_POLY[1:]:
-        low = (low << 1) | p
-    mask = (1 << deg) - 1
-    reg = 0
-    for b in bits:
-        top = (reg >> (deg - 1)) & 1
-        reg = ((reg << 1) & mask) | int(b)
-        if top:
-            reg ^= low
-    # flush the implicit x^deg multiplication
-    for _ in range(deg):
-        top = (reg >> (deg - 1)) & 1
-        reg = (reg << 1) & mask
-        if top:
-            reg ^= low
-    out = np.zeros(deg, dtype=np.uint8)
-    for i in range(deg):
-        out[deg - 1 - i] = (reg >> i) & 1
-    return out
-
-
 @dataclass(frozen=True)
 class PolarCode:
     """Code description: block length, info length, list size.  The
@@ -180,7 +146,7 @@ class PolarCode:
     def frozen_mask(self) -> np.ndarray:
         n = self.block_length
         mask = np.zeros(n, dtype=bool)
-        mask[reliability_order(n)[:n - self.info_length]] = True
+        mask[RELIABILITY_1024[RELIABILITY_1024 < n][:n - self.info_length]] = True
         mask.flags.writeable = False
         return mask
 
@@ -196,9 +162,8 @@ POLAR = PolarCode()
 
 @dataclass
 class KeyCodeword:
-    """One coded key-channel block: the payload's CRC and the coded bits."""
+    """One coded key-channel block: the polar-coded payload and its CRC."""
 
-    crc_bits: np.ndarray
     coded_bits: np.ndarray
 
     @classmethod
@@ -206,7 +171,7 @@ class KeyCodeword:
         payload = _bits(payload, code.payload_capacity, "payload bits")
         crc = _crc_matrix(payload.size) @ payload & 1  # parity survives uint8 wrap
         coded = polar_encode(np.concatenate([payload, crc]), code)
-        return cls(crc_bits=crc, coded_bits=coded)
+        return cls(coded_bits=coded)
 
 
 def polar_transform(u: np.ndarray) -> np.ndarray:
@@ -273,13 +238,15 @@ def _bits(values: np.ndarray, size: int, what: str) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _crc_matrix(length: int) -> np.ndarray:
-    """CRC of each unit message; the checksum is linear over GF(2)."""
-    mat = np.zeros((CRC_BITS, length), dtype=np.uint8)
-    unit = np.zeros(length, dtype=np.uint8)
-    for i in range(length):
-        unit[i] = 1
-        mat[:, i] = crc11(unit)
-        unit[i] = 0
+    """The CRC as a (CRC_BITS, length) GF(2) matrix, highest degree
+    first: column i is x^(CRC_BITS + length - 1 - i) mod ``CRC11_POLY``,
+    the CRC of the message with only bit i set."""
+    low = np.array(CRC11_POLY[1:], dtype=np.uint8)     # x^CRC_BITS mod the polynomial
+    mat = np.empty((CRC_BITS, length), dtype=np.uint8)
+    rem = low
+    for i in reversed(range(length)):
+        mat[:, i] = rem
+        rem = np.append(rem[1:], 0) ^ rem[0] * low     # times x, reduced
     return mat
 
 

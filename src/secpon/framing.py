@@ -33,6 +33,7 @@ _PAM4_GRAY = np.array([0b00, 0b01, 0b11, 0b10], dtype=np.uint8)
 _PAM4_GRAY_INV = np.argsort(_PAM4_GRAY).astype(np.uint8)   # label -> level index
 _PAM4_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
 _QAM16_SCALE = 1.0 / np.sqrt(10.0)                          # unit mean symbol energy
+_QAM16_AXIS_LEVELS = _PAM4_LEVELS * _QAM16_SCALE
 
 # 16QAM tables, each read with one gather.  A symbol's slicer index is
 # (I level index << 2) | Q level index; its label is its four bits
@@ -203,11 +204,15 @@ def hard_decision_16qam(symbols: np.ndarray) -> np.ndarray:
     return _QAM16_POINTS.take(_qam16_index(symbols))
 
 
-def _axis_llrs(v: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-axis LLRs (high bit, low bit); positive favors bit 0."""
+def _pam4_llrs(v: np.ndarray, levels: np.ndarray,
+               noise_var: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Gray-PAM4 LLRs (sign bit, magnitude bit) of real values v
+    against four ascending ``levels``, with noise of variance noise_var
+    on v; positive favors bit 0."""
+    if noise_var <= 0:
+        raise ValueError(f"noise variance must be positive, got {noise_var} per dimension")
     # log-likelihood of each level, ascending; the Gray labels are 00, 01, 11, 10
-    l0, l1, l2, l3 = (-((v - lv) ** 2) / (2.0 * sigma2)
-                      for lv in _PAM4_LEVELS * _QAM16_SCALE)
+    l0, l1, l2, l3 = (-((v - lv) ** 2) / (2.0 * noise_var) for lv in levels)
     hi = np.logaddexp(l0, l1) - np.logaddexp(l2, l3)
     lo = np.logaddexp(l0, l3) - np.logaddexp(l1, l2)
     return hi, lo
@@ -216,12 +221,9 @@ def _axis_llrs(v: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
 def payload_llrs_16qam(symbols: np.ndarray, noise_var: float) -> np.ndarray:
     """Per-bit LLRs for soft FEC decoding; noise_var is the total complex
     noise power per symbol.  Positive LLR means bit 0 is more likely."""
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be positive, got {noise_var}")
     symbols = np.asarray(symbols)
-    sigma2 = noise_var / 2.0
-    i_hi, i_lo = _axis_llrs(symbols.real, sigma2)
-    q_hi, q_lo = _axis_llrs(symbols.imag, sigma2)
+    i_hi, i_lo = _pam4_llrs(symbols.real, _QAM16_AXIS_LEVELS, noise_var / 2.0)
+    q_hi, q_lo = _pam4_llrs(symbols.imag, _QAM16_AXIS_LEVELS, noise_var / 2.0)
     out = np.empty((symbols.size, 4))
     out[:, 0] = i_hi
     out[:, 1] = i_lo
@@ -267,15 +269,8 @@ def demap_pilot_llrs(symbols: np.ndarray, params: GcsPilotParams,
     noise_var is the total complex noise power per symbol; the diagonal
     projection sees a quarter of it.
     """
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be positive, got {noise_var}")
-    r = diagonal_projection(symbols)
-    sigma2 = noise_var / 4.0
-    amps = params.amplitudes()
-    ll = -((r[:, None] - amps[None, :]) ** 2) / (2.0 * sigma2)
-    outer = np.logaddexp(ll[:, 0], ll[:, 3])
-    inner = np.logaddexp(ll[:, 1], ll[:, 2])
-    return outer - inner
+    _, lo = _pam4_llrs(diagonal_projection(symbols), params.amplitudes(), noise_var / 4.0)
+    return lo
 
 
 def pilot_phase_reference(first_bits: np.ndarray) -> np.ndarray:

@@ -152,21 +152,6 @@ def _rotate_by_pilots(payload: np.ndarray, estimates: np.ndarray,
     return out
 
 
-def apply_pilot_phase(payload: np.ndarray, estimates: np.ndarray,
-                      layout: FrameLayout) -> np.ndarray:
-    """Rotate payload symbols by the pilot phase estimates, interpolated
-    linearly between pilots.  No payload precedes the first pilot; the
-    payload after the last one is held at its estimate."""
-    payload = np.asarray(payload)
-    estimates = np.asarray(estimates)
-    if payload.size != layout.payload_len:
-        raise ValueError(f"expected {layout.payload_len} payload symbols, got {payload.size}")
-    if estimates.shape != (layout.n_pilots,):
-        raise ValueError(f"expected a 1-D array of {layout.n_pilots} pilot estimates, "
-                         f"got shape {estimates.shape}")
-    return _rotate_by_pilots(payload, estimates, np.exp(-1j * estimates), layout)
-
-
 def residual_phase(symbols: np.ndarray) -> np.ndarray:
     """Sliding-mean decision-directed residual phase per symbol, against
     16QAM hard decisions."""

@@ -21,9 +21,14 @@ def crc_by_long_division(bits, poly):
     return np.array(work[-deg:], dtype=np.uint8)
 
 
+def _crc(bits):
+    """The CRC through the matrix that the encoder and list decoder use."""
+    return fp._crc_matrix(bits.size).astype(int) @ bits % 2
+
+
 def _crc_passes(framed):
     """True when the trailing 11 CRC bits match the leading message."""
-    return np.array_equal(fp.crc11(framed[:-11]), framed[-11:])
+    return np.array_equal(_crc(framed[:-11]), framed[-11:])
 
 
 def _messages(n):
@@ -53,7 +58,7 @@ def _reference_scl_paths(llrs, code):
     b, n = llrs.shape
     lsz = code.list_size
     frozen_mask = np.zeros(n, dtype=bool)
-    frozen_mask[fp.reliability_order(n)[:n - code.info_length]] = True
+    frozen_mask[fp.RELIABILITY_1024[fp.RELIABILITY_1024 < n][:n - code.info_length]] = True
     pm = np.full((b, lsz), np.inf)
     pm[:, 0] = 0.0
     llr_lv = {0: llrs[:, None, :]}
@@ -144,46 +149,47 @@ class TestReliabilityTable:
         assert int(fp.RELIABILITY_1024[-1]) == 1023
 
     def test_restriction_to_512(self):
-        order = fp.reliability_order(512)
-        assert order.size == 512
-        assert order.max() < 512
-        # nested property: restriction preserves relative order
-        big = fp.RELIABILITY_1024
-        assert list(order) == [int(x) for x in big if x < 512]
+        # nested property: a shorter block freezes its least reliable
+        # positions in the relative order of the 1024 table
+        for n in (512, 64):
+            order = [int(x) for x in fp.RELIABILITY_1024 if x < n]
+            for k in (12, n // 2, n - 1):
+                mask = fp.PolarCode(block_length=n, info_length=k).frozen_mask
+                assert set(np.flatnonzero(mask).tolist()) == set(order[:n - k]), (n, k)
 
     def test_bad_lengths_rejected(self):
         for n in (0, 1, 3, 100, 2048):
             with pytest.raises(ValueError):
-                fp.reliability_order(n)
+                fp.PolarCode(block_length=n)
 
 
-class TestCrc11:
+class TestCrcMatrix:
     def test_zero_message_zero_crc(self):
-        assert np.array_equal(fp.crc11(np.zeros(100, np.uint8)), np.zeros(11, np.uint8))
+        assert np.array_equal(_crc(np.zeros(100, np.uint8)), np.zeros(11, np.uint8))
 
     def test_matches_long_division_on_unit_messages(self):
         for i in range(0, 245, 7):
             m = np.zeros(245, dtype=np.uint8)
             m[i] = 1
-            assert np.array_equal(fp.crc11(m), crc_by_long_division(m, fp.CRC11_POLY)), i
+            assert np.array_equal(_crc(m), crc_by_long_division(m, fp.CRC11_POLY)), i
 
     def test_matches_long_division_on_random_messages(self):
         rng = np.random.default_rng(0)
         for _ in range(40):
             n = int(rng.integers(1, 300))
             m = rng.integers(0, 2, n).astype(np.uint8)
-            assert np.array_equal(fp.crc11(m), crc_by_long_division(m, fp.CRC11_POLY))
+            assert np.array_equal(_crc(m), crc_by_long_division(m, fp.CRC11_POLY))
 
     def test_append_then_check_passes(self):
         rng = np.random.default_rng(1)
         m = rng.integers(0, 2, 245).astype(np.uint8)
-        framed = np.concatenate([m, fp.crc11(m)])
+        framed = np.concatenate([m, crc_by_long_division(m, fp.CRC11_POLY)])
         assert _crc_passes(framed)
 
     def test_every_single_bit_flip_detected(self):
         rng = np.random.default_rng(2)
         m = rng.integers(0, 2, 245).astype(np.uint8)
-        framed = np.concatenate([m, fp.crc11(m)])
+        framed = np.concatenate([m, _crc(m)])
         for i in range(framed.size):
             bad = framed.copy()
             bad[i] ^= 1
@@ -193,23 +199,12 @@ class TestCrc11:
     @given(_LENGTHS.flatmap(lambda n: st.tuples(_messages(n), _messages(n))))
     def test_linear_over_gf2(self, pair):
         a, b = pair
-        assert np.array_equal(fp.crc11(a ^ b), fp.crc11(a) ^ fp.crc11(b))
-
-    @settings(max_examples=100, deadline=None)
-    @given(_LENGTHS.flatmap(_messages))
-    def test_matrix_agrees_with_crc11(self, m):
-        # the list decoder checks every candidate path through this matrix
-        mat = fp._crc_matrix(m.size)
-        assert np.array_equal(mat.astype(int) @ m % 2, fp.crc11(m))
-
-    @settings(max_examples=100, deadline=None)
-    @given(_messages(245))
-    def test_codeword_crc_agrees_with_crc11(self, m):
-        assert np.array_equal(fp.KeyCodeword.from_payload(m).crc_bits, fp.crc11(m))
+        assert np.array_equal(_crc(a ^ b), _crc(a) ^ _crc(b))
 
     def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            fp.crc11(np.array([], dtype=np.uint8))
+        for size in (0, 244, 246):
+            with pytest.raises(ValueError):
+                fp.KeyCodeword.from_payload(np.zeros(size, dtype=np.uint8))
 
 
 class TestPolarCodeDescription:
@@ -230,7 +225,7 @@ class TestPolarCodeDescription:
 
     def test_frozen_positions_are_least_reliable(self):
         code = fp.PolarCode()
-        worst = set(int(x) for x in fp.reliability_order(512)[:256])
+        worst = set(int(x) for x in fp.RELIABILITY_1024[fp.RELIABILITY_1024 < 512][:256])
         assert set(np.flatnonzero(code.frozen_mask).tolist()) == worst
 
     def test_entry_points_default_to_the_module_code(self):
@@ -301,8 +296,7 @@ class TestEncoder:
         rng = np.random.default_rng(4)
         pay = rng.integers(0, 2, 245).astype(np.uint8)
         kw = fp.KeyCodeword.from_payload(pay)
-        assert np.array_equal(kw.crc_bits, fp.crc11(pay))
-        u = np.concatenate([pay, kw.crc_bits])
+        u = np.concatenate([pay, crc_by_long_division(pay, fp.CRC11_POLY)])
         assert np.array_equal(kw.coded_bits, fp.polar_encode(u))
         with pytest.raises(ValueError):
             fp.KeyCodeword.from_payload(np.zeros(244, np.uint8))

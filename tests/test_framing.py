@@ -79,8 +79,12 @@ class TestQam16Mapping:
         assert np.array_equal((llrs < 0).astype(np.uint8), demap_payload_16qam(y))
 
     def test_llr_rejects_bad_noise_var(self):
-        with pytest.raises(ValueError):
-            payload_llrs_16qam(np.array([0.1 + 0.1j]), 0.0)
+        y = np.array([0.1 + 0.1j])
+        for noise_var in (0.0, -1.0):
+            with pytest.raises(ValueError, match="must be positive"):
+                payload_llrs_16qam(y, noise_var)
+            with pytest.raises(ValueError, match="must be positive"):
+                demap_pilot_llrs(y, GcsPilotParams(), noise_var)
 
 
 _AXIS_BOUNDS = np.array([-2.0, 0.0, 2.0]) * framing._QAM16_SCALE
@@ -223,6 +227,37 @@ class TestPayloadLlrsMatchLevelReduce:
         re, im = (np.array(axis) for axis in zip(*pairs))
         y = _received(re, im, form)
         got, ref = payload_llrs_16qam(y, noise_var), _ref_payload_llrs(y, noise_var)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+# The pilot LLR body the shared PAM4 kernel replaced, kept as the
+# reference: an (n, 4) log-likelihood matrix on the diagonal, reduced
+# over the outer and the inner levels.
+def _ref_pilot_llrs(symbols, params, noise_var):
+    r = diagonal_projection(symbols)
+    amps = params.amplitudes()
+    ll = -((r[:, None] - amps[None, :]) ** 2) / (2.0 * (noise_var / 4.0))
+    outer = np.logaddexp.reduce(ll[:, [0, 3]], axis=1)
+    inner = np.logaddexp.reduce(ll[:, [1, 2]], axis=1)
+    return outer - inner
+
+
+class TestPilotLlrsMatchLevelReduce:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_LLR_AXIS_VALUE, _LLR_AXIS_VALUE), min_size=1, max_size=32),
+           st.one_of(st.floats(0.0, 3.0, exclude_min=True), st.sampled_from([1.0, 1.7, 3.0])),
+           _NOISE_VAR, st.sampled_from(["complex", "strided"]))
+    def test_bit_identical(self, pairs, a, noise_var, form):
+        params = GcsPilotParams(a=a)
+        # the drawn values, then every pilot point and decision threshold
+        marks = np.concatenate([params.amplitudes(),
+                                np.array([-1.0, 0.0, 1.0]) * params.decision_threshold
+                                * params.d])
+        re, im = (np.concatenate([axis, marks]) for axis in zip(*pairs))
+        y = _received(re, im, form)
+        got = demap_pilot_llrs(y, params, noise_var)
+        ref = _ref_pilot_llrs(y, params, noise_var)
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 

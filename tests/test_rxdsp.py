@@ -57,7 +57,7 @@ class TestPilotPhaseEstimates:
         with pytest.raises(ValueError):
             rxdsp.pilot_phase_estimates(np.ones(3, complex), np.ones(4, complex))
 
-    def test_unwrap_disabled_keeps_wrapped_angles(self):
+    def test_unwraps_across_plus_minus_pi(self):
         ref = np.ones(3, dtype=complex)
         rx = np.exp(1j * np.array([3.0, -3.0, 3.0]))
         raw = _wrapped_phase_estimates(rx, ref)
@@ -92,7 +92,9 @@ class TestInterpolateAndSmooth:
         layout = framing.upstream_layout()
         pilots = layout.pilot_body_positions()
         targets = layout.payload_body_positions()
-        out = rxdsp.apply_pilot_phase(np.exp(1j * 0.01 * targets), 0.01 * pilots, layout)
+        psi = 0.01 * pilots
+        out = rxdsp._rotate_by_pilots(np.exp(1j * 0.01 * targets), psi, np.exp(-1j * psi),
+                                      layout)
         held = np.clip(targets, pilots[0], pilots[-1])
         assert np.allclose(out, np.exp(1j * 0.01 * (targets - held)), atol=1e-12)
         assert np.count_nonzero(targets == held) > 0.99 * targets.size
@@ -141,8 +143,9 @@ _PILOT_LAYOUTS = {
 
 
 class TestPilotRotation:
-    """``apply_pilot_phase`` rotates by a pilot-to-pilot phasor recurrence;
-    it must stay within rounding of the interpolated per-symbol exp."""
+    """Stage one of ``recover_carrier_phase`` rotates by a pilot-to-pilot
+    phasor recurrence (``_rotate_by_pilots``); it must stay within
+    rounding of the interpolated per-symbol exp."""
 
     @pytest.mark.parametrize("name", list(_PILOT_LAYOUTS))
     @pytest.mark.parametrize("reach", [100.0, -100.0, 0.5])
@@ -155,7 +158,7 @@ class TestPilotRotation:
             walk = np.cumsum(rng.normal(size=layout.n_pilots))
             walk *= reach / max(np.max(np.abs(walk)), 1e-12)
             payload = np.exp(1j * rng.uniform(-np.pi, np.pi, layout.payload_len))
-            got = rxdsp.apply_pilot_phase(payload, walk, layout)
+            got = rxdsp._rotate_by_pilots(payload, walk, np.exp(-1j * walk), layout)
             want = _reference_pilot_phase(payload, walk, layout)
             assert np.max(np.abs(got - want)) < atol
 
@@ -176,12 +179,6 @@ class TestPilotRotation:
             got = rxdsp.recover_carrier_phase(body, layout, ref).payload
             assert np.array_equal(framing.hard_decision_16qam(got),
                                   framing.hard_decision_16qam(want))
-
-    def test_estimates_must_be_one_dimensional(self):
-        layout = framing.upstream_layout()
-        with pytest.raises(ValueError, match="1-D"):
-            rxdsp.apply_pilot_phase(np.zeros(layout.payload_len, complex),
-                                    np.zeros((1, layout.n_pilots)), layout)
 
 
 class TestBoxcarMean:
@@ -261,7 +258,8 @@ class TestRecoverCarrierPhase:
         rng = np.random.default_rng(3)
         body, _, ref = _frame_body(rng, layout, params, 0.0, None, seed=4)
         pay = body[layout.payload_body_positions()]
-        out = rxdsp.apply_pilot_phase(pay, np.zeros(layout.n_pilots), layout)
+        zero = np.zeros(layout.n_pilots)
+        out = rxdsp._rotate_by_pilots(pay, zero, np.exp(-1j * zero), layout)
         assert np.allclose(out, pay)
 
     def test_wrong_body_length_rejected(self):
@@ -269,12 +267,6 @@ class TestRecoverCarrierPhase:
         with pytest.raises(ValueError):
             rxdsp.recover_carrier_phase(np.zeros(10, complex), layout,
                                         np.zeros(layout.n_pilots, complex))
-
-    def test_misaligned_estimates_rejected(self):
-        layout = framing.upstream_layout()
-        with pytest.raises(ValueError):
-            rxdsp.apply_pilot_phase(np.zeros(layout.payload_len, complex),
-                                    np.zeros(layout.n_pilots - 1), layout)
 
     def test_injected_phase_jump_is_reported_not_repaired(self):
         layout = framing.upstream_layout()
@@ -400,7 +392,7 @@ def _recover_payload(body, layout, ref, hold=False, passes=rxdsp.RESIDUAL_PASSES
                             layout.payload_body_positions())
         payload = payload * np.exp(-1j * phase)
     else:
-        payload = rxdsp.apply_pilot_phase(payload, psi, layout)
+        payload = rxdsp._rotate_by_pilots(payload, psi, np.exp(-1j * psi), layout)
     return _residual_passes(payload, passes)
 
 
