@@ -20,11 +20,17 @@ gives the decimated symbols exactly.  The aggregate's forward FFT is
 ``SymbolStream.spectrum``, computed once per stream, so every subcarrier
 selected from one received aggregate shares it.
 
-Every transform comes from ``scipy.fft``, whose pocketfft caches recent
-plans, so a burst length is not planned again on every call; that matters
-most for the upstream aggregate, 74 680 = 2^3 * 5 * 1867 samples, which
-takes Bluestein's algorithm.  On complex input it gives the same bits as
-``numpy.fft`` at every length the experiments use.
+Every transform goes through ``framing._dft``.  The frame and burst
+lengths each have one large prime factor: 9335 = 5 * 1867 and 74 680 =
+40 * 1867 upstream, 9399 = 3 * 3133 and 75 192 = 24 * 3133 downstream.
+pocketfft alone would run the upstream aggregate through Bluestein's
+algorithm and the downstream one through a radix-241 pass over the whole
+burst.  ``_dft`` splits each length into its {2,3,5,7,11}-smooth part n1
+and the rest n2 (Cooley-Tukey): n2 batched n1-point transforms, one
+multiply by a cached twiddle table and n1 batched n2-point transforms.
+That is about twice as fast on an aggregate and agrees with ``numpy.fft``
+to about 1e-15 relative; smooth and prime lengths go to ``scipy.fft``
+unchanged.
 
 Shaping on the spectrum rather than with a truncated filter keeps the
 transmit/receive cascade Nyquist to machine precision, so a noiseless
@@ -41,9 +47,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.fft
 
-from .framing import SymbolStream
+from .framing import SymbolStream, _dft
 
 N_SUBCARRIERS = 4
 SUBCARRIER_BAUD = 8e9
@@ -103,9 +108,9 @@ def mux(subcarrier_streams: list[SymbolStream]) -> SymbolStream:
         if not s.symbols.any():
             continue            # a dark subcarrier adds exactly nothing
         # the upsampled symbols' spectrum is theirs repeated sps times
-        shaped = scipy.fft.fft(s.symbols)[band % n_sym] * mag
+        shaped = _dft(s.symbols)[band % n_sym] * mag
         spectrum[(band + _center_bin(k, n)) % n] += shaped
-    return SymbolStream(symbols=scipy.fft.ifft(spectrum), symbol_rate_hz=SAMPLE_RATE)
+    return SymbolStream(symbols=_dft(spectrum, inverse=True), symbol_rate_hz=SAMPLE_RATE)
 
 
 def demux_select(samples: SymbolStream, sc_index: int) -> SymbolStream:
@@ -124,8 +129,7 @@ def demux_select(samples: SymbolStream, sc_index: int) -> SymbolStream:
     fold = band % n_sym
     folded = (np.bincount(fold, filtered.real, n_sym)
               + 1j * np.bincount(fold, filtered.imag, n_sym))
-    symbols = scipy.fft.ifft(folded)
-    return SymbolStream(symbols=symbols, symbol_rate_hz=SUBCARRIER_BAUD)
+    return SymbolStream(symbols=_dft(folded, inverse=True), symbol_rate_hz=SUBCARRIER_BAUD)
 
 
 def aggregate_snr_db(snr_sc_db: float) -> float:

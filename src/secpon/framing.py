@@ -7,6 +7,11 @@ body: a four-point diagonal pilot inserted at the head of every
 points sit at ``{-3d, -a*d, +a*d, +3d} * (1+1j)`` so that the first
 (sign) bit steers carrier-phase recovery while the second (magnitude)
 bit carries protected key material.
+
+``SymbolStream`` is the sample type every stage passes on.  Two private
+kernels live next to it: ``_dft``, the one transform of the DSCM path
+(``SymbolStream.spectrum`` and ``secpon.dscm``), and ``_expj``, the one
+``exp(+-1j * angle)`` of the channel and the residual CPR stage.
 """
 
 from __future__ import annotations
@@ -142,6 +147,62 @@ def downstream_layout() -> FrameLayout:
     return FrameLayout(training_len=DOWNSTREAM_TRAINING_SYMBOLS)
 
 
+# pocketfft's own radices: a length with no other prime factor needs no split
+_FFT_RADICES = (2, 3, 5, 7, 11)
+
+
+def _smooth_split(n: int) -> tuple[int, int]:
+    """n as n1 * n2, with n1 its {2,3,5,7,11}-smooth part."""
+    n1 = 1
+    for p in _FFT_RADICES:
+        while n and n % (n1 * p) == 0:
+            n1 *= p
+    return n1, n // n1
+
+
+@functools.lru_cache(maxsize=16)
+def _twiddles(n1: int, n2: int, inverse: bool) -> np.ndarray:
+    """``exp(-2*pi*i * a*b / n)`` over a < n1, b < n2, or its conjugate
+    for the inverse (read-only, shared by every caller)."""
+    n = n1 * n2
+    ab = np.arange(n1)[:, None] * np.arange(n2)
+    table = np.exp((2j if inverse else -2j) * np.pi * ab / n)
+    table.flags.writeable = False
+    return table
+
+
+def _dft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``scipy.fft.fft`` (or ``ifft``) along the last axis, with a length
+    that has a large prime factor split in two.
+
+    pocketfft runs a whole burst through Bluestein's algorithm (74 680 =
+    40 * 1867) or one long odd radix (75 192 = 24 * 3133 has a radix-241
+    pass).  Cooley-Tukey on n = n1 * n2, with n1 the smooth part, instead
+    takes n2 batched n1-point transforms, one twiddle multiply and n1
+    batched n2-point transforms: the same transform to ~1e-15 relative,
+    about twice as fast at the aggregate lengths.  Lengths that are smooth
+    or prime go to scipy unchanged, bit for bit.
+    """
+    transform = scipy.fft.ifft if inverse else scipy.fft.fft
+    n1, n2 = _smooth_split(x.shape[-1])
+    if n1 == 1 or n2 == 1:
+        return transform(x)
+    # x[..., a*n2 + b] -> X[..., k1 + n1*k2]
+    y = transform(x.reshape(*x.shape[:-1], n1, n2), axis=-2)
+    y *= _twiddles(n1, n2, inverse)
+    y = transform(y, axis=-1, overwrite_x=True)
+    return y.swapaxes(-1, -2).reshape(x.shape)
+
+
+def _expj(angle: np.ndarray, sign: int = 1) -> np.ndarray:
+    """``np.exp(sign * 1j * angle)`` bit for bit, for sign +1 or -1, from
+    one real cos and one sin, which is faster than the complex exp."""
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle if sign > 0 else -angle, out=out.imag)
+    return out
+
+
 @dataclass(frozen=True)
 class SymbolStream:
     """Complex baseband samples tagged with their symbol (or sample) rate.
@@ -156,7 +217,7 @@ class SymbolStream:
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
         """FFT of the samples (read-only), shared by every reader."""
-        spec = scipy.fft.fft(self.symbols)
+        spec = _dft(self.symbols)
         spec.flags.writeable = False
         return spec
 

@@ -17,8 +17,8 @@ phasor times successive powers of the step, built by a running product.
 That matches the per-symbol exp of the interpolated phase to rounding
 (about 1e-14 even after a 100 rad walk) and gives the same CSV bytes.
 Stage two writes ``cos`` and ``sin`` of its small residual angles into one
-complex array, which is ``exp(-1j * rho)`` bit for bit and faster at
-small angles.
+complex array (``framing._expj``), which is ``exp(-1j * rho)`` bit for
+bit and faster at small angles.
 
 ``recover_carrier_phase`` returns one record per frame, ``CprResult``:
 the corrected payload and pilots, the cycle slips and the
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .framing import FrameLayout, hard_decision_16qam
+from .framing import FrameLayout, _expj, hard_decision_16qam
 
 RESIDUAL_HALF_WINDOW = 11       # Q: residual stage averages 2Q+1 decisions
 PILOT_SMOOTHING = 3             # boxcar over adjacent pilot phase estimates
@@ -160,20 +160,12 @@ def residual_phase(symbols: np.ndarray) -> np.ndarray:
     return _boxcar_mean(err, 2 * RESIDUAL_HALF_WINDOW + 1)
 
 
-def _derotation(rho: np.ndarray) -> np.ndarray:
-    """``np.exp(-1j * rho)`` bit for bit, from one real cos and one sin."""
-    rot = np.empty(rho.shape, dtype=complex)
-    np.cos(rho, out=rot.real)
-    np.sin(-rho, out=rot.imag)
-    return rot
-
-
 def residual_cpr(payload: np.ndarray) -> np.ndarray:
     """Decision-directed refinement of an already pilot-corrected payload,
     in ``RESIDUAL_PASSES`` passes."""
     payload = np.asarray(payload)
     for _ in range(RESIDUAL_PASSES):
-        payload = payload * _derotation(residual_phase(payload))
+        payload = payload * _expj(residual_phase(payload), -1)
     return payload
 
 

@@ -59,6 +59,45 @@ class TestStackedRows:
             assert np.array_equal(got, apply_channel(SymbolStream(row, 8e9), cfg, (17,)).symbols)
 
 
+def _old_channel(stream, cfg, path):
+    """``apply_channel`` as first written: the rotation as a complex exp,
+    the noise as a complex sum scaled after the draw."""
+    x, rate = stream.symbols, stream.symbol_rate_hz
+    n = x.shape[-1]
+    theta = phase_noise_walk(n, cfg.linewidth_hz, rate, (*path, seeds.PHASE))
+    if cfg.freq_offset_hz != 0.0:
+        theta = theta + 2.0 * np.pi * cfg.freq_offset_hz * np.arange(n) / rate
+    y = x * np.exp(1j * theta)
+    if cfg.snr_db is None:
+        return y
+    noise_var = np.mean(np.abs(y) ** 2, axis=-1, keepdims=True) * 10.0 ** (-cfg.snr_db / 10.0)
+    rng = seeds.stream(*path, seeds.AWGN)
+    noise = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return y + noise * np.sqrt(noise_var / 2.0)
+
+
+class TestMatchesOldExpressions:
+    """The cos/sin rotation and the noise written straight into its real
+    and imaginary parts give the old expressions' bits."""
+
+    @pytest.mark.parametrize("n, rate", [(74680, 64e9), (75192, 64e9), (9335, 8e9)])
+    @pytest.mark.parametrize("linewidth_hz, offset_hz",
+                             [(1e5, 0.0), (1e7, 0.0), (0.0, 1.3e9), (1e6, -0.7e9)],
+                             ids=["100kHz", "10MHz", "offset", "both"])
+    @pytest.mark.parametrize("snr_db", [None, 11.0])
+    def test_bit_for_bit(self, n, rate, linewidth_hz, offset_hz, snr_db):
+        """Offsets of about a gigahertz wind the phase through thousands of
+        radians; rows of different power share one draw."""
+        rng = np.random.default_rng(n)
+        one = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cfg = ChannelConfig(snr_db=snr_db, linewidth_hz=linewidth_hz,
+                            freq_offset_hz=offset_hz)
+        for x in (one, np.stack([one, 0.25 * one[::-1]])):
+            got = apply_channel(SymbolStream(x, rate), cfg, (5, 2)).symbols
+            want = _old_channel(SymbolStream(x, rate), cfg, (5, 2))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestPhaseNoise:
     def test_increment_variance(self):
         """Wiener increments carry variance 2*pi*linewidth/rate."""

@@ -9,7 +9,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from secpon import channel, rxdsp, theory
+from secpon import channel, dscm, framing, rxdsp, theory
 from secpon.dscm import (
     CENTER_FREQUENCIES,
     N_SUBCARRIERS,
@@ -202,17 +202,22 @@ class TestMatchesTimeDomainReference:
 
 class TestSharedSpectrum:
     def test_demux_all_transforms_the_aggregate_once(self, monkeypatch):
+        """Every DSCM transform goes through ``framing._dft``; selecting all
+        four subcarriers takes one forward transform of the aggregate."""
         agg = mux(_qpsk_streams(9335, seed=30))
-        sizes = []
-        fft = scipy.fft.fft
+        calls = []
+        dft = framing._dft
 
-        def counting_fft(a, *args, **kwargs):
-            sizes.append(np.size(a))
-            return fft(a, *args, **kwargs)
+        def counting_dft(x, inverse=False):
+            calls.append((np.size(x), inverse))
+            return dft(x, inverse)
 
-        monkeypatch.setattr(scipy.fft, "fft", counting_fft)
+        monkeypatch.setattr(framing, "_dft", counting_dft)
+        monkeypatch.setattr(dscm, "_dft", counting_dft)
         _demux_all(agg)
-        assert sizes.count(agg.symbols.size) == 1
+        assert calls.count((agg.symbols.size, False)) == 1
+        assert calls.count((9335, True)) == N_SUBCARRIERS
+        assert len(calls) == 1 + N_SUBCARRIERS
 
     def test_symbol_stream_is_frozen(self):
         stream = _qpsk_streams(64, count=1)[0]
@@ -247,6 +252,56 @@ class TestScipyFftMatchesNumpy:
         if size == n:
             assert np.array_equal(scipy.fft.ifft(x).view(np.int64),
                                   np.fft.ifft(x).view(np.int64))
+
+
+# the DSCM lengths and their Cooley-Tukey splits, smooth part first
+_SPLIT_LENGTHS = {74680: (40, 1867), 75192: (24, 3133), 9335: (5, 1867), 9399: (3, 3133)}
+
+
+def _assert_close_dft(x):
+    """``_dft`` forward, inverse and roundtrip against ``numpy.fft``,
+    each within 1e-12 of the largest output magnitude."""
+    for got, want in ((framing._dft(x), np.fft.fft(x)),
+                      (framing._dft(x, inverse=True), np.fft.ifft(x)),
+                      (framing._dft(framing._dft(x), inverse=True), x)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _complex_noise(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestDft:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.integers(64, 20000), st.integers(8, 2500).map(lambda m: 8 * m)))
+    def test_matches_numpy(self, n):
+        _assert_close_dft(_complex_noise(n, n))
+
+    @pytest.mark.parametrize("n", sorted(_SPLIT_LENGTHS))
+    def test_dscm_lengths_split(self, n):
+        assert framing._smooth_split(n) == _SPLIT_LENGTHS[n]
+        _assert_close_dft(_complex_noise(n, n))
+
+    @pytest.mark.parametrize("n", [9335, 75192])
+    def test_stacked_rows_transform_along_the_last_axis(self, n):
+        _assert_close_dft(_complex_noise((3, n), n))
+
+    # smooth lengths (the downstream periodogram, the payload, a power of
+    # two) and primes (the large factors of the frame lengths)
+    @pytest.mark.parametrize("n", [64, 3840, 8640, 1867, 3133])
+    def test_smooth_and_prime_lengths_are_scipy_bit_for_bit(self, n):
+        assert 1 in framing._smooth_split(n)
+        x = _complex_noise(n, n)
+        assert np.array_equal(framing._dft(x).view(np.int64),
+                              scipy.fft.fft(x).view(np.int64))
+        assert np.array_equal(framing._dft(x, inverse=True).view(np.int64),
+                              scipy.fft.ifft(x).view(np.int64))
+
+    def test_empty_input_refused_as_scipy_does(self):
+        with pytest.raises(ValueError):
+            framing._dft(np.zeros(0, dtype=complex))
 
 
 class TestSpectrum:

@@ -342,11 +342,16 @@ class TestSessionExperiments:
         assert result.summary["post_fec_ber"] == 0.0
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 2b: one downstream codeword stays stuck")
-    def test_stuck_codeword_reproduction(self, tmp_path):
-        """The short reproduction of ROADMAP item 2b: superframe 6, onu1,
-        subcarrier 1, second codeword, at the benchmark call size."""
-        spec = ExperimentSpec("e2e-secure", {"n_superframes": 9}, seed=542127515,
+                       reason="ROADMAP item 2: one downstream codeword stays stuck")
+    @pytest.mark.parametrize("seed, n_superframes", [(542127515, 9), (3164560516, 5)],
+                             ids=["case-A", "case-C"])
+    def test_stuck_codeword_reproduction(self, tmp_path, seed, n_superframes):
+        """Short reproductions of ROADMAP item 2, each a stuck codeword on
+        onu1's subcarrier 1 with no cycle slip.  Case A (item 2b) is
+        superframe 6 of the benchmark call size; case C is superframe 4,
+        620 pre-FEC and 48 post-FEC errors, first seen at 9 superframes
+        and reproduced by the first 5."""
+        spec = ExperimentSpec("e2e-secure", {"n_superframes": n_superframes}, seed=seed,
                               out_dir=tmp_path, check=True)
         result = run_experiment(spec)
         assert result.summary["stuck_codewords"] == 0

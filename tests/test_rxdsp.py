@@ -229,7 +229,7 @@ class TestResidualStage:
     @example([0.0, -0.0])
     def test_derotation_is_exp_bit_for_bit(self, values):
         x = np.array(values)
-        assert np.array_equal(rxdsp._derotation(x).view(np.int64),
+        assert np.array_equal(framing._expj(x, -1).view(np.int64),
                               np.exp(-1j * x).view(np.int64))
 
     def test_runs_residual_passes(self):
