@@ -16,8 +16,9 @@ mismatches, rotations against the expected count, desynchronized frames,
 cycle slips, the failed checks, wall time, and the exception if the run
 raised.  The last line printed, and logged, sums the stuck codewords
 over the decoded ones across the seeds, with the Wilson 95% upper bound
-on that rate.  One 509-superframe run takes about two minutes on one
-core.
+on that rate, and the CRC failures and key mismatches of every run, so
+one line shows the key path too.  One 509-superframe run takes about
+two minutes on one core.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def main() -> None:
                         help="output directory (default: soak-out)")
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
-    stuck = codewords = 0
+    stuck = codewords = crc_failures = key_mismatches = 0
     with open(args.out / "soak.jsonl", "a") as log:
         def emit(record: dict) -> None:
             line = json.dumps(record)
@@ -88,10 +89,13 @@ def main() -> None:
                 record = _run(name, params, seed, args.out)
                 stuck += record.get("stuck_codewords", 0)
                 codewords += record.get("codewords", 0)
+                crc_failures += record.get("crc_failures", 0)
+                key_mismatches += record.get("key_mismatches", 0)
                 emit(record)
         emit({"summary": "stuck_codewords", "seeds": args.seeds,
               "stuck_codewords": stuck, "codewords": codewords,
-              "wilson_upper_95": _wilson_interval(stuck, codewords)[1]})
+              "wilson_upper_95": _wilson_interval(stuck, codewords)[1],
+              "crc_failures": crc_failures, "key_mismatches": key_mismatches})
 
 
 if __name__ == "__main__":

@@ -64,14 +64,17 @@ def add_awgn(stream: SymbolStream, snr_db: float, path: tuple[int, ...]) -> Symb
     power, drawn from ``seeds.stream(*path)``."""
     sig = stream.symbols
     noise_var = np.mean(np.abs(sig) ** 2, axis=-1, keepdims=True) * 10.0 ** (-snr_db / 10.0)
-    n = sig.shape[-1]
-    rng = seeds.stream(*path)
+    return SymbolStream(_add_noise(seeds.stream(*path), sig, noise_var), stream.symbol_rate_hz)
+
+
+def _add_noise(rng: np.random.Generator, sig: np.ndarray, noise_var) -> np.ndarray:
+    """``sig`` plus complex noise of variance ``noise_var`` (or one per row), real parts first."""
     scale = np.sqrt(noise_var / 2.0)
     out = np.empty(sig.shape, dtype=complex)
-    np.multiply(rng.normal(size=n), scale, out=out.real)
-    np.multiply(rng.normal(size=n), scale, out=out.imag)
+    np.multiply(rng.normal(size=sig.shape[-1]), scale, out=out.real)
+    np.multiply(rng.normal(size=sig.shape[-1]), scale, out=out.imag)
     out += sig
-    return SymbolStream(out, stream.symbol_rate_hz)
+    return out
 
 
 def apply_channel(stream: SymbolStream, cfg: ChannelConfig,

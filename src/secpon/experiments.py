@@ -44,7 +44,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import __version__, seeds, theory
-from .channel import ChannelConfig, apply_channel
+from .channel import ChannelConfig, _add_noise, apply_channel
 from .crypto import SEQ_BITS
 from .dscm import SUBCARRIER_BAUD, aggregate_snr_db
 from .fec_ldpc import LDPC_K, default_code
@@ -228,7 +228,10 @@ def _optional_number(value: Any, key: str) -> float | None:
 def _numbers(value: Any, key: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{key} must be a nonempty list of numbers")
-    return [_number(v, key) for v in value]
+    xs = [_number(v, key) for v in value]
+    if len(set(xs)) != len(xs):     # a repeated grid point repeats its rows
+        raise ConfigError(f"{key} must not repeat a value, got {list(value)}")
+    return xs
 
 
 def _whole(value: Any, key: str) -> int:
@@ -288,7 +291,7 @@ def _snr_grid(value: Any, key: str) -> list[float]:
             raise ConfigError(f"{key} range must run forward with step > 0")
         # the tolerance keeps the last point of an exact grid
         n = math.floor((stop - start) / step + 1e-9)
-        return [round(start + i * step, 10) for i in range(n + 1)]
+        return _numbers([round(start + i * step, 10) for i in range(n + 1)], key)
     return _numbers(value, key)
 
 
@@ -349,12 +352,6 @@ def _run_theory_curves(spec: ExperimentSpec) -> ExperimentResult:
 # --------------------------------------------------------------------------
 # sweep-a: Monte-Carlo pilot-bit BER against the closed forms
 
-def _awgn(rng: np.random.Generator, tx: np.ndarray, sigma2: float) -> np.ndarray:
-    """``tx`` plus complex Gaussian noise of total variance ``sigma2``."""
-    noise = rng.normal(scale=np.sqrt(sigma2 / 2), size=(2, tx.size))
-    return tx + noise[0] + 1j * noise[1]
-
-
 def _pilot_mc_cell(args: tuple) -> dict[str, Any]:
     master, a, snr_db, n_symbols = args
     params = GcsPilotParams(a=a)
@@ -366,7 +363,7 @@ def _pilot_mc_cell(args: tuple) -> dict[str, Any]:
         n = min(_MC_CHUNK, n_symbols - done)
         first = rng.integers(0, 2, n).astype(np.uint8)
         second = rng.integers(0, 2, n).astype(np.uint8)
-        got1, got2 = demap_pilot(_awgn(rng, map_pilot(first, second, params), sigma2),
+        got1, got2 = demap_pilot(_add_noise(rng, map_pilot(first, second, params), sigma2),
                                  params)
         err1 += int(np.count_nonzero(got1 != first))
         err2 += int(np.count_nonzero(got2 != second))
@@ -575,7 +572,7 @@ def _ldpc_cell(args: tuple) -> dict[str, Any]:
         llrs = np.empty((b, code.n))
         for i in range(b):
             syms = map_payload_16qam(code.encode(info[i]))
-            llrs[i] = payload_llrs_16qam(_awgn(rng, syms, sigma2), sigma2)
+            llrs[i] = payload_llrs_16qam(_add_noise(rng, syms, sigma2), sigma2)
         hard, _, _ = code.decode_batch(llrs)
         diff = hard[:, :LDPC_K] != info
         bit_errors += int(diff.sum())
@@ -603,7 +600,7 @@ def _polar_cell(args: tuple) -> dict[str, Any]:
             coded = KeyCodeword.from_payload(payloads[i], POLAR).coded_bits
             first = rng.integers(0, 2, coded.size).astype(np.uint8)
             tx = map_pilot(first, coded, params)
-            llrs[i] = demap_pilot_llrs(_awgn(rng, tx, sigma2), params, sigma2)
+            llrs[i] = demap_pilot_llrs(_add_noise(rng, tx, sigma2), params)
         got, ok = polar_decode_scl(llrs, POLAR)
         diff = np.where(ok, np.count_nonzero(got != payloads, axis=1), k)
         bit_errors += int(diff.sum())

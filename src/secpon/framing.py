@@ -31,6 +31,10 @@ DOWNSTREAM_TRAINING_SYMBOLS = 480
 PILOT_SPACING = 32          # one pilot heads every 32-symbol block of the body
 LINE_RATE_GBPS = 256.0      # gross aggregate rate clocked through the frame
 LDPC_CODE_RATE = LDPC_K / LDPC_N
+# Total noise power per symbol the pilot LLRs assume: their one reader, the
+# polar list decoder, is homogeneous of degree one in its LLRs (on AWGN at
+# a = 1.7, values from 1e-3 to 0.2 give the same polar block errors).
+_PILOT_NOISE_VAR = 0.05
 
 # Gray labels of four amplitude levels in ascending order: the high bit
 # flips with the sign, the low bit with the magnitude.
@@ -323,14 +327,11 @@ def demap_pilot(symbols: np.ndarray, params: GcsPilotParams
     return first, second
 
 
-def demap_pilot_llrs(symbols: np.ndarray, params: GcsPilotParams,
-                     noise_var: float) -> np.ndarray:
-    """Soft magnitude-bit LLRs from pilot symbols; positive favors bit 0.
-
-    noise_var is the total complex noise power per symbol; the diagonal
-    projection sees a quarter of it.
-    """
-    _, lo = _pam4_llrs(diagonal_projection(symbols), params.amplitudes(), noise_var / 4.0)
+def demap_pilot_llrs(symbols: np.ndarray, params: GcsPilotParams) -> np.ndarray:
+    """Soft magnitude-bit LLRs of pilot symbols at noise power ``_PILOT_NOISE_VAR``,
+    a quarter of it on the diagonal projection; positive favors bit 0."""
+    _, lo = _pam4_llrs(diagonal_projection(symbols), params.amplitudes(),
+                       _PILOT_NOISE_VAR / 4.0)
     return lo
 
 

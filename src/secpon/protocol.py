@@ -19,8 +19,8 @@ bit carries a key or filler bit, 16QAM payload), ``mux`` stacks the
 subcarriers, the channel impairs the aggregate, ``demux_select`` selects
 a subcarrier, and ``receive_subcarrier`` recovers the carrier phase of
 that single-carrier frame from its pilots.  The record it returns
-(``rxdsp.CprResult``) carries the noise variance the pilot and payload
-LLRs are scaled by, estimated once from the recovered payload.
+(``rxdsp.CprResult``) carries the noise variance that scales the
+downstream payload LLRs, estimated once from the recovered payload.
 Upstream, each ONU's burst passes its own laser before the bursts sum
 at the OLT under one noise loading.  The eavesdropper is the same
 receiver on a tapped channel with a made-up key; its post-decryption
@@ -358,9 +358,8 @@ def _upstream_frame(sessions, cfg, f, seed, loss_probability,
             pre_errors = int(np.count_nonzero(demap_payload_16qam(got.payload) != tx[sc]))
             metrics.append(FrameMetrics(f, "us", session.onu_id, sc, tx[sc].size,
                                         pre_errors, 0, 0, got.cycle_slips))
-        llrs.append(np.concatenate([
-            demap_pilot_llrs(received[sc].pilots, PILOT, received[sc].noise_var)
-            for sc in session.key_subcarriers])[:POLAR.block_length])
+        pilots = np.concatenate([received[sc].pilots for sc in session.key_subcarriers])
+        llrs.append(demap_pilot_llrs(pilots[:POLAR.block_length], PILOT))
     lost = [bool(loss_probability) and seeds.stream(
                 seed, seeds.LOSS, f, seeds.label(s.onu_id)).random() < loss_probability
             for s in sessions]

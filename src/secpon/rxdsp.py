@@ -22,9 +22,9 @@ bit and faster at small angles.
 
 ``recover_carrier_phase`` returns one record per frame, ``CprResult``:
 the corrected payload and pilots, the cycle slips and the
-decision-directed noise variance that scales both LLR demappers.  The
+decision-directed noise variance that scales the payload LLRs.  The
 noise estimate costs one more slicer pass, so it is computed on first
-read and kept; ``cpr-penalty`` counts hard decisions and never reads it.
+read and kept; ``cpr-penalty`` and the key path never read it.
 
 Both sliding means are fixed-order numpy sums over a zero-padded copy,
 with no BLAS dot product, so they give the same bits on every host.
@@ -173,7 +173,7 @@ def residual_cpr(payload: np.ndarray) -> np.ndarray:
 class CprResult:
     """What the receiver recovers from one frame: the corrected payload
     and pilots, the cycle slips, and, on first read, the noise estimate
-    both soft demappers scale their LLRs by."""
+    the payload LLRs are scaled by."""
 
     payload: np.ndarray
     pilots: np.ndarray

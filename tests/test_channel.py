@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from secpon import seeds
+from secpon import channel, seeds
 from secpon.channel import ChannelConfig, apply_channel, phase_noise_walk
 from secpon.framing import SymbolStream
 
@@ -96,6 +96,19 @@ class TestMatchesOldExpressions:
             got = apply_channel(SymbolStream(x, rate), cfg, (5, 2)).symbols
             want = _old_channel(SymbolStream(x, rate), cfg, (5, 2))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [1, 7, 100_000])
+    @pytest.mark.parametrize("sigma2", [10 ** -1.23434, 0.05, 2.0])
+    def test_noise_kernel_is_the_old_cell_noise(self, n, sigma2):
+        """The shared noise kernel gives the bits of the expression the
+        sweep-a, LDPC and polar cells used to add their noise with."""
+        tx = np.random.default_rng(n).standard_normal(n) * (1 + 1j)
+        old_rng, new_rng = seeds.stream(9, n), seeds.stream(9, n)
+        noise = old_rng.normal(scale=np.sqrt(sigma2 / 2), size=(2, tx.size))
+        want = tx + noise[0] + 1j * noise[1]
+        got = channel._add_noise(new_rng, tx, sigma2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert old_rng.random() == new_rng.random()     # the same number of draws
 
 
 class TestPhaseNoise:

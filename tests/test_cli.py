@@ -97,6 +97,13 @@ def test_unreadable_config_exits_2(tmp_path):
     ("keydist", {"linewidth_hz": -1}, "linewidth_hz"),
     ("cpr-penalty", {"linewidths_hz": [-1e5]}, "linewidths_hz"),
     ("e2e-secure", {"linewidth_hz": -1}, "linewidth_hz"),
+    # a repeated grid value would repeat its rows and fail the checks
+    ("sweep-a", {"a_values": [1.0, 1.0, 2.0], "snr_db": [8.0]}, "a_values"),
+    ("sweep-a", {"snr_db": [8.0, 8.0]}, "snr_db"),
+    ("cpr-penalty", {"linewidths_hz": [1e5, 100000]}, "linewidths_hz"),
+    ("cpr-penalty", {"scan_snrs_db": [12.2, 12.5, 12.2]}, "scan_snrs_db"),
+    # a range finer than the 10-decimal rounding of its points
+    ("theory-curves", {"snr_db": {"start": 0, "stop": 1e-10, "step": 1e-11}}, "snr_db"),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, experiment, params, key):
     cfg = tmp_path / "cfg.json"

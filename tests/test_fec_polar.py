@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secpon import fec_polar as fp
-from secpon import framing, theory
+from secpon import channel, dscm, framing, protocol, theory
 
 
 def crc_by_long_division(bits, poly):
@@ -412,7 +412,70 @@ def _pilot_channel_llrs(rng, payloads, snr_db, a=1.7):
     sym = framing.map_pilot(first.ravel(), coded.ravel(), params).reshape(coded.shape)
     noise = (rng.standard_normal(sym.shape) + 1j * rng.standard_normal(sym.shape)) \
         * np.sqrt(nvar / 2)
-    return framing.demap_pilot_llrs((sym + noise).ravel(), params, nvar).reshape(coded.shape)
+    return framing.demap_pilot_llrs((sym + noise).ravel(), params).reshape(coded.shape)
+
+
+def _chain_pilot_llrs(n_blocks, snr_db, seed):
+    """Pilot LLRs of ``n_blocks`` key codewords, each spread over the
+    pilots of two upstream frames, as over an ONU's two key subcarriers,
+    through the real single-carrier chain: frame, 100 kHz laser and AWGN,
+    carrier recovery, pilot demapper."""
+    layout = framing.upstream_layout()
+    n = layout.n_pilots
+    cfg = channel.ChannelConfig(snr_db=snr_db, linewidth_hz=1e5)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for block in range(n_blocks):
+        pay = rng.integers(0, 2, fp.POLAR.payload_capacity).astype(np.uint8)
+        second = np.zeros(2 * n, dtype=np.uint8)
+        second[:fp.POLAR.block_length] = fp.KeyCodeword.from_payload(pay).coded_bits
+        llrs = []
+        for half in range(2):
+            signs = rng.integers(0, 2, n).astype(np.uint8)
+            payload = rng.integers(0, 2, 4 * layout.payload_len).astype(np.uint8)
+            frame = protocol.transmit_subcarrier(signs, second[half * n:(half + 1) * n],
+                                                 payload, (seed, block, half), layout,
+                                                 protocol.PILOT)
+            rx = channel.apply_channel(framing.SymbolStream(frame, dscm.SUBCARRIER_BAUD),
+                                       cfg, (seed, block, half))
+            got = protocol.receive_subcarrier(rx.symbols, signs, layout)
+            llrs.append(framing.demap_pilot_llrs(got.pilots, protocol.PILOT))
+        rows.append(np.concatenate(llrs)[:fp.POLAR.block_length])
+    return np.stack(rows)
+
+
+@pytest.fixture(scope="module")
+def chain_llrs():
+    return _chain_pilot_llrs(12, 9.5, seed=21)
+
+
+def _assert_scale_blind(llr, c, code=fp.POLAR):
+    """Decode ``llr`` and ``c * llr``, require equal outputs, and return
+    the CRC flags."""
+    dec, ok = fp.polar_decode_scl(llr, code)
+    dec_c, ok_c = fp.polar_decode_scl(c * llr, code)
+    assert np.array_equal(dec_c, dec) and np.array_equal(ok_c, ok)
+    return ok
+
+
+class TestScaleInvariance:
+    """The list decoder is homogeneous of degree one in its LLRs (min-sum
+    f, linear g, |alpha| path metrics), so a global LLR scale, such as a
+    noise estimate, changes no decision.  That is why the pilot LLRs take
+    no noise variance.  A power-of-two scale is exact in floating point,
+    so payloads and CRC flags must match bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_decoder_inputs(), st.sampled_from([1.0, 16.0]), st.sampled_from([0.25, 4.0]))
+    def test_random_batches(self, case, magnitude, c):
+        # magnitude 16 puts many LLRs past +-20, where a saturating decoder clips
+        llr, code = case
+        _assert_scale_blind(magnitude * llr, c, code)
+
+    @pytest.mark.parametrize("c", [0.25, 4.0])
+    def test_real_chain_pilot_llrs(self, chain_llrs, c):
+        ok = _assert_scale_blind(chain_llrs, c)
+        assert ok.any() and not ok.all()    # blocks on both sides of the waterfall
 
 
 class TestKeyChannelPerformance:

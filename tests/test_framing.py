@@ -83,8 +83,6 @@ class TestQam16Mapping:
         for noise_var in (0.0, -1.0):
             with pytest.raises(ValueError, match="must be positive"):
                 payload_llrs_16qam(y, noise_var)
-            with pytest.raises(ValueError, match="must be positive"):
-                demap_pilot_llrs(y, GcsPilotParams(), noise_var)
 
 
 _AXIS_BOUNDS = np.array([-2.0, 0.0, 2.0]) * framing._QAM16_SCALE
@@ -222,7 +220,7 @@ _NOISE_VAR = st.one_of(st.floats(1e-12, 10.0),
 class TestPayloadLlrsMatchLevelReduce:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(_LLR_AXIS_VALUE, _LLR_AXIS_VALUE), min_size=1, max_size=32),
-           _NOISE_VAR, st.sampled_from(["complex", "strided"]))
+           _NOISE_VAR, st.sampled_from(["complex", "strided", "real"]))
     def test_bit_identical(self, pairs, noise_var, form):
         re, im = (np.array(axis) for axis in zip(*pairs))
         y = _received(re, im, form)
@@ -247,8 +245,8 @@ class TestPilotLlrsMatchLevelReduce:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(_LLR_AXIS_VALUE, _LLR_AXIS_VALUE), min_size=1, max_size=32),
            st.one_of(st.floats(0.0, 3.0, exclude_min=True), st.sampled_from([1.0, 1.7, 3.0])),
-           _NOISE_VAR, st.sampled_from(["complex", "strided"]))
-    def test_bit_identical(self, pairs, a, noise_var, form):
+           st.sampled_from(["complex", "strided"]))
+    def test_bit_identical(self, pairs, a, form):
         params = GcsPilotParams(a=a)
         # the drawn values, then every pilot point and decision threshold
         marks = np.concatenate([params.amplitudes(),
@@ -256,8 +254,8 @@ class TestPilotLlrsMatchLevelReduce:
                                 * params.d])
         re, im = (np.concatenate([axis, marks]) for axis in zip(*pairs))
         y = _received(re, im, form)
-        got = demap_pilot_llrs(y, params, noise_var)
-        ref = _ref_pilot_llrs(y, params, noise_var)
+        got = demap_pilot_llrs(y, params)
+        ref = _ref_pilot_llrs(y, params, framing._PILOT_NOISE_VAR)
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
@@ -331,7 +329,7 @@ class TestPilotConstellation:
         y = map_pilot(rng.integers(0, 2, 3000).astype(np.uint8),
                       rng.integers(0, 2, 3000).astype(np.uint8), p)
         y = y + (rng.normal(size=3000) + 1j * rng.normal(size=3000)) * np.sqrt(noise_var / 2)
-        llr = demap_pilot_llrs(y, p, noise_var)
+        llr = demap_pilot_llrs(y, p)
         _, hard = demap_pilot(y, p)
         agree = np.mean((llr < 0).astype(np.uint8) == hard)
         assert agree > 0.995  # soft and hard rules share the midpoint threshold

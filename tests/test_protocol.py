@@ -4,10 +4,11 @@ allocation, and the no-desync property under control-channel loss."""
 import numpy as np
 import pytest
 
-from secpon import protocol, theory
+from secpon import protocol, rxdsp, theory
 from secpon.channel import ChannelConfig
 from secpon.crypto import KeyFragmentMessage, KeyStore, SessionKey, split_key
 from secpon.dscm import SAMPLES_PER_SYMBOL, SUBCARRIER_BAUD, aggregate_snr_db, demux_select, mux
+from secpon.experiments import ExperimentSpec, run_experiment
 from secpon.fec_ldpc import LdpcCode
 from secpon.framing import SymbolStream
 from secpon.protocol import (
@@ -157,6 +158,28 @@ class TestUpstreamKeydist:
         sessions = make_sessions(allocate_tfdma(["onu1"]), seed=5)
         with pytest.raises(AssertionError, match="transmitted"):
             run_secure_session(sessions, ChannelConfig(), None, 1, seed=5)
+
+
+class TestKeyPathReadsNoNoiseEstimate:
+    """The pilot LLRs take no noise variance, since the polar list
+    decoder is blind to their scale: no reception on the key path may
+    read ``CprResult.noise_var``."""
+
+    @pytest.fixture(autouse=True)
+    def _unreadable_noise_estimate(self, monkeypatch):
+        def read(record):
+            raise AssertionError("the key path read CprResult.noise_var")
+        monkeypatch.setattr(rxdsp.CprResult, "noise_var", property(read))
+
+    def test_upstream_session(self):
+        cfg = ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5)
+        rep = run_secure_session(_two_onus(), cfg, None, 2, seed=5)
+        assert rep.keys_assembled == 2
+
+    def test_keydist_experiment(self, tmp_path):
+        result = run_experiment(ExperimentSpec("keydist", {"n_frames": 2}, seed=3,
+                                               out_dir=tmp_path))
+        assert len(result.rows) == 2 * 4     # every subcarrier of both frames
 
 
 class TestFragmentIntake:
