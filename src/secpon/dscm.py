@@ -28,9 +28,10 @@ algorithm and the downstream one through a radix-241 pass over the whole
 burst.  ``_dft`` splits each length into its {2,3,5,7,11}-smooth part n1
 and the rest n2 (Cooley-Tukey): n2 batched n1-point transforms, one
 multiply by a cached twiddle table and n1 batched n2-point transforms.
-That is about twice as fast on an aggregate and agrees with ``numpy.fft``
-to about 1e-15 relative; smooth and prime lengths go to ``scipy.fft``
-unchanged.
+That is about twice as fast on an aggregate and agrees with an unsplit
+transform to about 1e-15 relative; smooth and prime lengths go to
+``numpy.fft`` unchanged.  numpy and scipy share pocketfft, so the bits
+are those ``scipy.fft`` gives, and importing this module loads no scipy.
 
 Shaping on the spectrum rather than with a truncated filter keeps the
 transmit/receive cascade Nyquist to machine precision, so a noiseless

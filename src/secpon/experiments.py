@@ -36,7 +36,6 @@ import math
 import numbers
 import subprocess
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -84,6 +83,7 @@ EXPERIMENT_NAMES = (
 LOW_CONFIDENCE_ERRORS = 100
 CPR_PENALTY_BOUND_DB = 0.15     # criterion 3: a=1.7 at most, a=1.0 at least, at 100 kHz
 AGREEMENT_BAND = (0.49, 0.51)   # criterion 6: the eavesdropper's bit agreement
+MAX_GRID_POINTS = 10_000       # longest {start, stop, step} SNR range
 _MC_CHUNK = 1_000_000
 _POLAR_CHUNK = 100      # blocks per list-decoder call, about 8 MiB of decoder state at peak
 # Without losses each ONU draws key s in frame 2(s - 1), so keydist runs
@@ -148,14 +148,6 @@ def _cell_path(master: int, desc: str) -> tuple[int, ...]:
     """The stream path of a cell's draws, tied to the cell parameters
     written in ``desc``, not to the grid layout."""
     return (master, seeds.CELL, seeds.label(desc))
-
-
-@functools.cache
-def _op_snr_db() -> float:
-    """The per-subcarrier SNR at the SD-FEC limit, to 4 decimals: the
-    default operating point.  Computed on first use, since the root
-    search imports ``scipy.optimize``."""
-    return round(theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT), 4)
 
 
 def _wilson_interval(errors: int, n: int) -> tuple[float, float]:
@@ -225,9 +217,10 @@ def _optional_number(value: Any, key: str) -> float | None:
     return None if value is None else _number(value, key)
 
 
-def _numbers(value: Any, key: str) -> list[float]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{key} must be a nonempty list of numbers")
+def _numbers(value: Any, key: str, minimum: int = 1) -> list[float]:
+    if not isinstance(value, (list, tuple)) or len(value) < minimum:
+        raise ConfigError(f"{key} must be a {'nonempty ' if minimum else ''}"
+                          "list of numbers")
     xs = [_number(v, key) for v in value]
     if len(set(xs)) != len(xs):     # a repeated grid point repeats its rows
         raise ConfigError(f"{key} must not repeat a value, got {list(value)}")
@@ -289,9 +282,13 @@ def _snr_grid(value: Any, key: str) -> list[float]:
         start, stop, step = (_number(value[k], key) for k in ("start", "stop", "step"))
         if step <= 0 or stop < start:
             raise ConfigError(f"{key} range must run forward with step > 0")
-        # the tolerance keeps the last point of an exact grid
-        n = math.floor((stop - start) / step + 1e-9)
-        return _numbers([round(start + i * step, 10) for i in range(n + 1)], key)
+        # the tolerance keeps the last point of an exact grid; the range has
+        # floor(span) + 1 points, checked before any of them is built
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_GRID_POINTS:
+            raise ConfigError(f"{key} must be a range of at most {MAX_GRID_POINTS} points")
+        return _numbers([round(start + i * step, 10) for i in range(math.floor(span) + 1)],
+                        key)
     return _numbers(value, key)
 
 
@@ -311,6 +308,7 @@ def _probability(value: Any, key: str) -> float:
 
 def _map_cells(fn: Callable, cells: Sequence, jobs: int) -> list:
     if jobs > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             return list(pool.map(fn, cells))
     return [fn(c) for c in cells]
@@ -612,18 +610,23 @@ def _polar_cell(args: tuple) -> dict[str, Any]:
 
 
 def _run_fec_waterfall(spec: ExperimentSpec) -> ExperimentResult:
-    op = _op_snr_db()
+    op = theory.OP_SNR_DB
+    # either code's list may be empty, to run the other code alone
+    any_numbers = functools.partial(_numbers, minimum=0)
     p = _params(spec, {
-        "ldpc_snrs_db": ([11.0, 11.3, 11.6, 11.9, op], _numbers),
-        "polar_snrs_db": ([10.0, 11.0, op], _numbers),
+        "ldpc_snrs_db": ([11.0, 11.3, 11.6, 11.9, op], any_numbers),
+        "polar_snrs_db": ([10.0, 11.0, op], any_numbers),
         "n_codewords_ldpc": (100, _count),
         "n_codewords_polar": (1000, _count),
         "a": (1.7, _pilot_shape),
         "op_snr_db": (op, _number),
     })
     op_snr = p["op_snr_db"]
+    if not p["ldpc_snrs_db"] and not p["polar_snrs_db"]:
+        raise ConfigError("ldpc_snrs_db and polar_snrs_db must not both be empty")
 
-    default_code()      # build once before forking workers
+    if p["ldpc_snrs_db"]:
+        default_code()      # build once before forking workers
     cells = [("ldpc", (spec.seed, snr, p["n_codewords_ldpc"])) for snr in p["ldpc_snrs_db"]]
     cells += [("polar", (spec.seed, p["a"], snr, p["n_codewords_polar"]))
               for snr in p["polar_snrs_db"]]
@@ -738,7 +741,7 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
     p = _params(spec, {
         **_SESSION_PARAMS,
         "n_frames": (20, _run_length(MAX_KEYDIST_FRAMES)),
-        "snr_sc_db": (_op_snr_db(), _optional_number),
+        "snr_sc_db": (theory.OP_SNR_DB, _optional_number),
     })
     sessions = _sessions(p["onu_ids"], spec.seed)
     n_frames = p["n_frames"]
@@ -753,7 +756,7 @@ def _run_keydist(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def _run_e2e_secure(spec: ExperimentSpec) -> ExperimentResult:
-    op = _op_snr_db()
+    op = theory.OP_SNR_DB
     p = _params(spec, {
         **_SESSION_PARAMS,
         "n_superframes": (4, _run_length(MAX_E2E_SUPERFRAMES)),

@@ -20,7 +20,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import seeds
 from .fec_ldpc import LDPC_K, LDPC_N
@@ -176,7 +175,7 @@ def _twiddles(n1: int, n2: int, inverse: bool) -> np.ndarray:
 
 
 def _dft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """``scipy.fft.fft`` (or ``ifft``) along the last axis, with a length
+    """``numpy.fft.fft`` (or ``ifft``) along the last axis, with a length
     that has a large prime factor split in two.
 
     pocketfft runs a whole burst through Bluestein's algorithm (74 680 =
@@ -185,16 +184,17 @@ def _dft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     takes n2 batched n1-point transforms, one twiddle multiply and n1
     batched n2-point transforms: the same transform to ~1e-15 relative,
     about twice as fast at the aggregate lengths.  Lengths that are smooth
-    or prime go to scipy unchanged, bit for bit.
+    or prime go to numpy unchanged.  numpy and scipy share pocketfft, and
+    ``scipy.fft`` gives the same bits on every transform this takes.
     """
-    transform = scipy.fft.ifft if inverse else scipy.fft.fft
+    transform = np.fft.ifft if inverse else np.fft.fft
     n1, n2 = _smooth_split(x.shape[-1])
     if n1 == 1 or n2 == 1:
         return transform(x)
     # x[..., a*n2 + b] -> X[..., k1 + n1*k2]
     y = transform(x.reshape(*x.shape[:-1], n1, n2), axis=-2)
     y *= _twiddles(n1, n2, inverse)
-    y = transform(y, axis=-1, overwrite_x=True)
+    y = transform(y, axis=-1)
     return y.swapaxes(-1, -2).reshape(x.shape)
 
 

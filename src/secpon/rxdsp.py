@@ -43,7 +43,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .framing import FrameLayout, _expj, hard_decision_16qam
 
@@ -222,7 +221,7 @@ def estimate_frequency_offset(rx_training: np.ndarray, known_training: np.ndarra
         raise ValueError("training and reference lengths differ")
     z = rx_training * np.conj(known_training)
     n = z.size * FREQ_PAD_FACTOR
-    spec = np.abs(scipy.fft.fft(z, n=n)) ** 2
+    spec = np.abs(np.fft.fft(z, n=n)) ** 2
     k = int(np.argmax(spec))
     # three-point parabolic refinement around the peak (log domain)
     km, kp = (k - 1) % n, (k + 1) % n

@@ -29,7 +29,7 @@ from secpon.protocol import (
 
 pytestmark = pytest.mark.acceptance
 
-OP_SNR = round(theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT), 4)
+OP_SNR = theory.OP_SNR_DB
 GRID_JOBS = min(os.cpu_count() or 1, 4)
 
 

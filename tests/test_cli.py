@@ -104,6 +104,9 @@ def test_unreadable_config_exits_2(tmp_path):
     ("cpr-penalty", {"scan_snrs_db": [12.2, 12.5, 12.2]}, "scan_snrs_db"),
     # a range finer than the 10-decimal rounding of its points
     ("theory-curves", {"snr_db": {"start": 0, "stop": 1e-10, "step": 1e-11}}, "snr_db"),
+    # 10**12 points, and a span that overflows to inf, refused before any is built
+    ("theory-curves", {"snr_db": {"start": 0, "stop": 1, "step": 1e-12}}, "snr_db"),
+    ("theory-curves", {"snr_db": {"start": 0, "stop": 1, "step": 1e-320}}, "snr_db"),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, experiment, params, key):
     cfg = tmp_path / "cfg.json"

@@ -236,26 +236,62 @@ _TRANSFORM_LENGTHS += [(lay.training_len, lay.training_len * rxdsp.FREQ_PAD_FACT
                        for lay in _LAYOUTS]
 
 
+# the DSCM lengths and their Cooley-Tukey splits, smooth part first
+_SPLIT_LENGTHS = {74680: (40, 1867), 75192: (24, 3133), 9335: (5, 1867), 9399: (3, 3133)}
+
+
+def _scipy_dft(x, inverse=False):
+    """``framing._dft`` as it ran on ``scipy.fft``, with which the pinned
+    CSV digests were last written."""
+    transform = scipy.fft.ifft if inverse else scipy.fft.fft
+    n1, n2 = framing._smooth_split(x.shape[-1])
+    if n1 == 1 or n2 == 1:
+        return transform(x)
+    y = transform(x.reshape(*x.shape[:-1], n1, n2), axis=-2)
+    y *= framing._twiddles(n1, n2, inverse)
+    y = transform(y, axis=-1, overwrite_x=True)
+    return y.swapaxes(-1, -2).reshape(x.shape)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestScipyFftMatchesNumpy:
-    """The pinned CSV digests were written with ``numpy.fft``; ``scipy.fft``
-    must give the same bits on the complex arrays the experiments
-    transform, at every length they use."""
+    """The DSCM transforms run on ``numpy.fft``, and the pinned CSV digests
+    were last written with ``scipy.fft``: both must give the same bits on
+    the complex arrays the experiments transform, at every length and
+    shape they use."""
 
     @pytest.mark.parametrize("size, n", _TRANSFORM_LENGTHS,
                              ids=[str(n) if size == n else f"{size}-padded-to-{n}"
                                   for size, n in _TRANSFORM_LENGTHS])
     def test_bit_identical(self, size, n):
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        got = scipy.fft.fft(x, n=n)
-        assert np.array_equal(got.view(np.int64), np.fft.fft(x, n=n).view(np.int64))
+        """``_dft`` at the frame and aggregate lengths; the zero-padded
+        periodogram transform of ``rxdsp.estimate_frequency_offset``."""
+        x = _complex_noise(size, n)
         if size == n:
-            assert np.array_equal(scipy.fft.ifft(x).view(np.int64),
-                                  np.fft.ifft(x).view(np.int64))
+            for inverse in (False, True):
+                _assert_same_bits(framing._dft(x, inverse), _scipy_dft(x, inverse))
+        else:
+            _assert_same_bits(np.fft.fft(x, n=n), scipy.fft.fft(x, n=n))
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("shape", sorted(_SPLIT_LENGTHS.values()),
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_split_shapes_bit_identical(self, shape, axis):
+        """The batched transforms inside ``_dft``, along both axes."""
+        x = _complex_noise(shape, shape[0] * shape[1] + axis)
+        _assert_same_bits(np.fft.fft(x, axis=axis), scipy.fft.fft(x, axis=axis))
+        _assert_same_bits(np.fft.ifft(x, axis=axis), scipy.fft.ifft(x, axis=axis))
 
-# the DSCM lengths and their Cooley-Tukey splits, smooth part first
-_SPLIT_LENGTHS = {74680: (40, 1867), 75192: (24, 3133), 9335: (5, 1867), 9399: (3, 3133)}
+    @pytest.mark.parametrize("rows", [3, 4])
+    @pytest.mark.parametrize("n", sorted(_SPLIT_LENGTHS))
+    def test_stacked_rows_bit_identical(self, n, rows):
+        x = _complex_noise((rows, n), n + rows)
+        for inverse in (False, True):
+            _assert_same_bits(framing._dft(x, inverse), _scipy_dft(x, inverse))
 
 
 def _assert_close_dft(x):
@@ -291,15 +327,13 @@ class TestDft:
     # smooth lengths (the downstream periodogram, the payload, a power of
     # two) and primes (the large factors of the frame lengths)
     @pytest.mark.parametrize("n", [64, 3840, 8640, 1867, 3133])
-    def test_smooth_and_prime_lengths_are_scipy_bit_for_bit(self, n):
+    def test_smooth_and_prime_lengths_go_to_numpy_unchanged(self, n):
         assert 1 in framing._smooth_split(n)
         x = _complex_noise(n, n)
-        assert np.array_equal(framing._dft(x).view(np.int64),
-                              scipy.fft.fft(x).view(np.int64))
-        assert np.array_equal(framing._dft(x, inverse=True).view(np.int64),
-                              scipy.fft.ifft(x).view(np.int64))
+        _assert_same_bits(framing._dft(x), np.fft.fft(x))
+        _assert_same_bits(framing._dft(x, inverse=True), np.fft.ifft(x))
 
-    def test_empty_input_refused_as_scipy_does(self):
+    def test_empty_input_refused_as_numpy_does(self):
         with pytest.raises(ValueError):
             framing._dft(np.zeros(0, dtype=complex))
 

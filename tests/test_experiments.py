@@ -53,6 +53,13 @@ class TestSpecValidation:
                                      "snr_db")
         assert grid == want
 
+    def test_snr_range_ceiling_is_inclusive(self):
+        top = experiments.MAX_GRID_POINTS
+        grid = experiments._snr_grid({"start": 1, "stop": top, "step": 1}, "snr_db")
+        assert len(grid) == top
+        with pytest.raises(ConfigError, match="range"):
+            experiments._snr_grid({"start": 0, "stop": top, "step": 1}, "snr_db")
+
     def test_bad_a_rejected(self, tmp_path):
         spec = ExperimentSpec("theory-curves", {"a_values": [0.0]},
                               out_dir=tmp_path)
@@ -237,7 +244,7 @@ class TestCprPenalty:
 
 class TestFecWaterfall:
     def test_operating_point_cells_clean(self, tmp_path):
-        op = round(theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT), 4)
+        op = theory.OP_SNR_DB
         spec = ExperimentSpec("fec-waterfall",
                               {"ldpc_snrs_db": [op], "polar_snrs_db": [op],
                                "n_codewords_ldpc": 12, "n_codewords_polar": 40,
@@ -258,14 +265,43 @@ class TestFecWaterfall:
 
         decode = experiments.polar_decode_scl
         monkeypatch.setattr(experiments, "polar_decode_scl", counting_decode)
-        op = round(theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT), 4)
+        op = theory.OP_SNR_DB
         row = experiments._polar_cell((5, 1.7, op, n_blocks))
         assert len(batches) == calls == -(-n_blocks // 100)
         assert sum(batches) == row["n_codewords"] == n_blocks
         assert max(batches) <= 100
 
+    def test_polar_only_builds_no_ldpc_code(self, tmp_path, monkeypatch):
+        def no_ldpc():
+            raise AssertionError("LDPC code built with no LDPC cell")
+
+        monkeypatch.setattr(experiments, "default_code", no_ldpc)
+        op = theory.OP_SNR_DB
+        result = run_experiment(ExperimentSpec(
+            "fec-waterfall", {"ldpc_snrs_db": [], "polar_snrs_db": [op],
+                              "n_codewords_polar": 5},
+            seed=5, out_dir=tmp_path, check=True))
+        assert [(r["code"], r["snr_db"]) for r in result.rows] == [("polar", op)]
+        assert any("no LDPC cell" in f for f in result.check_failures)
+
+    def test_ldpc_only(self, tmp_path):
+        op = theory.OP_SNR_DB
+        result = run_experiment(ExperimentSpec(
+            "fec-waterfall", {"ldpc_snrs_db": [op], "polar_snrs_db": [],
+                              "n_codewords_ldpc": 2},
+            seed=5, out_dir=tmp_path, check=True))
+        assert [(r["code"], r["snr_db"]) for r in result.rows] == [("ldpc", op)]
+        assert any("no polar cell" in f for f in result.check_failures)
+
+    def test_both_codes_empty_rejected(self, tmp_path):
+        spec = ExperimentSpec("fec-waterfall", {"ldpc_snrs_db": [], "polar_snrs_db": []},
+                              out_dir=tmp_path)
+        with pytest.raises(ConfigError, match="both be empty"):
+            run_experiment(spec)
+        assert not (tmp_path / "fec-waterfall.csv").exists()
+
     def test_check_demands_codeword_counts(self, tmp_path):
-        op = round(theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT), 4)
+        op = theory.OP_SNR_DB
         spec = ExperimentSpec("fec-waterfall",
                               {"ldpc_snrs_db": [op], "polar_snrs_db": [op],
                                "n_codewords_ldpc": 5, "n_codewords_polar": 5,
@@ -426,3 +462,39 @@ def test_fixed_seed_csv_bytes_do_not_depend_on_simd_target(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [digest for _, _, digest in _FIXED_SEED_CSV_SHA256]
+
+
+_NO_SCIPY_CHILD = """
+import sys
+from pathlib import Path
+import secpon.cli
+from secpon.experiments import ExperimentSpec, run_experiment
+from secpon.fec_ldpc import default_code
+from secpon.fec_polar import PolarCode
+default_code()
+PolarCode()
+runs = [
+    ("fec-waterfall", {"ldpc_snrs_db": [12.3434], "polar_snrs_db": [12.3434],
+                       "n_codewords_ldpc": 1, "n_codewords_polar": 1}),
+    ("keydist", {"n_frames": 1}),
+    ("e2e-secure", {"n_superframes": 1}),
+    ("cpr-penalty", {"a_values": [1.7], "linewidths_hz": [1e5], "n_symbols": 30000,
+                     "scan_snrs_db": [12.2, 13.0, 13.8]}),
+]
+for name, params in runs:
+    run_experiment(ExperimentSpec(name, params, seed=901,
+                                  out_dir=Path(sys.argv[1]) / name, check=True))
+print(" ".join(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_experiments_run_without_scipy(tmp_path):
+    """A fresh interpreter that imports the experiments, builds both codes
+    and runs a small fec-waterfall, keydist, e2e-secure and cpr-penalty
+    loads no scipy module: only the closed-form curves need ``erfc``."""
+    src = Path(secpon.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

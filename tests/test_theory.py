@@ -104,6 +104,11 @@ class TestQam16Reference:
         assert theory.ber_16qam(snr) == pytest.approx(theory.SD_FEC_LIMIT, rel=1e-9)
         assert 12.0 < snr < 12.7
 
+    def test_pinned_operating_snr_is_the_sd_fec_crossing(self):
+        """OP_SNR_DB is pinned so that no run imports the root search; the
+        search (``brentq``) still gives it to 4 decimals."""
+        assert theory.OP_SNR_DB == round(theory.snr_at_ber_16qam(theory.SD_FEC_LIMIT), 4)
+
     def test_rejects_silly_target(self):
         with pytest.raises(ValueError):
             theory.snr_at_ber_16qam(0.7)
