@@ -22,9 +22,10 @@ that single-carrier frame from its pilots.  The record it returns
 (``rxdsp.CprResult``) carries the noise variance that scales the
 downstream payload LLRs, estimated once from the recovered payload.
 Upstream, each ONU's burst passes its own laser before the bursts sum
-at the OLT under one noise loading.  The eavesdropper is the same
-receiver on a tapped channel with a made-up key; its post-decryption
-bit agreement is the security figure the reports carry.
+at the OLT under one noise loading.  Downstream, each tap is one receive
+step: a channel draw, every ONU received, one LDPC call.  The
+eavesdropper's tap decrypts with a made-up key and reads no session
+state; its bit agreement is the security figure the reports carry.
 
 Key lifecycle.  Each ONU draws its own 256-bit session key and sends it
 upstream as two CRC-protected fragments riding the magnitude bits of the
@@ -230,12 +231,13 @@ class SessionReport:
         return 1.0 - self.eavesdropper_errors / self.eavesdropper_bits
 
     def validate(self) -> None:
-        """Every transmitted bit must have been compared exactly once."""
+        """Every sent bit compared exactly once, data bits also at any eavesdropper."""
         pre = sum(m.pre_bits for m in self.frame_metrics)
         post = sum(m.post_bits for m in self.frame_metrics)
-        if pre != self.pre_bits_transmitted or post != self.post_bits_transmitted:
+        if pre != self.pre_bits_transmitted or post != self.post_bits_transmitted \
+                or self.eavesdropper_bits not in (0, self.post_bits_transmitted):
             raise AssertionError(
-                f"compared {pre}/{post} bits but transmitted "
+                f"compared {pre}/{post}/{self.eavesdropper_bits} bits but transmitted "
                 f"{self.pre_bits_transmitted}/{self.post_bits_transmitted}")
 
 
@@ -414,80 +416,78 @@ def _ideal_ack_activation(session: OnuSession, boundary: int,
     report.rotations += 1
 
 
+def _receive_tap(clean: SymbolStream, sessions: list[OnuSession], cfg: ChannelConfig,
+                 path: tuple[int, ...]) -> tuple[list[dict], np.ndarray, np.ndarray]:
+    """One downstream tap: a channel draw from ``path`` = (seed, tap, frame),
+    each session's reception records, then one LDPC call's information rows
+    and convergence flags in session, subcarrier, codeword order."""
+    seed, _, frame = path
+    rx = apply_channel(clean, cfg, path)
+    received = [_receive_onu(rx, s, DOWNSTREAM, seed, frame, cfg) for s in sessions]
+    llrs = [payload_llrs_16qam(got.payload, got.noise_var)
+            for by_sc in received for got in by_sc.values()]
+    hard, _, converged = default_code().decode_batch(np.concatenate(llrs).reshape(-1, LDPC_N))
+    return received, hard[:, :LDPC_K], converged
+
+
 def _downstream_frame(sessions, cfg, f, seed, eavesdropper, report) -> None:
     """One broadcast frame: encrypt, LDPC-encode and send every ONU's
-    codewords, then receive them at each ONU with its own keys and, with
-    ``eavesdropper``, again on a tapped copy with a made-up key."""
+    codewords, then account for them at each ONU with its own keys and,
+    with ``eavesdropper``, on a tapped copy with a made-up key."""
     ldpc = default_code()
-    n = DOWNSTREAM.n_pilots
+    n, k = DOWNSTREAM.n_pilots, CODEWORDS_PER_SC_PER_FRAME
     frames: dict[int, np.ndarray] = {}
-    sent: list[dict[int, tuple[np.ndarray, list[tuple[int, np.ndarray]]]]] = []
+    coded: dict[int, np.ndarray] = {}
+    sent: list[tuple[OnuSession, int, np.ndarray]] = []   # in decoder row order
     for session in sessions:
-        tx = {}
         for sc in session.subcarriers:
-            coded, codewords = [], []
-            for _ in range(CODEWORDS_PER_SC_PER_FRAME):
+            words = []
+            for _ in range(k):
                 c = session.codeword_counter
-                pending = session.olt_store.pending_seqs()
-                echo = pending[0] if pending else ECHO_NONE
+                echo = (session.olt_store.pending_seqs() or [ECHO_NONE])[0]
                 data = _bits((seed, seeds.DATA, seeds.label(session.onu_id), c),
                              DATA_BITS_PER_CODEWORD)
                 key = session.olt_store.consume(c)
                 cipher = aes256_encrypt(np.concatenate([byte_to_bits(echo), data]), key, c)
-                coded.append(ldpc.encode(cipher))
-                codewords.append((c, data))
-                report.pre_bits_transmitted += coded[-1].size
+                words.append(ldpc.encode(cipher))
+                sent.append((session, c, data))
+                report.pre_bits_transmitted += words[-1].size
                 report.post_bits_transmitted += data.size
                 session.codeword_counter += 1
                 if echo != ECHO_NONE:
                     session.olt_store.activate(echo, c + 1)
-            tx[sc] = (np.concatenate(coded), codewords)
+            coded[sc] = np.concatenate(words)
             frames[sc] = transmit_subcarrier(
                 _bits((seed, seeds.SIGNS, f, sc), n), _bits((seed, seeds.PILOT2, f, sc), n),
-                tx[sc][0], (seed, seeds.TRAIN, f, sc), DOWNSTREAM, PILOT)
-        sent.append(tx)
-
+                coded[sc], (seed, seeds.TRAIN, f, sc), DOWNSTREAM, PILOT)
     clean = _mux_frames(frames)
-    # the tapped copy has the legitimate channel's statistics, not its draws
-    taps = [(seeds.DS_CHANNEL, None)]
+
+    received, rows, converged = _receive_tap(clean, sessions, cfg, (seed, seeds.DS_CHANNEL, f))
+    report.stuck_codewords += int(np.count_nonzero(~converged))
+    errors = []
+    for (session, c, data), row in zip(sent, rows):
+        decrypted = aes256_decrypt(row, session.onu_store.consume(c), c)
+        errors.append(int(np.count_nonzero(decrypted[8:] != data)))
+        echo = byte_from_bits(decrypted[:8])
+        if echo != ECHO_NONE and echo in session.onu_store.pending_seqs():
+            session.onu_store.activate(echo, c + 1)
+            report.rotations += 1
+    for session, by_sc in zip(sessions, received):
+        for sc, got in by_sc.items():
+            compared, errors = errors[:k], errors[k:]
+            pre_errors = int(np.count_nonzero(demap_payload_16qam(got.payload) != coded[sc]))
+            report.frame_metrics.append(FrameMetrics(
+                f, "ds", session.onu_id, sc, coded[sc].size, pre_errors,
+                len(compared) * DATA_BITS_PER_CODEWORD, sum(compared), got.cycle_slips))
+
     if eavesdropper:
-        taps.append((seeds.TAP_CHANNEL,
-                     random_session_key(0, seeds.stream(seed, seeds.EVE_KEY))))
-    for tap, eve_key in taps:
-        rx = apply_channel(clean, cfg, (seed, tap, f))
-        received = [_receive_onu(rx, session, DOWNSTREAM, seed, f, cfg)
-                     for session in sessions]
-        # one decoder call for the tap, rows in session, subcarrier, codeword
-        # order; zip draws a codeword first, so each takes exactly its row
-        llrs = [payload_llrs_16qam(got.payload, got.noise_var)
-                for by_sc in received for got in by_sc.values()]
-        hard, _, converged = ldpc.decode_batch(np.concatenate(llrs).reshape(-1, ldpc.n))
-        if eve_key is None:
-            report.stuck_codewords += int(np.count_nonzero(~converged))
-        rows = iter(hard[:, :LDPC_K])
-        for session, tx, by_sc in zip(sessions, sent, received):
-            for sc, got in by_sc.items():
-                coded, codewords = tx[sc]
-                errors = 0
-                for (c, data), row in zip(codewords, rows):
-                    key = session.onu_store.consume(c) if eve_key is None else eve_key
-                    decrypted = aes256_decrypt(row, key, c)
-                    errors += int(np.count_nonzero(decrypted[8:] != data))
-                    echo = byte_from_bits(decrypted[:8])
-                    if eve_key is None and echo != ECHO_NONE \
-                            and echo in session.onu_store.pending_seqs():
-                        session.onu_store.activate(echo, c + 1)
-                        report.rotations += 1
-                data_bits = len(codewords) * DATA_BITS_PER_CODEWORD
-                if eve_key is not None:
-                    report.eavesdropper_bits += data_bits
-                    report.eavesdropper_errors += errors
-                    continue
-                pre_errors = int(np.count_nonzero(
-                    demap_payload_16qam(got.payload) != coded))
-                report.frame_metrics.append(FrameMetrics(
-                    f, "ds", session.onu_id, sc, coded.size, pre_errors, data_bits,
-                    errors, got.cycle_slips))
+        # the tapped copy has the legitimate channel's statistics, not its draws
+        key = random_session_key(0, seeds.stream(seed, seeds.EVE_KEY))
+        _, rows, _ = _receive_tap(clean, sessions, cfg, (seed, seeds.TAP_CHANNEL, f))
+        for (_, c, data), row in zip(sent, rows):
+            report.eavesdropper_bits += data.size
+            report.eavesdropper_errors += int(np.count_nonzero(
+                aes256_decrypt(row, key, c)[8:] != data))
 
 
 def run_secure_session(sessions: list[OnuSession], us_cfg: ChannelConfig | None,

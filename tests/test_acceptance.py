@@ -22,7 +22,6 @@ from secpon.experiments import ExperimentSpec, _map_cells, run_experiment
 from secpon.framing import downstream_layout, net_rate_gbps, upstream_layout
 from secpon.protocol import (
     allocate_tfdma,
-    active_keys_synchronized,
     make_sessions,
     run_secure_session,
 )

@@ -242,7 +242,7 @@ _SPLIT_LENGTHS = {74680: (40, 1867), 75192: (24, 3133), 9335: (5, 1867), 9399: (
 
 def _scipy_dft(x, inverse=False):
     """``framing._dft`` as it ran on ``scipy.fft``, with which the pinned
-    CSV digests were last written."""
+    CSVs were last written."""
     transform = scipy.fft.ifft if inverse else scipy.fft.fft
     n1, n2 = framing._smooth_split(x.shape[-1])
     if n1 == 1 or n2 == 1:
@@ -259,7 +259,7 @@ def _assert_same_bits(got, want):
 
 
 class TestScipyFftMatchesNumpy:
-    """The DSCM transforms run on ``numpy.fft``, and the pinned CSV digests
+    """The DSCM transforms run on ``numpy.fft``, and the pinned CSVs
     were last written with ``scipy.fft``: both must give the same bits on
     the complex arrays the experiments transform, at every length and
     shape they use."""

@@ -1,13 +1,13 @@
 """Experiment runner: grids, cell determinism, output files, checks."""
 
-import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import secpon
@@ -394,41 +394,80 @@ class TestSessionExperiments:
         assert result.passed, result.check_failures
 
 
-# Full CSV sha256 of small fixed-seed runs (seed 901, check on).  Any change
-# that moves them changes a claimed output and must say why.  The CSVs hold
-# floats from numpy and libm, so a different numpy or C library may move
-# them without a code change.
-_FIXED_SEED_CSV_SHA256 = [
-    ("cpr-penalty", {"a_values": [1.7], "linewidths_hz": [1e5], "n_symbols": 30000,
-                     "scan_snrs_db": [12.2, 13.0, 13.8]},
-     "49a83a6b1468df689620d2d3e0295632b416a6afcccd2948b489722fc8a1ccb8"),
-    ("keydist", {"n_frames": 4},
-     "09c6f5ea7527fb3d5412bbfc890c1292f480379e2b691c217690bf08b52e7bc8"),
-    ("keydist", {"n_frames": 6, "snr_sc_db": None, "linewidth_hz": 0.0},
-     "3ca5814145c1304d11a26ef39cedcb29863fbb030629dcb2396ee4e6bf2b3e11"),
-    ("e2e-secure", {"n_superframes": 2},
-     "fabde26bac8b8110cd14d6f56da55cc665c6de2998eec11d12ce3c21474c01a5"),
-    ("fec-waterfall", {"ldpc_snrs_db": [12.3434], "polar_snrs_db": [12.3434],
-                       "n_codewords_ldpc": 4, "n_codewords_polar": 20,
-                       "op_snr_db": 12.3434},
-     "136a1a848413c5da7368008603c9697b4a55871a57f8c7c1ae277624a6343952"),
+# Small fixed-seed runs (seed 901, check on), pinned as files under
+# tests/data/pinned: each run's CSV and its meta.json summary less
+# wall_time_s.  Any change that moves them changes a claimed output and must
+# say why.  The CSVs hold floats from numpy and libm, so a different numpy or
+# C library may move them without a code change.  To re-pin, run
+# ``_run_pinned(PINNED_DIR)`` with src/ and tests/ on the path, and review the diff.
+PINNED_DIR = Path(__file__).resolve().parent / "data" / "pinned"
+_PINNED_RUNS = [
+    ("cpr-penalty-0", "cpr-penalty",
+     {"a_values": [1.7], "linewidths_hz": [1e5], "n_symbols": 30000,
+      "scan_snrs_db": [12.2, 13.0, 13.8]}),
+    ("keydist-1", "keydist", {"n_frames": 4}),
+    ("keydist-2", "keydist", {"n_frames": 6, "snr_sc_db": None, "linewidth_hz": 0.0}),
+    ("e2e-secure-3", "e2e-secure", {"n_superframes": 2}),
+    ("fec-waterfall-4", "fec-waterfall",
+     {"ldpc_snrs_db": [12.3434], "polar_snrs_db": [12.3434], "n_codewords_ldpc": 4,
+      "n_codewords_polar": 20, "op_snr_db": 12.3434}),
 ]
 
 
-@pytest.mark.parametrize("name, params, digest", _FIXED_SEED_CSV_SHA256,
-                         ids=[f"{n}-{i}" for i, (n, _, _) in enumerate(_FIXED_SEED_CSV_SHA256)])
-def test_fixed_seed_csv_bytes(tmp_path, name, params, digest):
-    result = run_experiment(ExperimentSpec(name, params, seed=901,
-                                           out_dir=tmp_path, check=True))
-    assert hashlib.sha256(result.csv_path.read_bytes()).hexdigest() == digest
+def _run_pinned(out_dir, runs=_PINNED_RUNS):
+    """Write ``<id>.csv`` and ``<id>.summary.json`` of each run into out_dir."""
+    out = Path(out_dir)
+    for pin_id, name, params in runs:
+        with tempfile.TemporaryDirectory() as run_dir:
+            result = run_experiment(ExperimentSpec(name, params, seed=901,
+                                                   out_dir=Path(run_dir), check=True))
+            summary = json.loads(result.meta_path.read_text())["summary"]
+            (out / f"{pin_id}.csv").write_bytes(result.csv_path.read_bytes())
+        del summary["wall_time_s"]
+        (out / f"{pin_id}.summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
-def _fixed_seed_digests(out_dir):
-    """The CSV sha256 of every fixed-seed run above, in table order."""
-    return [hashlib.sha256(run_experiment(ExperimentSpec(
-                name, params, seed=901, out_dir=Path(out_dir) / str(i), check=True
-            )).csv_path.read_bytes()).hexdigest()
-            for i, (name, params, _) in enumerate(_FIXED_SEED_CSV_SHA256)]
+def _pinned_differences(out_dir, pin_id):
+    """Where a run's files differ from the pinned ones: the first differing
+    CSV row with its changed columns, and every changed summary key."""
+    out = Path(out_dir)
+    found = []
+    got, want = (d.joinpath(f"{pin_id}.csv").read_bytes() for d in (out, PINNED_DIR))
+    if got != want:
+        rows = zip_longest(got.decode().split("\n"), want.decode().split("\n"), fillvalue="")
+        line, (g, w) = next((i, gw) for i, gw in enumerate(rows) if gw[0] != gw[1])
+        header = want.decode().split("\n")[0].split(",")
+        cells = zip_longest(header, w.split(","), g.split(","), fillvalue="")
+        found.append(f"{pin_id}.csv line {line + 1}: " + ", ".join(
+            f"{col} {old} -> {new}" for col, old, new in cells if old != new))
+    got, want = (json.loads(d.joinpath(f"{pin_id}.summary.json").read_text())
+                 for d in (out, PINNED_DIR))
+    found += [f"{pin_id} summary {key}: {want.get(key)!r} -> {got.get(key)!r}"
+              for key in sorted(got.keys() | want.keys(), key=str)
+              if json.dumps(got.get(key)) != json.dumps(want.get(key))]
+    return found
+
+
+@pytest.mark.parametrize("run", _PINNED_RUNS, ids=[run[0] for run in _PINNED_RUNS])
+def test_fixed_seed_csv_bytes(tmp_path, run):
+    _run_pinned(tmp_path, [run])
+    assert _pinned_differences(tmp_path, run[0]) == []
+
+
+def test_pinned_differences_name_row_columns_and_keys(tmp_path):
+    pin_id = "e2e-secure-3"
+    csv = (PINNED_DIR / f"{pin_id}.csv").read_text().splitlines()
+    header, row = csv[0].split(","), csv[2].split(",")
+    row[header.index("pre_errors")] = "-1"
+    (tmp_path / f"{pin_id}.csv").write_text("\n".join(csv[:2] + [",".join(row)] + csv[3:]) + "\n")
+    summary = json.loads((PINNED_DIR / f"{pin_id}.summary.json").read_text())
+    summary["rotations"] += 1
+    (tmp_path / f"{pin_id}.summary.json").write_text(json.dumps(summary))
+    found = _pinned_differences(tmp_path, pin_id)
+    assert len(found) == 2
+    assert found[0].startswith(f"{pin_id}.csv line 3: pre_errors ")
+    assert found[0].endswith(" -> -1")
+    assert found[1].startswith(f"{pin_id} summary rotations: ")
 
 
 _CHILD = """
@@ -439,15 +478,15 @@ try:
 except ImportError:
     from numpy.core._multiarray_umath import __cpu_features__
 assert not __cpu_features__["X86_V3"], "X86_V3 kernels still enabled"
-print(" ".join(test_experiments._fixed_seed_digests(sys.argv[1])))
+test_experiments._run_pinned(sys.argv[1])
 """
 
 
 def test_fixed_seed_csv_bytes_do_not_depend_on_simd_target(tmp_path):
     """numpy picks its SIMD kernels at run time, and np.log, np.exp,
     np.log1p and np.angle give different float bits on X86_V2, X86_V3 and
-    X86_V4.  The promise is the CSV bytes, not those bits: a child held to
-    the X86_V2 kernels writes every pinned digest."""
+    X86_V4.  The promise is the pinned files, not those bits: a child held
+    to the X86_V2 kernels writes every pinned CSV and summary."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__
     except ImportError:
@@ -461,7 +500,8 @@ def test_fixed_seed_csv_bytes_do_not_depend_on_simd_target(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _CHILD, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [digest for _, _, digest in _FIXED_SEED_CSV_SHA256]
+    assert [d for pin_id, _, _ in _PINNED_RUNS
+            for d in _pinned_differences(tmp_path, pin_id)] == []
 
 
 _NO_SCIPY_CHILD = """

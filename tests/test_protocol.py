@@ -4,7 +4,7 @@ allocation, and the no-desync property under control-channel loss."""
 import numpy as np
 import pytest
 
-from secpon import protocol, rxdsp, theory
+from secpon import protocol, rxdsp, seeds, theory
 from secpon.channel import ChannelConfig
 from secpon.crypto import KeyFragmentMessage, KeyStore, SessionKey, split_key
 from secpon.dscm import SAMPLES_PER_SYMBOL, SUBCARRIER_BAUD, aggregate_snr_db, demux_select, mux
@@ -343,6 +343,37 @@ class TestDownstreamEncrypted:
                                  eavesdropper=eavesdropper)
         assert rep.stuck_codewords == 2
         assert rep.post_fec_ber() == 0.0
+
+    def test_eavesdropper_is_read_only(self):
+        """The tap decrypts with a made-up key and touches no session
+        state: with it on or off, the legitimate run is the same."""
+        cfg = ChannelConfig(snr_db=OP_SNR_AGG, linewidth_hz=1e5)
+        runs = []
+        for eavesdropper in (False, True):
+            sessions = _two_onus()
+            rep = run_secure_session(sessions, cfg, cfg, 2, seed=5, eavesdropper=eavesdropper)
+            runs.append((rep.frame_metrics, rep.rotations, rep.stuck_codewords,
+                         rep.desynchronized_frames,
+                         [(s.codeword_counter, store.active_key.seq, store.pending_seqs())
+                          for s in sessions for store in (s.onu_store, s.olt_store)]))
+        assert rep.eavesdropper_bits == rep.post_bits_transmitted > 0
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("tap", [seeds.DS_CHANNEL, seeds.TAP_CHANNEL],
+                             ids=["legitimate", "eavesdropper"])
+    def test_missing_tap_row_fails_validation(self, monkeypatch, tap):
+        """Both receivers count the data bits of the rows they compared,
+        so a row the decoder never returns on either tap fails validation."""
+        receive_tap = protocol._receive_tap
+
+        def drop_last_row(clean, sessions, cfg, path):
+            received, rows, converged = receive_tap(clean, sessions, cfg, path)
+            return received, rows[:-1] if path[1] == tap else rows, converged
+
+        monkeypatch.setattr(protocol, "_receive_tap", drop_last_row)
+        with pytest.raises(AssertionError, match="transmitted"):
+            run_secure_session(_two_onus(), None, ChannelConfig(), 1, seed=5,
+                               eavesdropper=True)
 
     def test_eavesdropper_agreement_is_coin_flip_when_noiseless(self):
         sessions = _two_onus()

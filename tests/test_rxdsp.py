@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import secpon
-from secpon import channel, dscm, framing, protocol, rxdsp, theory
+from secpon import channel, dscm, framing, protocol, rxdsp
 
 
 def _frame_body(rng, layout, params, linewidth, snr_db, seed):
