@@ -31,6 +31,16 @@ signs is tested, and each codeword that satisfies it leaves the batch
 with its hard bits, so a batch costs the iterations of its codewords,
 not those of its slowest one.
 
+The decoder keeps the codewords on the last axis: the posteriors are
+(n, batch) and each layer holds its variables as (degree, checks), so
+every layer array is (degree, checks, batch).  A check's phi-sum and
+sign product over its variables are then degree - 1 elementwise
+operations over checks x batch contiguous values, and the gather and
+scatter move whole rows of batch values.  The phi-sum runs in numpy's
+pairwise summation order, written out in ``_pairwise_sum``, so the
+bits are those of a kernel that sums each check along a contiguous
+last axis; the tests keep that kernel as the reference.
+
 One parity routine serves the encoder, ``syndrome_weight`` and that
 stopping test.  It packs up to eight words into each byte, one bit lane
 per word, so one gather of a byte per edge and one XOR reduction per
@@ -83,7 +93,7 @@ class LdpcCode:
     def _build_layers(self, counts: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
         """Split the checks into runs of consecutive checks of equal degree
         that share no variable, as (first edge, end edge, variables) with
-        the variables shaped (checks, degree).
+        the variables shaped (degree, checks).
 
         Within a layer every variable takes at most one message, so the
         layer updates its checks at once.  For the quasi-cyclic code each
@@ -102,7 +112,8 @@ class LdpcCode:
                 firsts.append(c)
         edge_at = np.append(self._check_starts, self.var_of_edge.size)
         return [(int(edge_at[c0]), int(edge_at[c1]),
-                 self.var_of_edge[edge_at[c0]:edge_at[c1]].reshape(c1 - c0, degree[c0]))
+                 np.ascontiguousarray(self.var_of_edge[edge_at[c0]:edge_at[c1]]
+                                      .reshape(c1 - c0, degree[c0]).T))
                 for c0, c1 in zip(firsts, firsts[1:] + [self.m])]
 
     @property
@@ -164,7 +175,7 @@ class LdpcCode:
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Layered sum-product decode of a (batch, n) LLR array; positive
         LLR favors bit 0.  A codeword stops iterating once its syndrome is
-        zero.
+        zero.  Raises ``ValueError`` for a row holding a NaN.
 
         Returns (hard bits, iterations used, converged flags), one row or
         entry per codeword.
@@ -174,46 +185,98 @@ class LdpcCode:
             raise ValueError(f"expected (batch, {self.n}) LLRs, got shape {llrs.shape}")
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        nan_rows = np.flatnonzero(np.isnan(llrs).any(axis=1))
+        if nan_rows.size:
+            raise ValueError(f"LLR row {nan_rows[0]} holds NaN")
         b = llrs.shape[0]
         hard = np.zeros((b, self.n), dtype=np.uint8)
         iters = np.full(b, max_iterations, dtype=np.int64)
         done = np.zeros(b, dtype=bool)
-        # converged rows leave the active arrays; every update is row-wise
+        # codewords are the last axis, so a check's reduction over its
+        # variables is elementwise over (checks, codewords) rows, and
+        # converged codewords leave the active columns
         active = np.arange(b)
-        post = llrs.copy()
-        msg = np.zeros((b, self.var_of_edge.size))     # check-to-variable
+        post = llrs.T.copy()
+        msg = np.zeros((self.var_of_edge.size, b))     # check-to-variable
+        size = max(v.size for _, _, v in self._layers) * b
+        q_buf, a_buf, s_buf = np.empty(size), np.empty(size), np.empty(size)
         for it in range(max_iterations):
+            nb = active.size
             for e0, e1, v in self._layers:
-                r = msg[:, e0:e1].reshape(-1, *v.shape)
-                q = np.take(post, v, axis=1)
+                shape = (*v.shape, nb)
+                r = msg[e0:e1].reshape(shape)
+                # in-range indices; "clip" lets take write straight into out
+                q = np.take(post, v, axis=0, out=q_buf[:r.size].reshape(shape), mode="clip")
                 q -= r
-                # phi-domain magnitude sum and sign product over each check;
-                # the 1e-12 floors bound |r| by phi(1e-12) ~ 28.3
-                phi = _phi(np.maximum(np.abs(q), 1e-12))
-                others = np.maximum(phi.sum(axis=-1, keepdims=True) - phi, 1e-12)
-                sign = np.copysign(1.0, q)
-                sign *= sign.prod(axis=-1, keepdims=True)
-                r[...] = _phi(others)
-                r *= sign
+                # phi(x) = -log(tanh(x/2)) with both negations folded into
+                # the sign: a holds -phi of each input magnitude, then
+                # -phi of the other inputs' phi-sum (negated terms sum to
+                # the negated sum, bit for bit); the 1e-12 floors bound
+                # |r| by phi(1e-12) ~ 28.3
+                a = np.abs(q, out=a_buf[:r.size].reshape(shape))
+                np.maximum(a, 1e-12, out=a)
+                a *= 0.5
+                np.tanh(a, out=a)
+                np.log(a, out=a)
+                np.subtract(a, _pairwise_sum(a), out=a)
+                np.maximum(a, 1e-12, out=a)
+                a *= 0.5
+                np.tanh(a, out=a)
+                np.log(a, out=a)
+                # r = phi(others) x the other inputs' sign product
+                #   = a x -(own sign x the check's whole sign product)
+                sign = np.copysign(1.0, q, out=s_buf[:r.size].reshape(shape))
+                sign *= np.negative(np.multiply.reduce(sign, axis=0))
+                np.multiply(a, sign, out=r)
                 q += r
-                post[:, v] = q
-            conv = ~np.any(self._syndrome(post < 0), axis=1)
+                post[v] = q
+            conv = ~np.any(self._syndrome((post < 0).T), axis=1)
             if np.any(conv):
                 rows = active[conv]
-                hard[rows] = post[conv] < 0
+                hard[rows] = post[:, conv].T < 0
                 iters[rows] = it + 1
                 done[rows] = True
-                keep = ~conv
-                active, post, msg = active[keep], post[keep], msg[keep]
+                keep = np.flatnonzero(~conv)
+                active = active[keep]
+                post, msg = np.take(post, keep, axis=1), np.take(msg, keep, axis=1)
             if active.size == 0:
                 break
-        hard[active] = post < 0
+        hard[active] = post.T < 0
         return hard, iters, done
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    """Self-inverse check-node kernel -log(tanh(x/2)) for x > 0."""
-    return -np.log(np.tanh(0.5 * x))
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order of numpy's pairwise summation, so the
+    result is bit for bit ``np.add.reduce`` of each column laid out along
+    a contiguous last axis.
+
+    Below 8 terms the sum runs in sequence; up to 128, eight running
+    accumulators take every eighth term, their tree sum
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) follows and the
+    remainder is added in sequence; above 128 the terms split at half
+    their count rounded down to a multiple of 8, and each half is summed
+    the same way.  The +0.0 start is numpy's: it turns a -0.0 sum into
+    +0.0.
+    """
+    n = a.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    if n < 8:
+        out = a[0] + 0.0
+        for x in a[1:]:
+            out += x
+        return out
+    r = a[:8] + 0.0
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        r += a[i:i + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    out = r[0] + r[1]
+    for x in a[tail:]:
+        out += x
+    return out
 
 
 def _peg_base_graph(rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from secpon import fec_ldpc, framing, theory
@@ -17,6 +19,70 @@ LLR_CLIP = 30.0
 SATURATED_ROW = Path(__file__).parent / "data" / "ldpc_saturated_row.npz"
 # sha256 of the shipped code's check_of_edge then var_of_edge as <i8 bytes
 SHIPPED_MATRIX_SHA256 = "25c94c20e3a145a3e371ae16593ded7eaec13822c8d898750ec8286ff1e12bd2"
+
+
+def _phi(x):
+    """Self-inverse check-node kernel -log(tanh(x/2)) for x > 0."""
+    return -np.log(np.tanh(0.5 * x))
+
+
+class _LogSpy:
+    """Stands in for numpy inside ``secpon.fec_ldpc`` and hands every
+    ``log`` output to ``sink``; the decoder's only logs are its two phi
+    evaluations per layer, each -phi of its input."""
+
+    def __init__(self, sink):
+        self._sink = sink
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x, out=None):
+        y = np.log(x, out=out)
+        self._sink(y)
+        return y
+
+
+def _reference_row_major(code, llrs, max_iterations=fec_ldpc.DEFAULT_MAX_ITERATIONS,
+                         kernel=_phi):
+    """The layered decoder with codewords as rows and each layer's checks
+    as (checks, degree) rows: each check sums its phi terms and multiplies
+    its signs along a contiguous last axis, in numpy's own reduction
+    order.  ``decode_batch`` must give exactly its bits.  ``kernel``
+    evaluates phi."""
+    b = llrs.shape[0]
+    hard = np.zeros((b, code.n), dtype=np.uint8)
+    iters = np.full(b, max_iterations, dtype=np.int64)
+    done = np.zeros(b, dtype=bool)
+    active = np.arange(b)
+    post = llrs.astype(np.float64)
+    msg = np.zeros((b, code.var_of_edge.size))
+    layers = [(e0, e1, v.T) for e0, e1, v in code._layers]
+    for it in range(max_iterations):
+        for e0, e1, v in layers:
+            r = msg[:, e0:e1].reshape(-1, *v.shape)
+            q = np.take(post, v, axis=1)
+            q -= r
+            phi = kernel(np.maximum(np.abs(q), 1e-12))
+            others = np.maximum(phi.sum(axis=-1, keepdims=True) - phi, 1e-12)
+            sign = np.copysign(1.0, q)
+            sign *= sign.prod(axis=-1, keepdims=True)
+            r[...] = kernel(others)
+            r *= sign
+            q += r
+            post[:, v] = q
+        conv = ~np.any(code._syndrome(post < 0), axis=1)
+        if np.any(conv):
+            rows = active[conv]
+            hard[rows] = post[conv] < 0
+            iters[rows] = it + 1
+            done[rows] = True
+            keep = ~conv
+            active, post, msg = active[keep], post[keep], msg[keep]
+        if active.size == 0:
+            break
+    hard[active] = post < 0
+    return hard, iters, done
 
 
 def _reference_flooding(code, llrs, max_iterations=fec_ldpc.DEFAULT_MAX_ITERATIONS):
@@ -36,12 +102,12 @@ def _reference_flooding(code, llrs, max_iterations=fec_ldpc.DEFAULT_MAX_ITERATIO
     posterior = ch.copy()
     for it in range(max_iterations):
         neg = m_vc < 0
-        phi = fec_ldpc._phi(np.maximum(np.abs(m_vc), 1e-12))
+        phi = _phi(np.maximum(np.abs(m_vc), 1e-12))
         phi_sum = np.add.reduceat(phi, cstarts, axis=1)[:, cidx] - phi
         negsum = np.add.reduceat(neg.astype(np.int8), cstarts, axis=1)[:, cidx] \
             - neg.astype(np.int8)
         sign = 1.0 - 2.0 * (negsum & 1)
-        m_cv = np.clip(sign * fec_ldpc._phi(np.maximum(phi_sum, 1e-12)), -LLR_CLIP, LLR_CLIP)
+        m_cv = np.clip(sign * _phi(np.maximum(phi_sum, 1e-12)), -LLR_CLIP, LLR_CLIP)
         posterior = ch + np.add.reduceat(m_cv[:, byv], vstarts, axis=1)
         m_vc = np.clip(posterior[:, vidx] - m_cv, -LLR_CLIP, LLR_CLIP)
         hard_now = (posterior < 0).astype(np.uint8)
@@ -88,6 +154,20 @@ def _assert_rows_decode_alone(code, llr, batch_out):
         alone = code.decode_batch(llr[i:i + 1])
         assert np.array_equal(alone[0][0], hard[i]), i
         assert (alone[1][0], alone[2][0]) == (iters[i], ok[i]), i
+
+
+# row order for the bit-identity guard: any prefix mixes SNRs from 9 to
+# 13.54 dB, and row 2 is a 13.54 dB row scaled by 1e6, which no bounded
+# check message can move
+_GUARD_SNRS_DB = (12.3434, 9.0, 13.54, 11.6, 12.0, 10.0, 13.0, 11.0, 12.6, 11.8, 13.54)
+
+
+@pytest.fixture(scope="module")
+def guard_llrs():
+    code = fec_ldpc.default_code()
+    llr = _llrs_at(np.random.default_rng(14), code, _GUARD_SNRS_DB)
+    llr[2] *= 1e6
+    return llr
 
 
 class TestConstruction:
@@ -147,9 +227,11 @@ class TestConstruction:
         assert bounds[0][0] == 0 and bounds[-1][1] == code.var_of_edge.size
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         for e0, e1, v in layers:
-            assert v.shape[0] == 48
-            assert np.array_equal(v.ravel(), code.var_of_edge[e0:e1])
-            checks = code.check_of_edge[e0:e1].reshape(v.shape)
+            # variable-major: one row of 48 variables per position in the
+            # checks, column c holding check c's variables
+            assert v.shape[1] == 48 and v.flags.c_contiguous
+            assert np.array_equal(v.T.ravel(), code.var_of_edge[e0:e1])
+            checks = code.check_of_edge[e0:e1].reshape(v.T.shape)
             assert (checks == checks[:, :1]).all()
             assert np.unique(v).size == v.size
 
@@ -256,7 +338,7 @@ class TestSmallCodeSanity:
         # every pair of Hamming checks shares variable 0
         layers = self.hamming()._layers
         assert [(e0, e1, v.shape) for e0, e1, v in layers] \
-            == [(0, 4, (1, 4)), (4, 8, (1, 4)), (8, 12, (1, 4))]
+            == [(0, 4, (4, 1)), (4, 8, (4, 1)), (8, 12, (4, 1))]
 
     def test_hamming_corrects_unreliable_position(self):
         # one position flipped at low confidence: belief propagation must
@@ -362,19 +444,71 @@ class TestDecoder:
     def test_check_messages_stay_bounded(self, monkeypatch):
         # decode_batch floors the kernel's inputs at 1e-12 and clamps
         # nothing: phi falls with x, so phi(1e-12) bounds every message,
-        # even for channel LLRs far beyond any clip level
+        # even for channel LLRs far beyond any clip level.  The kernel
+        # takes phi as log(tanh(x/2)) = -phi(x) and each message is the
+        # second log's output times +-1, so the peak |log| over the
+        # decode bounds every message (and every phi term).
         code = fec_ldpc.default_code()
         cw = code.encode(np.random.default_rng(12).integers(0, 2, code.k).astype(np.uint8))
         llr = 1e6 * (1.0 - 2.0 * cw.astype(float))
         llr[:40] *= -1e-6
         llr[40] = 0.0
         peak = []
-        phi = fec_ldpc._phi
-        monkeypatch.setattr(fec_ldpc, "_phi", lambda x: peak.append(phi(x).max()) or phi(x))
-        bits, _, ok = code.decode_batch(llr[None, :])
+        monkeypatch.setattr(fec_ldpc, "np", _LogSpy(lambda y: peak.append(np.abs(y).max())))
+        bits, iters, ok = code.decode_batch(llr[None, :])
+        monkeypatch.undo()
         assert ok[0] and np.array_equal(bits[0], cw)
+        assert len(peak) == 2 * len(code._layers) * iters[0]
         assert np.isfinite(peak).all()
-        assert max(peak) <= phi(np.float64(1e-12)) < 28.4
+        assert max(peak) <= _phi(np.float64(1e-12)) < 28.4
+
+    @pytest.mark.parametrize("batch", [1, 3, 8, 11])
+    def test_same_bits_as_row_major_reference(self, guard_llrs, batch, monkeypatch):
+        # the variable-major kernel reorders memory, not arithmetic: every
+        # phi-sum follows numpy's pairwise order and the sign product of
+        # +-1 is exact, so hard bits, iterations and flags match the
+        # row-major kernel at every budget, and at the largest every phi
+        # array of every layer matches too; 11 rows cross a byte lane of
+        # the stopping test
+        code = fec_ldpc.default_code()
+        llr = guard_llrs[:batch].copy()
+        for budget in (1, 2, 3, 5):
+            got = code.decode_batch(llr, budget)
+            want = _reference_row_major(code, llr, budget)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (batch, budget)
+        got_phi, want_phi = hashlib.sha256(), hashlib.sha256()
+
+        def kernel(x):
+            y = _phi(x)
+            want_phi.update(np.ascontiguousarray(-y.transpose(2, 1, 0)).tobytes())
+            return y
+
+        want = _reference_row_major(code, llr, 50, kernel)
+        monkeypatch.setattr(fec_ldpc, "np", _LogSpy(lambda y: got_phi.update(y.tobytes())))
+        got = code.decode_batch(llr, 50)
+        monkeypatch.undo()
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (batch, 50)
+        assert got_phi.digest() == want_phi.digest()
+        assert np.array_equal(llr, guard_llrs[:batch])     # input left as given
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pairwise_sum_is_numpy_reduce(self, data):
+        # over axis 0, bit for bit what np.add.reduce gives over a
+        # contiguous last axis, -0.0 and subnormal terms included
+        n = data.draw(st.integers(1, 300), label="n")
+        x = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 3)), n),
+                                 elements=st.floats(-1e300, 1e300)), label="x")
+        got = fec_ldpc._pairwise_sum(np.ascontiguousarray(x.T))
+        assert got.tobytes() == np.add.reduce(x, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 8, 21, 200])
+    def test_pairwise_sum_of_negative_zeros_is_positive_zero(self, n):
+        # numpy's reduction starts from +0.0
+        got = fec_ldpc._pairwise_sum(np.full((n, 2), -0.0))
+        assert not np.signbit(got).any()
 
     def test_saturated_session_row_decodes(self):
         code = fec_ldpc.default_code()
@@ -402,3 +536,11 @@ class TestDecoder:
             code.decode_batch(np.zeros(code.n))
         with pytest.raises(ValueError):
             code.decode_batch(np.zeros((1, code.n)), max_iterations=0)
+        # a NaN would otherwise pass the stopping test as if satisfied:
+        # one among clean LLRs "converged" with thousands of bit errors
+        llr = np.full((3, code.n), 4.0)
+        llr[2, 123] = np.nan
+        with pytest.raises(ValueError, match="row 2"):
+            code.decode_batch(llr)
+        with pytest.raises(ValueError, match="row 0"):
+            code.decode_batch(np.full((1, code.n), np.nan))
